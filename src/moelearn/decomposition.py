@@ -88,25 +88,34 @@ def power_method(t3: np.ndarray, n_components: int, restarts: int = 30,
     eigenvalues = np.zeros(n_components)
     iters_used, weak_flags, deflation_norms = [], [], []
     floor = None
+    # The greedy contraction order depends only on the operand shapes, which
+    # stay fixed for the whole call; searching it once here, not in every
+    # einsum call, leaves the contractions and their bits unchanged.
+    batch, vec = np.empty((restarts, m)), np.empty(m)
+    path_batch = np.einsum_path("abc,lb,lc->la", t, batch, batch, optimize=True)[0]
+    path_batch_lam = np.einsum_path("abc,la,lb,lc->l", t, batch, batch, batch,
+                                    optimize=True)[0]
+    path_vec = np.einsum_path("abc,b,c->a", t, vec, vec, optimize=True)[0]
+    path_vec_lam = np.einsum_path("abc,a,b,c->", t, vec, vec, vec, optimize=True)[0]
 
     for comp in range(n_components):
         theta = rng.standard_normal((restarts, m))
         theta /= np.linalg.norm(theta, axis=1, keepdims=True)
         for _ in range(iterations):
-            theta = np.einsum("abc,lb,lc->la", t, theta, theta, optimize=True)
+            theta = np.einsum("abc,lb,lc->la", t, theta, theta, optimize=path_batch)
             nrm = np.linalg.norm(theta, axis=1, keepdims=True)
             nrm[nrm == 0] = 1.0
             theta /= nrm
-        lam = np.einsum("abc,la,lb,lc->l", t, theta, theta, theta, optimize=True)
+        lam = np.einsum("abc,la,lb,lc->l", t, theta, theta, theta, optimize=path_batch_lam)
         best = int(np.argmax(lam))
         v = theta[best]
         for _ in range(iterations):
-            v_new = np.einsum("abc,b,c->a", t, v, v, optimize=True)
+            v_new = np.einsum("abc,b,c->a", t, v, v, optimize=path_vec)
             nrm = np.linalg.norm(v_new)
             if nrm == 0:
                 break
             v = v_new / nrm
-        lam_v = float(np.einsum("abc,a,b,c->", t, v, v, v, optimize=True))
+        lam_v = float(np.einsum("abc,a,b,c->", t, v, v, v, optimize=path_vec_lam))
         if lam_v < 0:   # canonicalize: odd tensor, flip vector to flip sign
             v, lam_v = -v, -lam_v
         if floor is None:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .activations import Activation
 from .errors import ConfigError
-from .model import make_rng
+from .model import logsumexp_rows, make_rng, softmax_rows
 from .cqt import gauss_hermite
 
 SIGMA2_FLOOR = 1e-12
@@ -39,22 +39,6 @@ DEFAULT_SMOOTHNESS = 0.25           # mu
 def default_gradient_step() -> float:
     """The step size 2 / (mu + lambda) used by gradient EM."""
     return 2.0 / (DEFAULT_SMOOTHNESS + DEFAULT_STRONG_CONCAVITY)
-
-
-def _lse_with_zero(logits: np.ndarray) -> np.ndarray:
-    """log(1 + sum_j exp(logits_j)) rowwise, stable."""
-    if logits.shape[1] == 0:
-        return np.zeros(logits.shape[0])
-    m = np.maximum(logits.max(axis=1), 0.0)
-    return m + np.log(np.exp(-m) + np.exp(logits - m[:, None]).sum(axis=1))
-
-
-def softmax_with_zero(logits: np.ndarray) -> np.ndarray:
-    """Softmax over (logits_1..logits_{k-1}, 0); returns all k columns."""
-    full = np.hstack([logits, np.zeros((logits.shape[0], 1))])
-    m = full.max(axis=1, keepdims=True)
-    e = np.exp(full - m)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 class EStepResult(NamedTuple):
@@ -82,10 +66,9 @@ def e_step(x: np.ndarray, y: np.ndarray, regressors: np.ndarray, w: np.ndarray,
         return EStepResult(post, float("nan"), True)
     s2 = max(sigma**2, SIGMA2_FLOOR)
     full_logits = np.hstack([logits, np.zeros((x.shape[0], 1))])
-    log_prior = full_logits - _lse_with_zero(logits)[:, None]
+    log_prior = full_logits - logsumexp_rows(logits, zero_column=True)[:, None]
     log_joint = log_prior - 0.5 * res**2 / s2 - 0.5 * math.log(2 * math.pi * s2)
-    m = log_joint.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(log_joint - m).sum(axis=1))
+    lse = logsumexp_rows(log_joint)
     post = np.exp(log_joint - lse[:, None])
     return EStepResult(post, float(lse.mean()), False)
 
@@ -94,12 +77,12 @@ def q_value(x: np.ndarray, posteriors: np.ndarray, w: np.ndarray) -> float:
     """Empirical EM surrogate Q(w | posteriors)."""
     logits = x @ w.T
     linear = np.einsum("ni,ni->n", posteriors[:, :-1], logits)
-    return float(np.mean(linear - _lse_with_zero(logits)))
+    return float(np.mean(linear - logsumexp_rows(logits, zero_column=True)))
 
 
 def q_gradient(x: np.ndarray, posteriors: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(k-1, d) gradient of Q at w."""
-    probs = softmax_with_zero(x @ w.T)
+    probs = softmax_rows(x @ w.T, zero_column=True)
     return (posteriors[:, :-1] - probs[:, :-1]).T @ x / x.shape[0]
 
 

@@ -34,10 +34,65 @@ def spawn_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(n)
 
 
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - m)
-    return e / e.sum(axis=1, keepdims=True)
+# The package's one softmax / log-sum-exp. Every caller has a few columns and
+# many rows, where an axis-1 numpy reduction costs far more per call than a
+# loop over columns. Max is exact either way; numpy adds fewer than
+# _PAIRWISE_WIDTH elements left to right, so the column loop below that width
+# gives the same bits as ``.sum(axis=1)``, and from it on numpy's pairwise
+# order is kept by calling it.
+_PAIRWISE_WIDTH = 8
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    m = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(m, a[:, j], out=m)
+    return m
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Bitwise equal to ``a.sum(axis=1)``."""
+    if a.shape[1] >= _PAIRWISE_WIDTH:
+        return a.sum(axis=1)
+    s = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        s += a[:, j]
+    return s
+
+
+def logsumexp_rows(logits: np.ndarray, zero_column: bool = False) -> np.ndarray:
+    """log(sum_j exp(logits_j)) per row, stable.
+
+    With ``zero_column`` the rows get an implicit extra logit 0, giving
+    log(1 + sum_j exp(logits_j)); its term is added before the others.
+    """
+    if not zero_column:
+        m = _row_max(logits)
+        return m + np.log(_row_sum(np.exp(logits - m[:, None])))
+    if logits.shape[1] == 0:
+        return np.zeros(logits.shape[0])
+    m = np.maximum(_row_max(logits), 0.0)
+    return m + np.log(np.exp(-m) + _row_sum(np.exp(logits - m[:, None])))
+
+
+def softmax_rows(logits: np.ndarray, zero_column: bool = False) -> np.ndarray:
+    """Row-wise softmax, stable.
+
+    With ``zero_column`` the rows get an implicit last logit 0 and the result
+    has one more column, the probability of that last entry.
+    """
+    if not zero_column:
+        e = np.exp(logits - _row_max(logits)[:, None])
+        e /= _row_sum(e)[:, None]
+        return e
+    n, c = logits.shape
+    m = np.maximum(_row_max(logits), 0.0) if c else np.zeros(n)
+    e = np.empty((n, c + 1))
+    np.subtract(logits, m[:, None], out=e[:, :c])
+    np.negative(m, out=e[:, c])
+    np.exp(e, out=e)
+    e /= _row_sum(e)[:, None]
+    return e
 
 
 @dataclass(frozen=True)
@@ -76,13 +131,9 @@ class MoeModel:
     def d(self) -> int:
         return self.a.shape[1]
 
-    def gating_logits(self, x: np.ndarray) -> np.ndarray:
-        """(n, k) logits with the fixed zero column appended."""
-        x = np.atleast_2d(x)
-        return np.hstack([x @ self.w.T, np.zeros((x.shape[0], 1))])
-
     def gating_probs(self, x: np.ndarray) -> np.ndarray:
-        return softmax_rows(self.gating_logits(x))
+        """(n, k) gate probabilities; the k-th logit is the fixed zero."""
+        return softmax_rows(np.atleast_2d(x) @ self.w.T, zero_column=True)
 
     def expert_means(self, x: np.ndarray) -> np.ndarray:
         """(n, k) matrix of g(<a_i, x>)."""

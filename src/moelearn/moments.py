@@ -27,7 +27,8 @@ from .scores import Sym2, Sym3, packed_size, score2_packed, score3_packed
 CHUNK = 4096
 
 # A single corrupted record can dominate the cubed labels; samples with
-# |P3(y)| above cap_multiplier times the batch median |P3(y)| are rejected.
+# |P3(y)| above cap_multiplier times the chunk's median finite |P3(y)|, and
+# samples whose P3(y) is not finite, are rejected.
 DEFAULT_CAP_MULTIPLIER = 50.0
 
 
@@ -90,9 +91,11 @@ def accumulate(acc: MomentAccumulator, batch, offset: int | None = None) -> Mome
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
         p3c, p2c = p3[start:stop], p2[start:stop]
-        scale = np.median(np.abs(p3c))
+        finite = np.isfinite(p3c)
+        # one NaN would make the median, and so the cap, NaN for the whole chunk
+        scale = np.median(np.abs(p3c[finite])) if finite.any() else 0.0
         cap = acc.cap_multiplier * max(scale, 1e-12)
-        sel = np.isfinite(p3c) & (np.abs(p3c) <= cap)
+        sel = finite & (np.abs(p3c) <= cap)
         xs = x[start:stop][sel]
         if xs.shape[0]:
             s2 = score2_packed(xs, acc.dist)

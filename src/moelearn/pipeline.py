@@ -25,7 +25,7 @@ from .gating_mom import mom_gating
 from .joint_em import JointState, run_joint_em
 from .metrics import (FitReport, canonical_gauge, gating_fit, gating_fit_rows,
                       param_error_min_gauge, regressor_fit)
-from .model import Dataset, InputDistribution, MoeModel, RNG_NAME
+from .model import Dataset, InputDistribution, MoeModel, RNG_NAME, softmax_rows
 from .moments import MomentAccumulator, accumulate, finalize
 
 ALGORITHMS = ("spectral+em", "spectral+gradient-em", "spectral+mom", "joint-em")
@@ -72,10 +72,7 @@ def predict_moe(a: np.ndarray, w_padded: np.ndarray, activation: Activation,
                 x: np.ndarray) -> np.ndarray:
     """Softmax-weighted expert predictions for estimated parameters."""
     x = np.atleast_2d(x)
-    logits = x @ w_padded.T
-    logits -= logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs = softmax_rows(x @ w_padded.T)
     return np.einsum("nk,nk->n", probs, activation(x @ a.T))
 
 

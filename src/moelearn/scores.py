@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .model import InputDistribution
+from .model import InputDistribution, softmax_rows
 
 
 @lru_cache(maxsize=None)
@@ -209,11 +209,7 @@ def gmm_responsibilities(x: np.ndarray, dist: InputDistribution) -> np.ndarray:
     x = np.atleast_2d(x)
     diff = x[:, None, :] - dist.means[None, :, :]
     logw = np.log(np.clip(dist.weights, 1e-300, None))
-    logp = logw[None, :] - 0.5 * np.einsum("ncd,ncd->nc", diff, diff)
-    logp -= logp.max(axis=1, keepdims=True)
-    r = np.exp(logp)
-    r /= r.sum(axis=1, keepdims=True)
-    return r
+    return softmax_rows(logw[None, :] - 0.5 * np.einsum("ncd,ncd->nc", diff, diff))
 
 
 def score2_packed(x: np.ndarray, dist: InputDistribution) -> np.ndarray:

@@ -1,10 +1,16 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moelearn import (Activation, CqtCoefficients, Sym2, Sym3, power_method,
                       recover_regressors, regressor_fit, solve_cqt, whiten)
 from moelearn.decomposition import DecompositionOptions
 from moelearn.errors import NumericalError
+from moelearn.model import make_rng
 
 from conftest import unit_rows
 
@@ -150,3 +156,58 @@ def test_power_method_weak_component_flag():
     with pytest.warns(RuntimeWarning):
         res = power_method(t, 2, restarts=5, iterations=30, seed=0)
     assert res.weak_flags
+
+
+def _power_method_searching_paths(t3, n_components, restarts, iterations, seed):
+    """The power method with numpy choosing each contraction order per call
+    (``optimize=True``): the reference for the precomputed paths."""
+    t = np.array(t3, dtype=float)
+    m = t.shape[0]
+    rng = make_rng(seed)
+    vectors, eigenvalues, norms = np.zeros((n_components, m)), np.zeros(n_components), []
+    for comp in range(n_components):
+        theta = rng.standard_normal((restarts, m))
+        theta /= np.linalg.norm(theta, axis=1, keepdims=True)
+        for _ in range(iterations):
+            theta = np.einsum("abc,lb,lc->la", t, theta, theta, optimize=True)
+            nrm = np.linalg.norm(theta, axis=1, keepdims=True)
+            nrm[nrm == 0] = 1.0
+            theta /= nrm
+        lam = np.einsum("abc,la,lb,lc->l", t, theta, theta, theta, optimize=True)
+        v = theta[int(np.argmax(lam))]
+        for _ in range(iterations):
+            v_new = np.einsum("abc,b,c->a", t, v, v, optimize=True)
+            nrm = np.linalg.norm(v_new)
+            if nrm == 0:
+                break
+            v = v_new / nrm
+        lam_v = float(np.einsum("abc,a,b,c->", t, v, v, v, optimize=True))
+        if lam_v < 0:
+            v, lam_v = -v, -lam_v
+        vectors[comp], eigenvalues[comp] = v, lam_v
+        t = t - lam_v * np.einsum("a,b,c->abc", v, v, v)
+        norms.append(float(np.linalg.norm(t)))
+    order = np.argsort(-eigenvalues, kind="stable")
+    return vectors[order], eigenvalues[order], norms
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=30),
+       st.integers(min_value=1, max_value=50), st.integers(min_value=0, max_value=2**31 - 1),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_power_method_bitwise_matches_per_call_path_search(k, restarts, iterations, seed,
+                                                           noise):
+    """Random symmetric tensors: an orthogonal rank-k part plus symmetrised noise."""
+    rng = np.random.default_rng(seed)
+    basis, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    t = sum(rng.uniform(0.2, 3.0) * _rank1(basis[:, i]) for i in range(k))
+    g = rng.standard_normal((k, k, k))
+    t = t + noise * sum(g.transpose(p) for p in itertools.permutations(range(3))) / 6
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # weak-component flags
+        got = power_method(t, k, restarts=restarts, iterations=iterations, seed=seed)
+    vectors, eigenvalues, norms = _power_method_searching_paths(t, k, restarts,
+                                                                iterations, seed)
+    assert np.array_equal(got.vectors, vectors)
+    assert np.array_equal(got.eigenvalues, eigenvalues)
+    assert got.deflation_norms == norms

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from moelearn import Activation, Dataset, InputDistribution, MoeModel, sample_dataset
 from moelearn.errors import ConfigError, DataError
+from moelearn.model import logsumexp_rows, softmax_rows
 
 from conftest import make_model, unit_rows
 
@@ -148,3 +151,48 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), np.zeros(4))
     with pytest.raises(DataError):
         Dataset.from_csv("/nonexistent/file.csv")
+
+
+# The axis-1 numpy formulas the shared helper replaced, kept as its reference.
+def _softmax_axis1(logits):
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _lse_axis1(logits):
+    m = logits.max(axis=1, keepdims=True)
+    return m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
+
+
+def _lse_with_zero_axis1(logits):
+    if logits.shape[1] == 0:
+        return np.zeros(logits.shape[0])
+    m = np.maximum(logits.max(axis=1), 0.0)
+    return m + np.log(np.exp(-m) + np.exp(logits - m[:, None]).sum(axis=1))
+
+
+@pytest.mark.parametrize("width", range(13))
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.integers(min_value=1, max_value=8), st.sampled_from([2000, 2500])),
+       st.sampled_from([1.0, 30.0, 800.0, 1e300]), st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+       st.booleans(), st.integers(min_value=0, max_value=2**31 - 1))
+def test_row_softmax_and_lse_bitwise_match_axis1_numpy(width, n, scale, frac_special,
+                                                       shifted, seed):
+    """Widths 1-12 straddle the switch to numpy's pairwise sum at 8 columns;
+    logits are up to 1e300 in size, shifted far negative, or +-inf."""
+    rng = np.random.default_rng(seed)
+    logits = rng.standard_normal((n, width)) * scale - (1e3 if shifted else 0.0)
+    special = rng.random((n, width)) < frac_special
+    logits[special] = rng.choice([-np.inf, np.inf, -1e308, 1e308, -745.0, 710.0],
+                                 size=int(special.sum()), p=[0.5, 0.1, 0.1, 0.1, 0.1, 0.1])
+    full = np.hstack([logits, np.zeros((n, 1))])
+    with np.errstate(all="ignore"):
+        cases = [(softmax_rows(logits, zero_column=True), _softmax_axis1(full)),
+                 (logsumexp_rows(logits, zero_column=True), _lse_with_zero_axis1(logits))]
+        if width:
+            cases += [(softmax_rows(logits), _softmax_axis1(logits)),
+                      (logsumexp_rows(logits), _lse_axis1(logits))]
+    for got, want in cases:
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)

@@ -186,6 +186,28 @@ def test_outlier_rejection_and_tally():
     assert np.all(np.abs(t3.data) < 50.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_label_rejects_only_its_own_row(bad):
+    """The cap's median is taken over finite |P3(y)|: one bad label must not
+    turn the cap into NaN and reject its whole chunk."""
+    model = make_model(4, k=2, d=5, sigma=0.1, activation="relu")
+    dist = InputDistribution.standard_gaussian(5)
+    data = sample_dataset(model, dist, 10000, seed=9)
+    clean = _acc(5, model.activation, 0.1)
+    accumulate(clean, data)
+    y = data.y.copy()
+    y[5000] = bad
+    dirty = _acc(5, model.activation, 0.1)
+    with np.errstate(invalid="ignore"):   # P3(inf) = inf - inf
+        accumulate(dirty, (data.x, y))
+    assert clean.n_rejected > 0          # ReLU labels reach the cap on their own
+    assert dirty.n_rejected == clean.n_rejected + 1
+    for c, b in zip(clean.chunks, dirty.chunks):
+        if c.offset != 4096:             # the chunks without the bad label
+            assert (c.kept, c.rejected) == (b.kept, b.rejected)
+            assert np.array_equal(c.t3, b.t3)
+
+
 def test_finalize_empty_raises():
     acc = _acc(2, Activation.linear(), 0.0)
     with pytest.raises(NumericalError):

@@ -1,0 +1,50 @@
+"""The benchmark's tracer rebinds package functions by name; a rename in the
+package must fail here, not later in a traced benchmark run."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from moelearn import InputDistribution, gating_em, sample_dataset
+
+from conftest import make_model
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_target_resolves(tracing):
+    for owner, attr, label in tracing.TARGETS:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr} ({label})"
+    labels = {label for _, _, label in tracing.TARGETS}
+    assert set(tracing._HOOKS) <= labels
+
+
+def test_traced_em_reproduces_untraced_and_counts_accepted_steps(tracing):
+    """The accept-ratio hook relies on m_step passing each line-search
+    candidate, as the same object, to q_value and then to q_gradient."""
+    model = make_model(5, k=3, d=4, sigma=0.3)
+    data = sample_dataset(model, InputDistribution.standard_gaussian(4), 600, seed=2)
+    plain = gating_em.run_em(data.x, data.y, model.a, 0.3, model.activation,
+                             radius=2.0, seed=1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = gating_em.run_em(data.x, data.y, model.a, 0.3, model.activation,
+                                  radius=2.0, seed=1)
+    finally:
+        tracer.uninstall()
+    assert np.array_equal(plain.w, traced.w)
+    layer = tracer.per_layer()
+    assert layer["gating_em.outer_iters"] == len(plain.trace)
+    assert layer["gating_em.m_step.calls"] == len(plain.trace)
+    assert 0.0 < layer["gating_em.m_step.accept_ratio"] <= 1.0
