@@ -25,8 +25,7 @@ from .moments import (MomentAccumulator, accumulate, finalize, load_tensor_dump,
 from .experiments import ExperimentConfig, draw_instance, run_suite
 from .pipeline import (PipelineOptions, PipelineResult, evaluate, fit_pipeline,
                        predict_moe)
-from .scores import (Sym2, Sym3, score2_gaussian, score3_gaussian, score_gmm,
-                     sym3_collapse, sym3_contract)
+from .scores import Sym2, Sym3, score2_gaussian, score3_gaussian, score_gmm
 from .tabular import TabularDataset, ingest_csv
 
 __version__ = "0.1.0"

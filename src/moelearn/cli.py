@@ -79,8 +79,7 @@ def cmd_fit(args) -> int:
     truth = MoeModel.from_json(Path(args.model)) if args.model else None
 
     result = fit_pipeline(data, dist, cfg.k, cfg.sigma, Activation.by_name(cfg.activation),
-                          radius=cfg.radius, seed=cfg.seed, opts=cfg.pipeline_options(),
-                          truth=truth)
+                          radius=cfg.radius, seed=cfg.seed, opts=cfg.pipeline_options())
     state = result.gating_state or result.joint_state
     if state is not None:
         write_trace_csv(outdir / "trace.csv", state.trace,
@@ -184,7 +183,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

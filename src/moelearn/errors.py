@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these to exit codes: ConfigError -> 1, DataError -> 2,
-NumericalError -> 3.
+NumericalError (and numpy's LinAlgError) -> 3.
 """
 
 

@@ -141,7 +141,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
     data = sample_dataset(model, dist, config.n, data_seed)
     result = fit_pipeline(data, dist, config.k, config.sigma, model.activation,
                           radius=config.radius, seed=algo_seed,
-                          opts=config.pipeline_options(), truth=model)
+                          opts=config.pipeline_options())
     report = evaluate(result, model, config.to_dict())
 
     out = {"trial": trial, "regressor_fit": report.regressor_fit,

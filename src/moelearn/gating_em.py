@@ -137,7 +137,6 @@ class TraceRow:
     q_value: float
     loglik: float
     dist_to_truth: float = float("nan")
-    param_error: float = float("nan")
 
 
 @dataclass

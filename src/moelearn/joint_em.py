@@ -125,8 +125,7 @@ class JointState:
 def run_joint_em(x: np.ndarray, y: np.ndarray, k: int, sigma: float,
                  activation: Activation, radius: float = 1.0, seed=0,
                  eps: float = 1e-4, max_iters: int = 100,
-                 truth: Optional[tuple[np.ndarray, np.ndarray]] = None,
-                 param_error_fn=None, a0: Optional[np.ndarray] = None,
+                 a0: Optional[np.ndarray] = None,
                  w0: Optional[np.ndarray] = None) -> JointState:
     """Joint EM with random init: expert rows uniform on the sphere, gating
     rows uniform in the radius ball. a0/w0 override the initialization."""
@@ -169,8 +168,6 @@ def run_joint_em(x: np.ndarray, y: np.ndarray, k: int, sigma: float,
         step = max(row_metric(a_next, a), row_metric(w_next, w))
         row = TraceRow(iteration=t + 1, step_norm=step,
                        q_value=q_value(x, post, w_next), loglik=est.loglik)
-        if truth is not None and param_error_fn is not None:
-            row.param_error = param_error_fn(a_next, w_next)
         a, w = a_next, w_next
         state.trace.append(row)
         state.iterates.append((a.copy(), w.copy()))

@@ -252,6 +252,10 @@ class Dataset:
         self.y = np.asarray(self.y, dtype=float).ravel()
         if self.x.shape[0] != self.y.shape[0] or self.x.shape[0] < 1:
             raise DataError("x and y must share a positive first dimension")
+        if not np.isfinite(self.x).all():
+            bad = np.count_nonzero(~np.isfinite(self.x).all(axis=1))
+            raise DataError(f"{bad} of {self.x.shape[0]} rows have a non-finite "
+                            "feature (NaN or inf)")
         if self.z is not None:
             self.z = np.asarray(self.z, dtype=int).ravel()
             if self.z.shape[0] != self.y.shape[0]:

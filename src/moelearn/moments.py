@@ -6,9 +6,10 @@ accumulated in packed symmetric storage. Also the untransformed tensor
 transform it carries rank-one terms in the gating directions.
 
 Summation policy: each accumulate call splits its batch into fixed-size chunks,
-each chunk is reduced by numpy's pairwise sum, and finalize adds chunk sums in
-global offset order. Accumulators merged in any tree order therefore finalize
-bitwise identically.
+each chunk is reduced by BLAS matrix-vector products over blocks of packed
+columns (``scores.score_moment``), and finalize adds chunk sums in global
+offset order. Accumulators merged in any tree order therefore finalize bitwise
+identically.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .cqt import CqtCoefficients, apply_p2, apply_p3
 from .errors import ConfigError, DataError, NumericalError
 from .model import Dataset, InputDistribution
-from .scores import Sym2, Sym3, packed_size, score2_packed, score3_packed
+from .scores import Sym2, Sym3, packed_size, score_moment
 
 CHUNK = 4096
 
@@ -98,10 +99,8 @@ def accumulate(acc: MomentAccumulator, batch, offset: int | None = None) -> Mome
         sel = finite & (np.abs(p3c) <= cap)
         xs = x[start:stop][sel]
         if xs.shape[0]:
-            s2 = score2_packed(xs, acc.dist)
-            s3 = score3_packed(xs, acc.dist)
-            t2 = p2c[sel] @ s2
-            t3 = p3c[sel] @ s3
+            t2 = score_moment(xs, acc.dist, p2c[sel], 2)
+            t3 = score_moment(xs, acc.dist, p3c[sel], 3)
         else:
             t2 = np.zeros(packed_size(acc.d, 2))
             t3 = np.zeros(packed_size(acc.d, 3))
@@ -141,7 +140,7 @@ def raw_third_moment(batch: Dataset, dist: InputDistribution) -> Sym3:
     total = np.zeros(packed_size(batch.d, 3))
     for start in range(0, batch.n, CHUNK):
         stop = min(start + CHUNK, batch.n)
-        total += batch.y[start:stop] @ score3_packed(batch.x[start:stop], dist)
+        total += score_moment(batch.x[start:stop], dist, batch.y[start:stop], 3)
     return Sym3(batch.d, total / batch.n)
 
 

@@ -95,23 +95,15 @@ def spectral_regressors(data: Dataset, dist: InputDistribution, k: int, sigma: f
 
 def fit_pipeline(data: Dataset, dist: InputDistribution, k: int, sigma: float,
                  activation: Activation, radius: float = 1.0, seed=0,
-                 opts: PipelineOptions = PipelineOptions(),
-                 truth: Optional[MoeModel] = None) -> PipelineResult:
+                 opts: PipelineOptions = PipelineOptions()) -> PipelineResult:
     """Run the selected algorithm end to end on one dataset."""
     if data.d != dist.d:
         raise ConfigError("dataset and input distribution dimensions differ")
-    truth_w = truth.w if truth is not None else None
 
     if opts.algo == "joint-em":
-        pe_fn = None
-        if truth is not None:
-            pe_fn = lambda a, w: param_error_min_gauge(
-                a, np.vstack([w, np.zeros((1, data.d))]), truth.a, truth.w_padded())[0]
         state = _stage("joint-em", run_joint_em, data.x, data.y, k, sigma, activation,
                        radius=radius, seed=seed, eps=opts.em_eps,
-                       max_iters=opts.em_max_iters,
-                       truth=(truth.a, truth.w) if truth is not None else None,
-                       param_error_fn=pe_fn)
+                       max_iters=opts.em_max_iters)
         w_pad = canonical_gauge(np.vstack([state.w, np.zeros((1, data.d))]))
         return PipelineResult(opts.algo, state.a, w_pad, joint_state=state)
 
@@ -172,8 +164,7 @@ def evaluate(result: PipelineResult, truth: MoeModel, config: dict) -> FitReport
     if state is not None:
         report.traces["iterations"] = [
             {"iter": r.iteration, "step_norm": r.step_norm, "q_value": r.q_value,
-             "loglik": r.loglik, "dist_to_truth": r.dist_to_truth,
-             "param_error": r.param_error}
+             "loglik": r.loglik, "dist_to_truth": r.dist_to_truth}
             for r in state.trace
         ]
     return report

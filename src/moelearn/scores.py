@@ -158,50 +158,53 @@ class Sym3:
         return out
 
 
-def sym3_contract(t: Sym3, u, v, w) -> float:
-    return t.contract(u, v, w)
-
-
-def sym3_collapse(t: Sym3, v) -> np.ndarray:
-    return t.collapse(v)
-
-
 # ---------------------------------------------------------------------------
 # packed score evaluation (batched; the accumulation hot path)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _s3_correction(d: int):
-    """Columns to subtract for the delta terms of the Gaussian S3."""
-    (i, j, l), _ = packed_indices(d, 3)
+# Packed columns built and contracted per step of ``score_moment``. Keep it a
+# multiple of 64: BLAS's matrix-vector kernels take the last few columns of a
+# call through other code than the rest, so with other widths a block's columns
+# no longer get the arithmetic they get in one full-width product.
+BLOCK_COLUMNS = 64
+
+
+def _column_blocks(size: int) -> list:
+    """Column slices of BLOCK_COLUMNS each. A one-column remainder joins the
+    block before it: numpy contracts a single column with a dot product, not
+    with the matrix-vector kernel of the full-width product."""
+    starts = list(range(0, size, BLOCK_COLUMNS))
+    if len(starts) > 1 and size - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [size])]
+
+
+def _hermite_columns(ut: np.ndarray, order: int, cols: slice, out: np.ndarray,
+                     tmp: np.ndarray) -> np.ndarray:
+    """Columns ``cols`` of the packed order-2 or order-3 Hermite rows of a batch.
+
+    The batch comes transposed as ut (d, n). The columns are written into out
+    (width, n), with tmp (same shape) holding each gathered factor, and are
+    returned as out.T: (n, width), Fortran-ordered.
+    """
+    idx, _ = packed_indices(ut.shape[0], order)
+    idx = idx[:, cols]
+    np.take(ut, idx[0], axis=0, out=out, mode="clip")
+    for k in idx[1:]:
+        np.take(ut, k, axis=0, out=tmp, mode="clip")
+        out *= tmp
+    if order == 2:
+        out[idx[0] == idx[1]] -= 1.0
+        return out.T
+    i, j, l = idx
     # subtract x_i when j == l, x_j when i == l, x_l when i == j
-    return (
-        np.flatnonzero(j == l), i[j == l],
-        np.flatnonzero(i == l), j[i == l],
-        np.flatnonzero(i == j), l[i == j],
-    )
+    for delta, other in ((j == l, i), (i == l, j), (i == j, l)):
+        out[delta] -= ut[other[delta]]
+    return out.T
 
 
-def hermite2_packed(u: np.ndarray) -> np.ndarray:
-    """(n, P2) packed H2(u) = u u^T - I rows for a batch u."""
-    u = np.atleast_2d(u)
-    (i, j), _ = packed_indices(u.shape[1], 2)
-    s = u[:, i] * u[:, j]
-    s[:, i == j] -= 1.0
-    return s
-
-
-def hermite3_packed(u: np.ndarray) -> np.ndarray:
-    """(n, P3) packed third Hermite tensor rows for a batch u."""
-    u = np.atleast_2d(u)
-    d = u.shape[1]
-    (i, j, l), _ = packed_indices(d, 3)
-    s = u[:, i] * u[:, j] * u[:, l]
-    p_jl, c_jl, p_il, c_il, p_ij, c_ij = _s3_correction(d)
-    s[:, p_jl] -= u[:, c_jl]
-    s[:, p_il] -= u[:, c_il]
-    s[:, p_ij] -= u[:, c_ij]
-    return s
+def _transposed(u: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(np.atleast_2d(u).T)
 
 
 def gmm_responsibilities(x: np.ndarray, dist: InputDistribution) -> np.ndarray:
@@ -212,27 +215,84 @@ def gmm_responsibilities(x: np.ndarray, dist: InputDistribution) -> np.ndarray:
     return softmax_rows(logw[None, :] - 0.5 * np.einsum("ncd,ncd->nc", diff, diff))
 
 
+def _components(x: np.ndarray, dist: InputDistribution) -> list:
+    """(responsibility column, transposed centred inputs) per mixture
+    component; standard Gaussian inputs are one component without one."""
+    if dist.kind == "gaussian":
+        return [(None, _transposed(x))]
+    r = gmm_responsibilities(x, dist)
+    return [(r[:, c:c + 1], _transposed(x - mean)) for c, mean in enumerate(dist.means)]
+
+
+def _workspace(parts: list, width: int) -> list:
+    """Flat buffers for ``_score_columns``: two, and two more for a mixture."""
+    n = parts[0][1].shape[1]
+    return [np.empty(width * n) for _ in range(2 if parts[0][0] is None else 4)]
+
+
+def _score_columns(parts: list, order: int, cols: slice, work: list) -> np.ndarray:
+    """Columns ``cols`` of the packed score rows, built in the buffers ``work``.
+
+    Mixture components are added from zero in their order. The result is a
+    view into ``work``: Fortran-ordered for Gaussian inputs, C-ordered for a
+    mixture, as the full-width matrices have always been.
+    """
+    n, width = parts[0][1].shape[1], cols.stop - cols.start
+    out, tmp = (buf[:width * n].reshape(width, n) for buf in work[:2])
+    if parts[0][0] is None:
+        return _hermite_columns(parts[0][1], order, cols, out, tmp)
+    total, term = (buf[:width * n].reshape(n, width) for buf in work[2:])
+    total.fill(0.0)
+    for r, ut in parts:
+        np.multiply(r, _hermite_columns(ut, order, cols, out, tmp), out=term)
+        total += term
+    return total
+
+
+def _full_width(parts: list, order: int) -> np.ndarray:
+    size = packed_size(parts[0][1].shape[0], order)
+    return _score_columns(parts, order, slice(0, size), _workspace(parts, size))
+
+
+def hermite2_packed(u: np.ndarray) -> np.ndarray:
+    """(n, P2) packed H2(u) = u u^T - I rows for a batch u."""
+    return _full_width([(None, _transposed(u))], 2)
+
+
+def hermite3_packed(u: np.ndarray) -> np.ndarray:
+    """(n, P3) packed third Hermite tensor rows for a batch u."""
+    return _full_width([(None, _transposed(u))], 3)
+
+
 def score2_packed(x: np.ndarray, dist: InputDistribution) -> np.ndarray:
     """(n, P2) packed S2 rows under the given input law."""
-    x = np.atleast_2d(x)
-    if dist.kind == "gaussian":
-        return hermite2_packed(x)
-    r = gmm_responsibilities(x, dist)
-    out = np.zeros((x.shape[0], packed_size(x.shape[1], 2)))
-    for c in range(dist.means.shape[0]):
-        out += r[:, c:c + 1] * hermite2_packed(x - dist.means[c])
-    return out
+    return _full_width(_components(np.atleast_2d(x), dist), 2)
 
 
 def score3_packed(x: np.ndarray, dist: InputDistribution) -> np.ndarray:
     """(n, P3) packed S3 rows under the given input law."""
+    return _full_width(_components(np.atleast_2d(x), dist), 3)
+
+
+def score_moment(x: np.ndarray, dist: InputDistribution, weights: np.ndarray,
+                 order: int) -> np.ndarray:
+    """``weights @ score{order}_packed(x, dist)`` without the (n, P) matrix.
+
+    Builds and contracts one block of BLOCK_COLUMNS packed columns at a time in
+    buffers reused from block to block, so memory is O(n * BLOCK_COLUMNS)
+    instead of O(n * d^order). Each block keeps the memory order of the full
+    matrix and so goes through the same BLAS kernel: with BLAS on one thread
+    the result equals the full-width product bit for bit. (With more threads
+    BLAS may split a product by its width, so the full-width product itself
+    then depends on the thread count.)
+    """
     x = np.atleast_2d(x)
-    if dist.kind == "gaussian":
-        return hermite3_packed(x)
-    r = gmm_responsibilities(x, dist)
-    out = np.zeros((x.shape[0], packed_size(x.shape[1], 3)))
-    for c in range(dist.means.shape[0]):
-        out += r[:, c:c + 1] * hermite3_packed(x - dist.means[c])
+    parts = _components(x, dist)
+    out = np.empty(packed_size(x.shape[1], order))
+    blocks = _column_blocks(out.shape[0])
+    work = _workspace(parts, max(b.stop - b.start for b in blocks))
+    for cols in blocks:
+        out[cols] = weights @ _score_columns(parts, order, cols, work)
     return out
 
 

@@ -1,10 +1,11 @@
 """CSV ingestion and preprocessing for real-data experiments.
 
-Rows with non-numeric cells are dropped and counted. Features are ZCA-whitened
-with training-set statistics; the target is affinely rescaled by the training
-min/max into [-1, 1]. The test split is transformed with the training
-statistics only, and every transform is recorded so predictions can be mapped
-back to the original units.
+Rows with non-numeric cells are dropped and counted; a non-finite feature
+(``nan``, ``inf``) is an error. Features are ZCA-whitened with training-set
+statistics; the target is affinely rescaled by the training min/max into
+[-1, 1]. The test split is transformed with the training statistics only, and
+every transform is recorded so predictions can be mapped back to the original
+units.
 """
 
 from __future__ import annotations
@@ -80,6 +81,10 @@ def _read_numeric_csv(path: Path, feature_cols: Sequence, target_col) -> tuple:
         if not rows:
             raise DataError("no numeric rows survived parsing")
         table = np.array(rows, dtype=float)
+        bad = np.count_nonzero(~np.isfinite(table[:, :-1]).all(axis=1))
+        if bad:
+            raise DataError(f"{bad} of {len(rows)} numeric rows have a non-finite "
+                            "feature (nan or inf)")
         return table[:, :-1], table[:, -1], [header[i] for i in fidx], rejected
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 
 from moelearn import ExperimentConfig, MoeModel, run_suite
+from moelearn import cli
 from moelearn.cli import main
 
 
@@ -94,6 +95,35 @@ def test_exit_codes(tmp_path):
     rc = main(["fit", "--config", str(cfg3), "--algo", "spectral+mom",
                "--data", str(tmp_path / "y" / "dataset.csv")])
     assert rc == 1
+
+
+def test_nan_feature_is_data_error_not_traceback(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json", out=str(tmp_path / "run"))
+    assert main(["generate", "--config", str(cfg)]) == 0
+    csv = tmp_path / "run" / "dataset.csv"
+    lines = csv.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[2] = "nan"
+    lines[5] = ",".join(cells)
+    csv.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["fit", "--config", str(cfg), "--data", str(csv)]) == 2
+    err = capsys.readouterr().err
+    assert err == "data error: 1 of 800 rows have a non-finite feature (NaN or inf)\n"
+
+
+def test_linalg_error_is_numerical_exit(tmp_path, capsys, monkeypatch):
+    cfg = _write_config(tmp_path / "cfg.json", out=str(tmp_path / "run"))
+    assert main(["generate", "--config", str(cfg)]) == 0
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "fit_pipeline", fail)
+    capsys.readouterr()
+    rc = main(["fit", "--config", str(cfg), "--data", str(tmp_path / "run" / "dataset.csv")])
+    assert rc == 3
+    assert capsys.readouterr().err == "numerical failure: Eigenvalues did not converge\n"
 
 
 def test_unwritable_output_dir_is_data_error(tmp_path):

@@ -109,6 +109,20 @@ def test_dimension_mismatch_is_config_error():
         sample_dataset(model, InputDistribution.standard_gaussian(6), 10, seed=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_nonfinite_features_with_row_count(bad):
+    x = np.ones((6, 3))
+    x[1, 2] = bad
+    x[4, 0] = bad
+    x[4, 1] = bad
+    with pytest.raises(DataError, match="2 of 6 rows have a non-finite feature"):
+        Dataset(x, np.zeros(6))
+    # a non-finite label is left to the moment accumulator's outlier cap
+    y = np.zeros(6)
+    y[0] = bad
+    assert Dataset(np.ones((6, 3)), y).n == 6
+
+
 def test_model_validation():
     with pytest.raises(ConfigError):
         MoeModel(a=np.array([[1.0, 1.0]]), w=np.zeros((0, 2)), sigma=0.1,

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -307,3 +308,21 @@ def test_orthogonal_complement_contraction_shrinks_with_n():
     # 16x the samples: expect a 4x reduction, allow a factor-2 band
     assert norms[320000] <= norms[20000] / 2.0
     assert norms[320000] <= 10.0 / np.sqrt(320000) * 6
+
+
+def test_accumulate_memory_is_bounded_at_d60():
+    """One 4096-row chunk at d = 60. A full packed S3 for it would take
+    4096 x 39,711 floats (1.3 GB); blocks of packed columns keep the peak
+    far below that."""
+    d, n = 60, 4096
+    rng = np.random.default_rng(12)
+    x, y = rng.standard_normal((n, d)), rng.standard_normal(n)
+    acc = _acc(d, Activation.linear(), 0.5)
+    tracemalloc.start()
+    try:
+        accumulate(acc, (x, y))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert acc.n_seen + acc.n_rejected == n
+    assert peak < 64 * 2**20

@@ -1,4 +1,7 @@
+import ctypes
 import itertools
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moelearn import (InputDistribution, Sym2, Sym3, score2_gaussian,
-                      score3_gaussian, score_gmm, sym3_collapse, sym3_contract)
+                      score3_gaussian, score_gmm, scores)
 from moelearn.errors import ConfigError
-from moelearn.scores import hermite3_packed, packed_indices, packed_size
+from moelearn.scores import (hermite3_packed, packed_indices, packed_size,
+                             score2_packed, score3_packed, score_moment)
 
 
 def test_score2_examples():
@@ -160,12 +164,12 @@ def test_contraction_examples():
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
     t = Sym3.from_dense(np.einsum("a,b,c->abc", e1, e1, e1))
-    assert sym3_contract(t, e1, e1, e1) == pytest.approx(1.0)
-    assert np.allclose(sym3_collapse(t, e2), np.zeros(2))
+    assert t.contract(e1, e1, e1) == pytest.approx(1.0)
+    assert np.allclose(t.collapse(e2), np.zeros(2))
     t2 = Sym3.from_dense(np.einsum("a,b,c->abc", e1, e1, e1)
                          + 2 * np.einsum("a,b,c->abc", e2, e2, e2))
     u = np.array([1.0, 1.0]) / np.sqrt(2)
-    assert sym3_contract(t2, u, u, u) == pytest.approx(3.0 / 2**1.5)
+    assert t2.contract(u, u, u) == pytest.approx(3.0 / 2**1.5)
 
 
 def test_contractions_match_dense_einsum():
@@ -190,3 +194,77 @@ def test_score_gmm_requires_mixture():
     dist = InputDistribution.gaussian_mixture([1.0], np.zeros((1, 3)))
     with pytest.raises(ConfigError):
         score_gmm(np.zeros(3), dist, 4)
+
+
+# ---------------------------------------------------------------------------
+# blocked moment kernel
+# ---------------------------------------------------------------------------
+
+def _openblas_thread_calls():
+    """(get, set) for the thread count of the OpenBLAS this process loaded."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    for path in sorted({line.split()[-1] for line in maps.splitlines() if "openblas" in line}):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            if hasattr(lib, name.format("get")) and hasattr(lib, name.format("set")):
+                return getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+    return None
+
+
+@pytest.fixture(scope="module")
+def one_blas_thread():
+    """BLAS on one thread, as the benchmark runs it. With more threads BLAS may
+    split one product by its width, so a full-width product stops being one
+    fixed reference."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        pytest.skip("the BLAS thread count of this numpy cannot be set")
+    get, set_ = calls
+    before = get()
+    set_(1)
+    yield
+    set_(before)
+
+
+def _input_law(kind, d, rng):
+    if kind == "gaussian":
+        return InputDistribution.standard_gaussian(d)
+    return InputDistribution.gaussian_mixture([0.3, 0.7], rng.standard_normal((2, d)))
+
+
+@pytest.mark.parametrize("block", [64, 128, 192])
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=12),
+       st.one_of(st.integers(min_value=1, max_value=300), st.just(4096)),
+       st.sampled_from(["gaussian", "gmm"]), st.sampled_from([2, 3]),
+       st.sampled_from([0.0, 0.1, 0.5]), st.integers(min_value=0, max_value=2**31 - 1))
+def test_score_moment_bitwise_matches_full_width_product(one_blas_thread, block, d, n, kind,
+                                                         order, frac_special, seed):
+    """Every d up to 12 leaves a partial last block at these widths; weights
+    include zeros and +-1e300."""
+    rng = np.random.default_rng(seed)
+    dist = _input_law(kind, d, rng)
+    x = dist.sample(n, rng)
+    w = rng.standard_normal(n)
+    special = rng.random(n) < frac_special
+    w[special] = rng.choice([0.0, 1e300, -1e300], size=int(special.sum()))
+    full = score2_packed if order == 2 else score3_packed
+    with mock.patch.object(scores, "BLOCK_COLUMNS", block), np.errstate(all="ignore"):
+        got = score_moment(x, dist, w, order)
+        want = w @ full(x, dist)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "gmm"])
+def test_score_moment_one_column_remainder(one_blas_thread, kind):
+    """P2 = 8001 at d = 126: one column is left after the last block of 64."""
+    rng = np.random.default_rng(7)
+    dist = _input_law(kind, 126, rng)
+    for n in (5, 100):
+        x = dist.sample(n, rng)
+        w = rng.standard_normal(n)
+        assert np.array_equal(score_moment(x, dist, w, 2), w @ score2_packed(x, dist))

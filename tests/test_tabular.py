@@ -90,6 +90,17 @@ def test_non_numeric_rows_rejected_with_count(tmp_path):
     assert tab.train_x.shape[0] + tab.test_x.shape[0] == 100
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+def test_nonfinite_feature_tokens_rejected_with_count(tmp_path, token):
+    path = tmp_path / "nonfinite.csv"
+    rows = [[i * 0.1, np.sin(i), i * 0.01] for i in range(100)]
+    rows[7][1] = token
+    rows[40][0] = token
+    _write_csv(path, ["a", "b", "y"], rows)
+    with pytest.raises(DataError, match="2 of 100 numeric rows have a non-finite feature"):
+        ingest_csv(path, ["a", "b"], "y")
+
+
 def test_missing_column_and_file_errors(tmp_path):
     path = tmp_path / "f.csv"
     _write_csv(path, ["a", "y"], [[1.0, 2.0], [2.0, 3.0], [3.0, 1.0], [0.5, 0.1]])
