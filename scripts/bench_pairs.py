@@ -2,24 +2,22 @@
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --title "what changed" --claim wide_moments:wall_s --out BENCH_4.json \\
-        [--seeds 0 1 2 3 4 5 6 7 8 9] [--workloads W ...] [--trace-seed 0] \\
-        [--compare-outputs] [--unused-seeds 2 4 ...]
+        [--seeds 0 1 2 3 4 5 6 7 8 9] [--workloads W ...] [--unused-seeds 2 4 ...]
 
 ``--parent`` and ``--change`` are two source trees with the same
 ``perfbench/``. For each workload and seed, ``perfbench/sweep.py --workloads W
 --seeds S --trace 0`` runs once in each tree, one process at a time, the two
 trees alternating which runs first (the parent first on even seeds). A pair is
 one seed. For every end-to-end metric of ``BENCHMARK.json`` the output gives,
-per side, the median, quartiles (``statistics.quantiles(n=4)``, as sweep.py
-computes them), spread and the values in seed order, and counts the pairs the
-change wins. ``--claim W:M`` also tests the claim rule: the change wins at
-least 9 of 10 pairs and its median is better than the parent's by more than
-the parent's q3 - q1.
+per side, the median, quartiles and spread (sweep.py's ``quartiles``) and the
+values in seed order, and counts the pairs the change wins. ``--claim W:M``
+also tests the claim rule: the change wins at least 9 of 10 pairs and its
+median is better than the parent's by more than the parent's q3 - q1.
 
-``--trace-seed S`` adds one traced run (``--trace 1``) per workload and tree,
-with its per-layer metrics. ``--compare-outputs`` runs every trial of every
-(workload, seed) once more in each tree, BLAS on one thread, and counts the
-trials whose ``run_trial`` output differs as canonical JSON.
+Each workload then runs traced (``--trace 1``) once per tree at the first
+seed, for its per-layer metrics. Last, every trial of every (workload, seed)
+runs once more in each tree, BLAS on one thread, and the trials whose
+``run_trial`` output differs as canonical JSON are counted.
 """
 
 from __future__ import annotations
@@ -33,6 +31,9 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from sweep import quartiles  # noqa: E402
 
 CLAIM_WINS = 9
 
@@ -49,12 +50,6 @@ print(json.dumps({t.key: hashlib.sha256(json.dumps(
 
 _ONE_THREAD = {name: "1" for name in
                ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
-
-
-def quartiles(values: list) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-    return {"median": median, "q1": q1, "q3": q3,
-            "spread": (q3 - q1) / median if median else float("nan"), "values": values}
 
 
 def sweep(tree: Path, workload: str, seed: int, trace: int, work: Path) -> dict:
@@ -82,7 +77,8 @@ def compare(parent: list, change: list, better: str) -> dict:
         return c < p if better == "lower" else c > p
 
     median_p, median_c = statistics.median(parent), statistics.median(change)
-    return {"parent": quartiles(parent), "change": quartiles(change),
+    return {"parent": {**quartiles(parent), "values": parent},
+            "change": {**quartiles(change), "values": change},
             "change_wins": sum(wins(p, c) for p, c in zip(parent, change)),
             "ties": sum(p == c for p, c in zip(parent, change)),
             "pairs": len(parent),
@@ -120,8 +116,6 @@ def main() -> int:
     parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC")
     parser.add_argument("--unused-seeds", type=int, nargs="*", default=[],
                         help="seeds not run while the change was written")
-    parser.add_argument("--trace-seed", type=int, default=None)
-    parser.add_argument("--compare-outputs", action="store_true")
     args = parser.parse_args()
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -140,8 +134,8 @@ def main() -> int:
                    f"process at a time, the two sides alternating which ran first (parent "
                    f"first on even seeds); made by scripts/bench_pairs.py. Seeds "
                    f"{args.seeds}; run length {benchmark['run_seconds']} s (BENCHMARK.json). "
-                   f"Quartiles are statistics.quantiles(n=4) over the seeds, as sweep.py "
-                   f"computes them. A pair is one seed; change_wins counts seeds where the "
+                   f"Quartiles are statistics.quantiles(n=4) over the seeds, from "
+                   f"perfbench/sweep.py's quartiles. A pair is one seed; change_wins counts seeds where the "
                    f"change reads better."),
         "claim": None,
         "end_to_end": {},
@@ -180,39 +174,36 @@ def main() -> int:
                                    report["end_to_end"][workload]["metrics"][metric],
                                    better[metric], args.unused_seeds)}
 
-        if args.trace_seed is not None:
-            traced = {}
-            for workload in workloads:
-                traced[workload] = {}
-                for side, tree in trees.items():
-                    run = sweep(tree, workload, args.trace_seed, 1, work)
-                    traced[workload][side] = {
-                        "correct": run["correct"], "failed": run["failed"],
-                        "attempted": run["attempted"],
-                        "untraced_wall_s": run["record"]["untraced_wall_s"],
-                        "per_layer": {name: m["value"] for name, m in run["metrics"].items()},
-                    }
-                print(f"{workload} traced seed {args.trace_seed} done", flush=True)
-            report["trace_seed"] = {
-                "command": f"python3 perfbench/run.py --workload W --seed {args.trace_seed} "
-                           f"--trace 1 (through sweep.py)",
-                "seed": args.trace_seed, "workloads": traced}
-
-    if args.compare_outputs:
-        differ, total = {}, 0
+        trace_seed, traced = args.seeds[0], {}
         for workload in workloads:
-            differ[workload] = 0
-            for seed in args.seeds:
-                hashes = {side: output_hashes(tree, workload, seed)
-                          for side, tree in trees.items()}
-                total += len(hashes["change"])
-                differ[workload] += sum(hashes["parent"].get(key) != digest
-                                        for key, digest in hashes["change"].items())
-        report["bit_identical_outputs"] = {
-            "method": "every run_trial output of every workload and seed, BLAS on one "
-                      "thread, compared between the two trees as canonical JSON "
-                      "(json.dumps(sort_keys=True), floats at full repr precision)",
-            "trials": total, "differ": differ}
+            traced[workload] = {}
+            for side, tree in trees.items():
+                run = sweep(tree, workload, trace_seed, 1, work)
+                traced[workload][side] = {
+                    "correct": run["correct"], "failed": run["failed"],
+                    "attempted": run["attempted"],
+                    "untraced_wall_s": run["record"]["untraced_wall_s"],
+                    "per_layer": {name: m["value"] for name, m in run["metrics"].items()},
+                }
+            print(f"{workload} traced seed {trace_seed} done", flush=True)
+        report["trace_seed"] = {
+            "command": f"python3 perfbench/run.py --workload W --seed {trace_seed} "
+                       f"--trace 1 (through sweep.py)",
+            "seed": trace_seed, "workloads": traced}
+
+    differ, total = {}, 0
+    for workload in workloads:
+        differ[workload] = 0
+        for seed in args.seeds:
+            hashes = {side: output_hashes(tree, workload, seed) for side, tree in trees.items()}
+            total += len(hashes["change"])
+            differ[workload] += sum(hashes["parent"].get(key) != digest
+                                    for key, digest in hashes["change"].items())
+    report["bit_identical_outputs"] = {
+        "method": "every run_trial output of every workload and seed, BLAS on one "
+                  "thread, compared between the two trees as canonical JSON "
+                  "(json.dumps(sort_keys=True), floats at full repr precision)",
+        "trials": total, "differ": differ}
 
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {args.out}")

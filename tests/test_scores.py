@@ -236,23 +236,47 @@ def _input_law(kind, d, rng):
     return InputDistribution.gaussian_mixture([0.3, 0.7], rng.standard_normal((2, d)))
 
 
-@pytest.mark.parametrize("block", [64, 128, 192])
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=1, max_value=12),
-       st.one_of(st.integers(min_value=1, max_value=300), st.just(4096)),
-       st.sampled_from(["gaussian", "gmm"]), st.sampled_from([2, 3]),
-       st.sampled_from([0.0, 0.1, 0.5]), st.integers(min_value=0, max_value=2**31 - 1))
-def test_score_moment_bitwise_matches_full_width_product(one_blas_thread, block, d, n, kind,
-                                                         order, frac_special, seed):
-    """Every d up to 12 leaves a partial last block at these widths; weights
-    include zeros and +-1e300."""
+# d, n, input law, order, share of special weights, seed
+_KERNEL_CASES = (st.integers(min_value=1, max_value=12),
+                 st.one_of(st.integers(min_value=1, max_value=300), st.just(4096)),
+                 st.sampled_from(["gaussian", "gmm"]), st.sampled_from([2, 3]),
+                 st.sampled_from([0.0, 0.1, 0.5]), st.integers(min_value=0, max_value=2**31 - 1))
+
+
+def _kernel_case(d, n, kind, order, frac_special, seed, specials):
+    """Inputs, law, weights (a share of them drawn from ``specials``) and the
+    full-width reference of one kernel case."""
     rng = np.random.default_rng(seed)
     dist = _input_law(kind, d, rng)
     x = dist.sample(n, rng)
     w = rng.standard_normal(n)
     special = rng.random(n) < frac_special
-    w[special] = rng.choice([0.0, 1e300, -1e300], size=int(special.sum()))
-    full = score2_packed if order == 2 else score3_packed
+    w[special] = rng.choice(specials, size=int(special.sum()))
+    return x, dist, w, score2_packed if order == 2 else score3_packed
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 64])
+@settings(max_examples=25, deadline=None)
+@given(*_KERNEL_CASES)
+def test_score_moment_matches_full_width_product(block, d, n, kind, order, frac_special,
+                                                 seed):
+    """On any BLAS and thread count: equal to rounding, at block widths that
+    leave partial and one-column last blocks; finite weights, some zero."""
+    x, dist, w, full = _kernel_case(d, n, kind, order, frac_special, seed, [0.0])
+    with mock.patch.object(scores, "BLOCK_COLUMNS", block):
+        got = score_moment(x, dist, w, order)
+    assert np.allclose(got, w @ full(x, dist))
+
+
+@pytest.mark.parametrize("block", [64, 128, 192])
+@settings(max_examples=25, deadline=None)
+@given(*_KERNEL_CASES)
+def test_score_moment_bitwise_matches_full_width_product(one_blas_thread, block, d, n, kind,
+                                                         order, frac_special, seed):
+    """Every d up to 12 leaves a partial last block at these widths; weights
+    include zeros and +-1e300."""
+    x, dist, w, full = _kernel_case(d, n, kind, order, frac_special, seed,
+                                    [0.0, 1e300, -1e300])
     with mock.patch.object(scores, "BLOCK_COLUMNS", block), np.errstate(all="ignore"):
         got = score_moment(x, dist, w, order)
         want = w @ full(x, dist)
