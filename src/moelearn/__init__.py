@@ -20,11 +20,10 @@ from .metrics import (FitReport, canonical_gauge, gating_fit, param_error,
                       regressor_fit)
 from .model import (Dataset, InputDistribution, MoeModel, make_rng,
                     sample_dataset)
-from .moments import (MomentAccumulator, accumulate, finalize, load_tensor_dump,
-                      merge, raw_third_moment, save_tensor_dump)
+from .moments import MomentAccumulator, accumulate, finalize, raw_third_moment
 from .experiments import ExperimentConfig, draw_instance, run_suite
 from .pipeline import (PipelineOptions, PipelineResult, evaluate, fit_pipeline,
-                       predict_moe)
+                       fit_report, predict_moe)
 from .scores import Sym2, Sym3, score2_gaussian, score3_gaussian, score_gmm
 from .tabular import TabularDataset, ingest_csv
 

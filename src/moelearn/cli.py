@@ -28,7 +28,7 @@ from .errors import ConfigError, DataError, NumericalError
 from .experiments import SUITES, ExperimentConfig, draw_instance, run_suite
 from .metrics import write_trace_csv
 from .model import Dataset, InputDistribution, MoeModel, sample_dataset
-from .pipeline import evaluate, fit_pipeline
+from .pipeline import evaluate, fit_pipeline, fit_report
 from .tabular import ingest_csv
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
@@ -84,13 +84,8 @@ def cmd_fit(args) -> int:
     if state is not None:
         write_trace_csv(outdir / "trace.csv", state.trace,
                         include_loglik=result.joint_state is not None)
-    if truth is not None:
-        report = evaluate(result, truth, cfg.to_dict())
-    else:
-        from .metrics import FitReport
-        report = FitReport(config=cfg.to_dict(), flags=list(result.flags))
-        report.decomposition = result.decomposition.to_dict() if result.decomposition else None
-        report.cqt = result.cqt.to_dict() if result.cqt else None
+    report = (evaluate(result, truth, cfg.to_dict()) if truth is not None
+              else fit_report(result, cfg.to_dict()))
     np.savetxt(outdir / "regressors.csv", result.a_est, delimiter=",", fmt="%.17g")
     np.savetxt(outdir / "gating.csv", result.w_padded, delimiter=",", fmt="%.17g")
     report.to_json(outdir / "fit_report.json")

@@ -164,8 +164,6 @@ class DecompositionOptions:
     restarts: int = 30
     iterations: int = 50
     seed: int = 0
-    rank_rtol: float = 1e-6
-    noise_floor_rtol: float = 1e-6
 
 
 def recover_regressors(t2: Sym2, t3: Sym3, k: int, cqt: CqtCoefficients,
@@ -178,10 +176,9 @@ def recover_regressors(t2: Sym2, t3: Sym3, k: int, cqt: CqtCoefficients,
     """
     if k > t2.d:
         raise NumericalError(f"cannot recover k={k} components in dimension {t2.d}")
-    wm = whiten(t2, k, c2_sign=np.sign(cqt.c2), rank_rtol=opts.rank_rtol)
+    wm = whiten(t2, k, c2_sign=np.sign(cqt.c2))
     t3w = t3.contract_all_modes(wm.w_map) * np.sign(cqt.c3)
-    pm = power_method(t3w, k, restarts=opts.restarts, iterations=opts.iterations,
-                      seed=opts.seed, noise_floor_rtol=opts.noise_floor_rtol)
+    pm = power_method(t3w, k, restarts=opts.restarts, iterations=opts.iterations, seed=opts.seed)
 
     back = wm.pseudo_inverse_transpose
     vectors = np.zeros((k, t2.d))

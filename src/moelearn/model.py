@@ -135,24 +135,6 @@ class MoeModel:
         """(n, k) gate probabilities; the k-th logit is the fixed zero."""
         return softmax_rows(np.atleast_2d(x) @ self.w.T, zero_column=True)
 
-    def expert_means(self, x: np.ndarray) -> np.ndarray:
-        """(n, k) matrix of g(<a_i, x>)."""
-        return self.activation(np.atleast_2d(x) @ self.a.T)
-
-    def predict(self, x: np.ndarray) -> float:
-        """E[y | x] = sum_i softmax_i(w.x) g(<a_i, x>)."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.shape[0] != self.d:
-            raise ConfigError(f"predict expects a vector of dimension {self.d}")
-        p = self.gating_probs(x[None, :])[0]
-        return float(p @ self.expert_means(x[None, :])[0])
-
-    def predict_batch(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        if x.shape[1] != self.d:
-            raise ConfigError(f"inputs must have dimension {self.d}")
-        return np.einsum("nk,nk->n", self.gating_probs(x), self.expert_means(x))
-
     def w_padded(self) -> np.ndarray:
         """(k, d) gating matrix with the zero k-th row made explicit."""
         return np.vstack([self.w, np.zeros((1, self.d))])

@@ -7,21 +7,21 @@ transform it carries rank-one terms in the gating directions.
 
 Summation policy: each accumulate call splits its batch into fixed-size chunks,
 each chunk is reduced by BLAS matrix-vector products over blocks of packed
-columns (``scores.score_moment``), and finalize adds chunk sums in global
-offset order. Accumulators merged in any tree order therefore finalize bitwise
-identically.
+columns (``scores.score_moment``), and its sums are added to the running sums
+in row order; finalize only divides by the kept count. Chunks start at
+multiples of CHUNK within each call, so one call and successive calls split at
+multiples of CHUNK give the same bits.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 from .cqt import CqtCoefficients, apply_p2, apply_p3
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, NumericalError
 from .model import Dataset, InputDistribution
 from .scores import Sym2, Sym3, packed_size, score_moment
 
@@ -34,12 +34,9 @@ DEFAULT_CAP_MULTIPLIER = 50.0
 
 
 @dataclass
-class _ChunkSums:
-    offset: int
+class _ChunkTally:
     kept: int
     rejected: int
-    t2: np.ndarray
-    t3: np.ndarray
 
 
 @dataclass
@@ -48,8 +45,11 @@ class MomentAccumulator:
     cqt: CqtCoefficients
     dist: InputDistribution
     cap_multiplier: float = DEFAULT_CAP_MULTIPLIER
-    chunks: list = field(default_factory=list)
-    _next_offset: int = 0
+    chunks: list = field(default_factory=list)   # one _ChunkTally per chunk
+    # running packed sums of P2(y) S2(x) and P3(y) S3(x). The first chunk's
+    # sums start them (not zeros, which would turn its -0.0 entries into 0.0).
+    t2: Optional[np.ndarray] = None
+    t3: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.dist.d != self.d:
@@ -64,13 +64,11 @@ class MomentAccumulator:
         return sum(c.rejected for c in self.chunks)
 
 
-def accumulate(acc: MomentAccumulator, batch, offset: int | None = None) -> MomentAccumulator:
-    """Add a batch of samples. ``offset`` is the global index of the first sample.
+def accumulate(acc: MomentAccumulator, batch) -> MomentAccumulator:
+    """Add a batch of samples to the running sums, one chunk at a time.
 
-    ``batch`` is a Dataset or an (x, y) pair; empty arrays are a no-op.
-    Parallel callers accumulate disjoint chunk-aligned ranges into separate
-    accumulators with explicit offsets and merge them afterwards; the outlier
-    scale is estimated per chunk, so partitioned and serial runs agree bitwise.
+    ``batch`` is a Dataset or an (x, y) pair; empty arrays are a no-op. The
+    outlier scale is estimated per chunk.
     """
     if isinstance(batch, Dataset):
         x, y = batch.x, batch.y
@@ -83,8 +81,6 @@ def accumulate(acc: MomentAccumulator, batch, offset: int | None = None) -> Mome
         return acc
     if x.shape[1] != acc.d:
         raise ConfigError("batch dimension does not match accumulator")
-    if offset is None:
-        offset = acc._next_offset
 
     p3 = apply_p3(acc.cqt, y)
     p2 = apply_p2(acc.cqt, y)
@@ -104,33 +100,21 @@ def accumulate(acc: MomentAccumulator, batch, offset: int | None = None) -> Mome
         else:
             t2 = np.zeros(packed_size(acc.d, 2))
             t3 = np.zeros(packed_size(acc.d, 3))
-        acc.chunks.append(_ChunkSums(offset + start, int(sel.sum()),
-                                     int((~sel).sum()), t2, t3))
-    acc._next_offset = max(acc._next_offset, offset + n)
+        if acc.t2 is None:
+            acc.t2, acc.t3 = t2, t3
+        else:
+            acc.t2 += t2
+            acc.t3 += t3
+        acc.chunks.append(_ChunkTally(int(sel.sum()), int((~sel).sum())))
     return acc
 
 
-def merge(*accs: MomentAccumulator) -> MomentAccumulator:
-    """Combine accumulators built over disjoint sample ranges."""
-    base = accs[0]
-    out = MomentAccumulator(base.d, base.cqt, base.dist, base.cap_multiplier)
-    for a in accs:
-        if (a.d, a.cap_multiplier) != (base.d, base.cap_multiplier):
-            raise ConfigError("cannot merge accumulators with different configurations")
-        out.chunks.extend(a.chunks)
-        out._next_offset = max(out._next_offset, a._next_offset)
-    return out
-
-
 def finalize(acc: MomentAccumulator) -> tuple[Sym2, Sym3]:
-    """Mean tensors over kept samples; chunk sums added in offset order."""
+    """Mean tensors over kept samples."""
     n = acc.n_seen
     if n < 1:
         raise NumericalError("empty accumulator: no samples survived")
-    order = sorted(range(len(acc.chunks)), key=lambda i: acc.chunks[i].offset)
-    t2 = np.add.reduce([acc.chunks[i].t2 for i in order])
-    t3 = np.add.reduce([acc.chunks[i].t3 for i in order])
-    return Sym2(acc.d, t2 / n), Sym3(acc.d, t3 / n)
+    return Sym2(acc.d, acc.t2 / n), Sym3(acc.d, acc.t3 / n)
 
 
 def raw_third_moment(batch: Dataset, dist: InputDistribution) -> Sym3:
@@ -143,35 +127,3 @@ def raw_third_moment(batch: Dataset, dist: InputDistribution) -> Sym3:
         total += score_moment(batch.x[start:stop], dist, batch.y[start:stop], 3)
     return Sym3(batch.d, total / batch.n)
 
-
-# ---------------------------------------------------------------------------
-# optional binary tensor dump
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"MOET"
-_VERSION = 1
-
-
-def save_tensor_dump(path: str | Path, t2: Sym2, t3: Sym3) -> None:
-    """Little-endian dump: magic, version, d, packed Sym2 then Sym3 float64."""
-    if t2.d != t3.d:
-        raise ConfigError("tensor dimensions differ")
-    with Path(path).open("wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, t2.d))
-        fh.write(t2.data.astype("<f8").tobytes())
-        fh.write(t3.data.astype("<f8").tobytes())
-
-
-def load_tensor_dump(path: str | Path) -> tuple[Sym2, Sym3]:
-    raw = Path(path).read_bytes()
-    if raw[:4] != _MAGIC:
-        raise DataError("not a moment-tensor dump (bad magic)")
-    version, d = struct.unpack("<II", raw[4:12])
-    if version != _VERSION:
-        raise DataError(f"unsupported tensor dump version {version}")
-    n2, n3 = packed_size(d, 2), packed_size(d, 3)
-    body = np.frombuffer(raw[12:], dtype="<f8")
-    if body.shape[0] != n2 + n3:
-        raise DataError("tensor dump payload has the wrong length")
-    return Sym2(d, body[:n2].copy()), Sym3(d, body[n2:].copy())

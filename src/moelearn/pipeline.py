@@ -11,7 +11,7 @@ only defined up to that gauge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -41,7 +41,6 @@ class PipelineOptions:
     em_radius: Optional[float] = None   # default: 2R, so any expert-order gauge fits
     outlier_cap: float = 50.0
     force_gaussian_score: bool = False  # ablation: ignore known GMM input law
-    mom_threshold: float = 0.5
 
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
@@ -119,8 +118,7 @@ def fit_pipeline(data: Dataset, dist: InputDistribution, k: int, sigma: float,
             raise ConfigError("the method-of-moments gating estimator requires k = 2")
         if activation.name != "linear":
             raise ConfigError("the method-of-moments gating estimator requires linear experts")
-        mom = _stage("gating-mom", mom_gating, data.x, data.y, a_est[0], a_est[1],
-                     sigma, threshold=opts.mom_threshold)
+        mom = _stage("gating-mom", mom_gating, data.x, data.y, a_est[0], a_est[1], sigma)
         if mom.below_noise_floor:
             result.flags.append("mom: moment below noise floor")
         # direction only; scale is not identified by the indicator moment
@@ -141,21 +139,10 @@ def fit_pipeline(data: Dataset, dist: InputDistribution, k: int, sigma: float,
     return result
 
 
-def evaluate(result: PipelineResult, truth: MoeModel, config: dict) -> FitReport:
-    """Score a pipeline result against the generating model."""
-    rfit, perm, exact = regressor_fit(result.a_est, truth.a)
-    if truth.k == 2:
-        est_dir = result.w_padded[0] - result.w_padded[1]
-        gfit = gating_fit(est_dir, truth.w[0]) if truth.w.size else float("nan")
-    else:
-        gfit = gating_fit_rows(result.w_padded, truth.w_padded(), perm)
-    perr, _ = param_error_min_gauge(result.a_est, result.w_padded, truth.a,
-                                    truth.w_padded())
-
-    report = FitReport(config=config, regressor_fit=rfit, gating_fit=gfit,
-                       param_error=perr, matched_permutation=perm,
-                       permutation_exact=exact, flags=list(result.flags),
-                       rng_name=RNG_NAME)
+def fit_report(result: PipelineResult, config: dict) -> FitReport:
+    """The report parts that need no generating model: flags, CQT,
+    decomposition and the EM trace."""
+    report = FitReport(config=config, flags=list(result.flags), rng_name=RNG_NAME)
     if result.cqt is not None:
         report.cqt = result.cqt.to_dict()
     if result.decomposition is not None:
@@ -168,3 +155,17 @@ def evaluate(result: PipelineResult, truth: MoeModel, config: dict) -> FitReport
             for r in state.trace
         ]
     return report
+
+
+def evaluate(result: PipelineResult, truth: MoeModel, config: dict) -> FitReport:
+    """Score a pipeline result against the generating model."""
+    rfit, perm, exact = regressor_fit(result.a_est, truth.a)
+    if truth.k == 2:
+        est_dir = result.w_padded[0] - result.w_padded[1]
+        gfit = gating_fit(est_dir, truth.w[0]) if truth.w.size else float("nan")
+    else:
+        gfit = gating_fit_rows(result.w_padded, truth.w_padded(), perm)
+    perr, _ = param_error_min_gauge(result.a_est, result.w_padded, truth.a,
+                                    truth.w_padded())
+    return replace(fit_report(result, config), regressor_fit=rfit, gating_fit=gfit,
+                   param_error=perr, matched_permutation=perm, permutation_exact=exact)

@@ -76,6 +76,24 @@ def test_fit_without_truth_model(tmp_path):
     assert (tmp_path / "run" / "regressors.csv").exists()
 
 
+def test_fit_without_truth_reports_em_trace(tmp_path):
+    """Only the metrics need the generating model; the report's EM trace
+    rows match trace.csv and the scored report's rows."""
+    cfg = _write_config(tmp_path / "cfg.json", out=str(tmp_path / "run"), n=900)
+    main(["generate", "--config", str(cfg)])
+    data = str(tmp_path / "run" / "dataset.csv")
+    assert main(["fit", "--config", str(cfg), "--data", data,
+                 "--out", str(tmp_path / "scored"),
+                 "--model", str(tmp_path / "run" / "model.json")]) == 0
+    assert main(["fit", "--config", str(cfg), "--data", data]) == 0
+    rows = json.loads((tmp_path / "run" / "fit_report.json").read_text())["traces"]["iterations"]
+    csv_rows = (tmp_path / "run" / "trace.csv").read_text().splitlines()[1:]
+    assert rows and len(rows) == len(csv_rows)
+    assert [r["iter"] for r in rows] == [int(line.split(",")[0]) for line in csv_rows]
+    scored = json.loads((tmp_path / "scored" / "fit_report.json").read_text())
+    assert rows == scored["traces"]["iterations"]
+
+
 def test_exit_codes(tmp_path):
     # usage: unknown flag combinations
     assert main(["fit"]) == 1

@@ -7,6 +7,7 @@ from scipy.stats import chi2
 from moelearn import Activation, Dataset, InputDistribution, MoeModel, sample_dataset
 from moelearn.errors import ConfigError, DataError
 from moelearn.model import logsumexp_rows, softmax_rows
+from moelearn.pipeline import predict_moe
 
 from conftest import make_model, unit_rows
 
@@ -29,32 +30,28 @@ def test_zero_gating_gives_uniform_expert_frequencies():
     assert abs(freq - 0.5) <= 3.0 / np.sqrt(n)
 
 
+def _predict(model, x):
+    return predict_moe(model.a, model.w_padded(), model.activation, x)
+
+
 def test_predict_single_expert_and_cancellation():
     d = 4
     rng = np.random.default_rng(0)
     a = unit_rows(rng, 1, d)
     model = MoeModel(a=a, w=np.zeros((0, d)), sigma=0.0, activation=Activation.sigmoid())
-    x = rng.standard_normal(d)
-    assert model.predict(x) == pytest.approx(float(model.activation(a[0] @ x)))
+    x = rng.standard_normal((1, d))
+    assert _predict(model, x)[0] == pytest.approx(float(model.activation(a[0] @ x[0])))
 
     a2 = np.vstack([a[0], -a[0]])
     model2 = MoeModel(a=a2, w=np.zeros((1, d)), sigma=0.0, activation=Activation.linear())
-    for _ in range(5):
-        x = rng.standard_normal(d)
-        assert model2.predict(x) == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(_predict(model2, rng.standard_normal((5, d))), 0.0, atol=1e-12)
 
 
 def test_predict_two_expert_hand_example():
     # a1 = e1, a2 = e2, w = 0, linear, x = (1, 2): 0.5*1 + 0.5*2
     model = MoeModel(a=np.eye(2), w=np.zeros((1, 2)), sigma=0.0,
                      activation=Activation.linear())
-    assert model.predict(np.array([1.0, 2.0])) == pytest.approx(1.5)
-
-
-def test_predict_rejects_wrong_dimension():
-    model = make_model(2, k=2, d=5, sigma=0.1)
-    with pytest.raises(ConfigError):
-        model.predict(np.zeros(4))
+    assert _predict(model, np.array([[1.0, 2.0]]))[0] == pytest.approx(1.5)
 
 
 @pytest.mark.parametrize("activation", ["linear", "sigmoid", "relu"])

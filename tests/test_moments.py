@@ -3,14 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moelearn import (Activation, Dataset, InputDistribution, MoeModel,
                       sample_dataset, solve_cqt)
 from moelearn.cqt import apply_p3, gauss_hermite
 from moelearn.errors import NumericalError
-from moelearn.moments import (MomentAccumulator, accumulate, finalize,
-                              load_tensor_dump, merge, raw_third_moment,
-                              save_tensor_dump)
+from moelearn.moments import (CHUNK, MomentAccumulator, accumulate, finalize,
+                              raw_third_moment)
 from moelearn.scores import Sym3, hermite3_packed, score3_packed
 
 from conftest import make_model, orthogonal_gating, unit_rows
@@ -52,27 +53,26 @@ def test_equal_batches_either_order_identical():
     assert np.array_equal(f1[1].data, f2[1].data)
 
 
-def test_merge_tree_order_is_bitwise_invariant():
-    model = make_model(2, k=2, d=5, sigma=0.2)
-    dist = InputDistribution.standard_gaussian(5)
-    data = sample_dataset(model, dist, 9000, seed=6)
-    parts = []
-    # ranges aligned to the fixed chunk size so the partitioned accumulation
-    # is bitwise identical to the serial one
-    for i, (lo, hi) in enumerate([(0, 4096), (4096, 8192), (8192, 9000)]):
-        acc = _acc(5, Activation.linear(), 0.2)
-        accumulate(acc, data.slice(lo, hi), offset=lo)
-        parts.append(acc)
-    serial = _acc(5, Activation.linear(), 0.2)
-    accumulate(serial, data)
-    m1 = finalize(merge(merge(parts[0], parts[1]), parts[2]))
-    m2 = finalize(merge(parts[0], merge(parts[1], parts[2])))
-    m3 = finalize(merge(parts[2], parts[0], parts[1]))
-    for got in (m2, m3):
-        assert np.array_equal(m1[0].data, got[0].data)
-        assert np.array_equal(m1[1].data, got[1].data)
-    s = finalize(serial)
-    assert np.array_equal(m1[1].data, s[1].data)
+@settings(max_examples=20, deadline=None)
+@given(d=st.integers(2, 6), n=st.integers(1, 2 * CHUNK + 300),
+       cuts=st.lists(st.integers(1, 2), max_size=2), n_nan=st.integers(0, 3),
+       seed=st.integers(0, 2**16))
+def test_split_calls_equal_one_call_bitwise(d, n, cuts, n_nan, seed):
+    """Successive accumulate calls split at multiples of CHUNK give the same
+    running sums and tallies as one call over the whole batch."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    y = rng.standard_normal(n) ** 3            # heavy tail: the cap rejects some
+    y[rng.integers(0, n, n_nan)] = np.nan
+    whole = _acc(d, Activation.relu(), 0.3)
+    accumulate(whole, (x, y))
+    split = _acc(d, Activation.relu(), 0.3)
+    bounds = sorted({min(c * CHUNK, n) for c in cuts} | {0, n})
+    for lo, hi in zip(bounds, bounds[1:]):
+        accumulate(split, (x[lo:hi], y[lo:hi]))
+    assert (split.n_seen, split.n_rejected) == (whole.n_seen, whole.n_rejected)
+    assert split.n_seen + split.n_rejected == n
+    assert np.array_equal(split.t2, whole.t2) and np.array_equal(split.t3, whole.t3)
 
 
 def test_uniform_mglm_third_moment_matches_population():
@@ -203,10 +203,10 @@ def test_nonfinite_label_rejects_only_its_own_row(bad):
         accumulate(dirty, (data.x, y))
     assert clean.n_rejected > 0          # ReLU labels reach the cap on their own
     assert dirty.n_rejected == clean.n_rejected + 1
-    for c, b in zip(clean.chunks, dirty.chunks):
-        if c.offset != 4096:             # the chunks without the bad label
+    for i, (c, b) in enumerate(zip(clean.chunks, dirty.chunks)):
+        if i != 5000 // CHUNK:           # the chunks without the bad label
             assert (c.kept, c.rejected) == (b.kept, b.rejected)
-            assert np.array_equal(c.t3, b.t3)
+    assert np.isfinite(dirty.t3).all()
 
 
 def test_finalize_empty_raises():
@@ -258,21 +258,6 @@ def test_zero_inputs_give_zero_raw_tensor():
     data = Dataset(np.zeros((10, 3)), np.ones(10))
     raw = raw_third_moment(data, InputDistribution.standard_gaussian(3))
     assert raw.frobenius() == 0.0
-
-
-def test_tensor_dump_roundtrip(tmp_path):
-    model = make_model(5, k=2, d=4, sigma=0.1)
-    dist = InputDistribution.standard_gaussian(4)
-    data = sample_dataset(model, dist, 1000, seed=1)
-    acc = _acc(4, Activation.linear(), 0.1)
-    accumulate(acc, data)
-    t2, t3 = finalize(acc)
-    path = tmp_path / "tensors.moet"
-    save_tensor_dump(path, t2, t3)
-    assert path.read_bytes()[:4] == b"MOET"
-    b2, b3 = load_tensor_dump(path)
-    assert np.array_equal(b2.data, t2.data)
-    assert np.array_equal(b3.data, t3.data)
 
 
 def test_rank_k_component_dominates_transformed_tensor():

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moelearn import InputDistribution, gating_em, sample_dataset
+from moelearn import InputDistribution, gating_em, moments, sample_dataset, solve_cqt
 
 from conftest import make_model
 
@@ -48,3 +48,24 @@ def test_traced_em_reproduces_untraced_and_counts_accepted_steps(tracing):
     assert layer["gating_em.outer_iters"] == len(plain.trace)
     assert layer["gating_em.m_step.calls"] == len(plain.trace)
     assert 0.0 < layer["gating_em.m_step.accept_ratio"] <= 1.0
+
+
+def test_traced_accumulate_counts_rejected_rows(tracing):
+    """The accumulate hook reads the rejected tally of the chunks each call
+    appended to ``acc.chunks``; over two calls and three chunks it must match
+    the accumulator's own count."""
+    model = make_model(4, k=2, d=5, sigma=0.1, activation="relu")
+    dist = InputDistribution.standard_gaussian(5)
+    data = sample_dataset(model, dist, 2 * moments.CHUNK + 500, seed=9)
+    acc = moments.MomentAccumulator(5, solve_cqt(model.activation, 0.1), dist)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        moments.accumulate(acc, data.slice(0, moments.CHUNK))
+        moments.accumulate(acc, data.slice(moments.CHUNK, data.n))
+    finally:
+        tracer.uninstall()
+    assert len(acc.chunks) == 3
+    assert acc.chunks[0].rejected > 0    # ReLU labels reach the cap on their own
+    assert tracer.counters["moments.rejected"] == acc.n_rejected
+    assert tracer.counters["moments.rows"] == data.n

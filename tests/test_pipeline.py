@@ -79,7 +79,8 @@ def test_predict_moe_matches_model(gaussian10):
     model = make_model(72, k=3, d=10, sigma=0.2)
     x = np.random.default_rng(0).standard_normal((20, 10))
     got = predict_moe(model.a, model.w_padded(), model.activation, x)
-    assert np.allclose(got, model.predict_batch(x), atol=1e-12)
+    want = (model.gating_probs(x) * model.activation(x @ model.a.T)).sum(axis=1)
+    assert np.allclose(got, want, atol=1e-12)
 
 
 def test_pipeline_dimension_mismatch(gaussian10):

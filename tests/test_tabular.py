@@ -101,6 +101,19 @@ def test_nonfinite_feature_tokens_rejected_with_count(tmp_path, token):
         ingest_csv(path, ["a", "b"], "y")
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+def test_nonfinite_target_tokens_rejected_with_count(tmp_path, token):
+    """A non-finite target would make the min/max scaling NaN for every row."""
+    path = tmp_path / "nonfinite_target.csv"
+    rows = [[i * 0.1, np.sin(i), i * 0.01] for i in range(100)]
+    rows[7][2] = token
+    rows[40][2] = token
+    _write_csv(path, ["a", "b", "y"], rows)
+    with pytest.raises(DataError,
+                       match="2 of 100 numeric rows have a non-finite feature or target"):
+        ingest_csv(path, ["a", "b"], "y")
+
+
 def test_missing_column_and_file_errors(tmp_path):
     path = tmp_path / "f.csv"
     _write_csv(path, ["a", "y"], [[1.0, 2.0], [2.0, 3.0], [3.0, 1.0], [0.5, 0.1]])
