@@ -170,11 +170,13 @@ BLOCK_COLUMNS = 64
 
 
 def _column_blocks(size: int) -> list:
-    """Column slices of BLOCK_COLUMNS each. A one-column remainder joins the
-    block before it: numpy contracts a single column with a dot product, not
-    with the matrix-vector kernel of the full-width product."""
+    """Column slices of BLOCK_COLUMNS each. A remainder of fewer than four
+    columns joins the block before it: numpy contracts a single column with a
+    dot product, and OpenBLAS sums a row-major matrix of 2 or 3 columns in
+    another order than the tail rows of a wider one, so such a block would
+    not match the full-width product."""
     starts = list(range(0, size, BLOCK_COLUMNS))
-    if len(starts) > 1 and size - starts[-1] == 1:
+    if len(starts) > 1 and size - starts[-1] < 4:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [size])]
 
