@@ -21,6 +21,11 @@ from .errors import NumericalError
 from .model import make_rng
 from .scores import Sym2, Sym3
 
+# Eigenvalues of T2 at or below this share of the largest make it rank deficient.
+RANK_RTOL = 1e-6
+# Components whose eigenvalue falls below this share of the first are flagged weak.
+NOISE_FLOOR_RTOL = 1e-6
+
 
 @dataclass(frozen=True)
 class WhiteningMap:
@@ -30,11 +35,11 @@ class WhiteningMap:
     eigenvalues: np.ndarray              # (k,) eigenvalues of sign-corrected T2, descending
 
 
-def whiten(t2: Sym2, k: int, c2_sign: float = 1.0, rank_rtol: float = 1e-6) -> WhiteningMap:
+def whiten(t2: Sym2, k: int, c2_sign: float = 1.0) -> WhiteningMap:
     """Whitening map from the top-k eigenpairs of sign-corrected T2.
 
     Raises NumericalError when fewer than k eigenvalues clear the rank
-    threshold rank_rtol * lambda_max.
+    threshold RANK_RTOL * lambda_max.
     """
     if k < 1:
         raise NumericalError("need at least one component")
@@ -45,7 +50,7 @@ def whiten(t2: Sym2, k: int, c2_sign: float = 1.0, rank_rtol: float = 1e-6) -> W
     evals, evecs = evals[order], evecs[:, order]
     lam_max = abs(evals[0]) if evals.size else 0.0
     top = evals[:k]
-    if lam_max <= 0.0 or np.any(np.abs(top) <= rank_rtol * lam_max):
+    if lam_max <= 0.0 or np.any(np.abs(top) <= RANK_RTOL * lam_max):
         raise NumericalError(
             "rank deficient: regressors not linearly independent or n too small "
             f"(top-{k} eigenvalues {np.array2string(top, precision=3)})")
@@ -70,8 +75,7 @@ class PowerMethodResult:
 
 
 def power_method(t3: np.ndarray, n_components: int, restarts: int = 30,
-                 iterations: int = 50, seed=0,
-                 noise_floor_rtol: float = 1e-6) -> PowerMethodResult:
+                 iterations: int = 50, seed=0) -> PowerMethodResult:
     """Robust tensor power method on a dense symmetric tensor.
 
     For each component the best of ``restarts`` random starts (by eigenvalue
@@ -119,7 +123,7 @@ def power_method(t3: np.ndarray, n_components: int, restarts: int = 30,
         if lam_v < 0:   # canonicalize: odd tensor, flip vector to flip sign
             v, lam_v = -v, -lam_v
         if floor is None:
-            floor = noise_floor_rtol * max(abs(lam_v), 1e-300)
+            floor = NOISE_FLOOR_RTOL * max(abs(lam_v), 1e-300)
         if lam_v < floor:
             warnings.warn(f"component {comp}: eigenvalue {lam_v:.3e} below noise floor",
                           RuntimeWarning)

@@ -26,6 +26,8 @@ from .errors import NumericalError
 from .model import MoeModel
 
 DENOMINATOR_FLOOR = 1e-12
+# the Ratio threshold of the indicator moment
+RATIO_THRESHOLD = 0.5
 
 
 @dataclass
@@ -63,7 +65,7 @@ class MomResult:
 
 
 def mom_gating(x: np.ndarray, y: np.ndarray, a1: np.ndarray, a2: np.ndarray,
-               sigma: float, threshold: float = 0.5) -> MomResult:
+               sigma: float) -> MomResult:
     """Two-pass estimator: direction from the indicator moment, sign from alpha.
 
     Emits a warning (and flags the result) when the empirical moment is below
@@ -73,7 +75,7 @@ def mom_gating(x: np.ndarray, y: np.ndarray, a1: np.ndarray, a2: np.ndarray,
     n = x.shape[0]
     stat = compute_ratio(x, y, a1, a2)
     xs = x[stat.keep]
-    moment = (stat.values <= threshold) @ xs / max(len(stat.values), 1)
+    moment = (stat.values <= RATIO_THRESHOLD) @ xs / max(len(stat.values), 1)
     norm = float(np.linalg.norm(moment))
     below = norm < 3.0 / math.sqrt(n)
     if below:

@@ -194,19 +194,31 @@ def test_nonfinite_label_rejects_only_its_own_row(bad):
     model = make_model(4, k=2, d=5, sigma=0.1, activation="relu")
     dist = InputDistribution.standard_gaussian(5)
     data = sample_dataset(model, dist, 10000, seed=9)
-    clean = _acc(5, model.activation, 0.1)
-    accumulate(clean, data)
     y = data.y.copy()
     y[5000] = bad
-    dirty = _acc(5, model.activation, 0.1)
-    with np.errstate(invalid="ignore"):   # P3(inf) = inf - inf
-        accumulate(dirty, (data.x, y))
-    assert clean.n_rejected > 0          # ReLU labels reach the cap on their own
-    assert dirty.n_rejected == clean.n_rejected + 1
-    for i, (c, b) in enumerate(zip(clean.chunks, dirty.chunks)):
-        if i != 5000 // CHUNK:           # the chunks without the bad label
-            assert (c.kept, c.rejected) == (b.kept, b.rejected)
-    assert np.isfinite(dirty.t3).all()
+    starts = range(0, 10000, CHUNK)
+    clean, dirty = [], []
+    for a in starts:                     # one accumulator per chunk
+        rows = slice(a, a + CHUNK)
+        c, b = _acc(5, model.activation, 0.1), _acc(5, model.activation, 0.1)
+        accumulate(c, (data.x[rows], data.y[rows]))
+        with np.errstate(invalid="ignore"):   # P3(inf) = inf - inf
+            accumulate(b, (data.x[rows], y[rows]))
+        clean.append(c)
+        dirty.append(b)
+    assert sum(c.n_rejected for c in clean) > 0   # ReLU labels reach the cap
+    for i, (c, b) in enumerate(zip(clean, dirty)):
+        if i == 5000 // CHUNK:
+            assert b.n_rejected == c.n_rejected + 1
+            assert np.isfinite(b.t2).all() and np.isfinite(b.t3).all()
+        else:                            # the chunks without the bad label
+            assert (b.n_seen, b.n_rejected) == (c.n_seen, c.n_rejected)
+            assert np.array_equal(b.t2, c.t2) and np.array_equal(b.t3, c.t3)
+    whole = _acc(5, model.activation, 0.1)    # one call sums the same chunks
+    with np.errstate(invalid="ignore"):
+        accumulate(whole, (data.x, y))
+    assert whole.n_rejected == sum(b.n_rejected for b in dirty)
+    assert np.array_equal(whole.t3, dirty[0].t3 + dirty[1].t3 + dirty[2].t3)
 
 
 def test_finalize_empty_raises():

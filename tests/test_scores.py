@@ -283,12 +283,24 @@ def test_score_moment_bitwise_matches_full_width_product(one_blas_thread, block,
     assert np.array_equal(got, want, equal_nan=True)
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "gmm"])
-def test_score_moment_one_column_remainder(one_blas_thread, kind):
-    """P2 = 8001 at d = 126: one column is left after the last block of 64."""
+def _assert_remainder_bitwise(kind, d):
     rng = np.random.default_rng(7)
-    dist = _input_law(kind, 126, rng)
+    dist = _input_law(kind, d, rng)
     for n in (5, 100):
         x = dist.sample(n, rng)
         w = rng.standard_normal(n)
         assert np.array_equal(score_moment(x, dist, w, 2), w @ score2_packed(x, dist))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "gmm"])
+def test_score_moment_one_column_remainder(one_blas_thread, kind):
+    """P2 = 8001 at d = 126: one column is left after the last block of 64."""
+    _assert_remainder_bitwise(kind, 126)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "gmm"])
+@pytest.mark.parametrize("d", [11, 125])
+def test_score_moment_two_or_three_column_remainder(one_blas_thread, kind, d):
+    """P2 = 66 at d = 11 and 7875 at d = 125: two and three columns are left
+    after the last full block of 64."""
+    _assert_remainder_bitwise(kind, d)
