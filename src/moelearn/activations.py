@@ -95,19 +95,8 @@ class Activation:
             raise ConfigError(f"unknown activation {name!r}; built-ins: {sorted(_BUILTINS)}")
         return cls(name, _BUILTINS[name])
 
-    @property
-    def is_builtin(self) -> bool:
-        return self.name in _BUILTINS
-
     def __call__(self, t, order: int = 0):
         if order not in (0, 1, 2, 3):
             raise ConfigError(f"derivative order must be in 0..3, got {order}")
         return self.derivatives[order](t)
 
-
-def activation_eval(act: Activation, order: int, t):
-    """Evaluate g^(order)(t); scalar in, scalar out, arrays pass through."""
-    val = act(t, order)
-    if np.isscalar(t) or (isinstance(t, np.ndarray) and t.ndim == 0):
-        return float(val)
-    return val

@@ -146,7 +146,6 @@ def power_method(t3: np.ndarray, n_components: int, restarts: int = 30,
 class DecompositionResult:
     vectors: np.ndarray       # (k, d) unit-norm regressor estimates
     weights: np.ndarray       # (k,) positive scales |c3| E[p_i]
-    mixing_estimates: np.ndarray  # (k,) implied E[p_i] (diagnostic only)
     residual: float           # Frobenius norm left after deflation (whitened space)
     restarts: int
     iterations: list
@@ -194,8 +193,7 @@ def recover_regressors(t2: Sym2, t3: Sym3, k: int, cqt: CqtCoefficients,
             raise NumericalError(f"degenerate component {i}: zero back-projection")
         vectors[i] = b / nrm
         weights[i] = pm.eigenvalues[i] * nrm**3
-    mixing = weights / max(abs(cqt.c3), 1e-300)
-    return DecompositionResult(vectors, weights, mixing,
+    return DecompositionResult(vectors, weights,
                                residual=pm.deflation_norms[-1] if pm.deflation_norms else 0.0,
                                restarts=opts.restarts, iterations=pm.iterations,
                                weak_flags=pm.weak_flags, deflation_norms=pm.deflation_norms)

@@ -147,18 +147,14 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
     out = {"trial": trial, "regressor_fit": report.regressor_fit,
            "gating_fit": report.gating_fit, "param_error": report.param_error,
            "flags": report.flags}
-    state = result.gating_state or result.joint_state
+    state = result.em_state
     if state is not None:
         out["converged"] = state.converged
         out["iterations"] = len(state.trace)
         out["step_norms"] = [r.step_norm for r in state.trace]
         # per-iteration errors against the truth for curve suites
         errs, gfits = [], []
-        for it in state.iterates:
-            if result.joint_state is not None:
-                a_t, w_t = it
-            else:
-                a_t, w_t = result.a_est, it
+        for a_t, w_t in state.iterates:
             w_pad = canonical_gauge(np.vstack([w_t, np.zeros((1, config.d))]))
             errs.append(param_error_min_gauge(a_t, w_pad, model.a,
                                               model.w_padded())[0])

@@ -12,6 +12,9 @@ The gradient-EM variant replaces the inner maximization with a single
 projected ascent step of size alpha <= 2 / (mu + lambda), where lambda and mu
 are the strong-concavity and smoothness constants of the population surrogate;
 both are Gaussian quadrature minimizations exposed by em_curvature_constants.
+
+Both variants, and joint EM (joint_em), run em_loop and differ only in the
+M-step they pass to it.
 """
 
 from __future__ import annotations
@@ -140,20 +143,19 @@ class TraceRow:
 
 
 @dataclass
-class GatingState:
-    w: np.ndarray                # (k-1, d) final iterate
-    posteriors: np.ndarray       # (n, k) at the final iterate
+class EmState:
+    a: np.ndarray                # (k, d) regressors: fixed in gating EM, fitted in joint EM
+    w: np.ndarray                # (k-1, d) gating iterate
     trace: list = field(default_factory=list)
-    radius: float = 1.0
     converged: bool = False
     hard_assignment: bool = False
+    ridge_flagged: bool = False   # joint EM's linear expert step needed a ridge
     final_loglik: float = float("nan")
     initial_distance: float = float("nan")
-    w0: Optional[np.ndarray] = None
-    iterates: list = field(default_factory=list)   # w after each outer step
+    iterates: list = field(default_factory=list)   # (a, w) after each outer step
 
     def loglik_sequence(self) -> list:
-        """Observed-data log-likelihood at w_0, w_1, ..., w_T."""
+        """Observed-data log-likelihood at every iterate, the start included."""
         return [row.loglik for row in self.trace] + [self.final_loglik]
 
 
@@ -173,61 +175,60 @@ def random_gating_init(k: int, d: int, radius: float, rng: np.random.Generator) 
     return u / norms * r
 
 
-def _run(x, y, regressors, sigma, activation, radius, eps, max_iters, seed,
-         w0, truth, update):
-    k, d = regressors.shape
-    rng = make_rng(seed)
-    w = np.array(w0, dtype=float) if w0 is not None else random_gating_init(k, d, radius, rng)
-    w = project_rows(w.reshape(k - 1, d), radius)
-    state = GatingState(w=w, posteriors=np.zeros((x.shape[0], k)), radius=radius,
-                        w0=w.copy())
+def em_loop(x, y, a, w, sigma, activation, eps, max_iters, update, truth=None) -> EmState:
+    """Alternate the E-step with ``update(a, w, posteriors) -> (a, w)`` until
+    the stacked (a, w) rows move less than eps."""
+    state = EmState(a=a, w=w)
     if truth is not None:
         state.initial_distance = row_metric(w, truth)
-    converged = False
     for t in range(max_iters):
-        est = e_step(x, y, regressors, w, sigma, activation)
+        est = e_step(x, y, a, w, sigma, activation)
         state.hard_assignment = state.hard_assignment or est.hard_assignment
-        w_next = update(w, est.posteriors)
-        step = row_metric(w_next, w)
+        a_next, w_next = update(a, w, est.posteriors)
+        # one row_metric over both parts: np.max keeps a NaN row, which
+        # Python's max(0.3, nan) would drop and so call converged
+        step = row_metric(np.vstack([a_next, w_next]), np.vstack([a, w]))
         row = TraceRow(iteration=t + 1, step_norm=step,
                        q_value=q_value(x, est.posteriors, w_next), loglik=est.loglik)
         if truth is not None:
             row.dist_to_truth = row_metric(w_next, truth)
         state.trace.append(row)
-        state.iterates.append(w_next.copy())
-        w = w_next
+        state.iterates.append((a_next.copy(), w_next.copy()))
+        a, w = a_next, w_next
         if step < eps:
-            converged = True
+            state.converged = True
             break
-    final = e_step(x, y, regressors, w, sigma, activation)
-    state.w = w
-    state.posteriors = final.posteriors
-    state.final_loglik = final.loglik
-    state.converged = converged
+    state.a, state.w = a, w
+    state.final_loglik = e_step(x, y, a, w, sigma, activation).loglik
     return state
+
+
+def _gating_start(regressors, radius, seed, w0) -> np.ndarray:
+    k, d = regressors.shape
+    w = np.array(w0, dtype=float) if w0 is not None else random_gating_init(
+        k, d, radius, make_rng(seed))
+    return project_rows(w.reshape(k - 1, d), radius)
 
 
 def run_em(x: np.ndarray, y: np.ndarray, regressors: np.ndarray, sigma: float,
            activation: Activation, radius: float = 1.0, eps: float = 1e-4,
            max_iters: int = 100, seed=0, w0: Optional[np.ndarray] = None,
-           truth: Optional[np.ndarray] = None,
-           m_step_tol: float = 1e-7, m_step_max_inner: int = 500) -> GatingState:
+           truth: Optional[np.ndarray] = None) -> EmState:
     """Alternate E and M steps until the iterate moves less than eps."""
     x = np.atleast_2d(x)
 
-    def update(w, posteriors):
-        return m_step(x, posteriors, w, radius, grad_tol=m_step_tol,
-                      max_inner=m_step_max_inner)
+    def update(a, w, posteriors):
+        return a, m_step(x, posteriors, w, radius)
 
-    return _run(x, y, regressors, sigma, activation, radius, eps, max_iters,
-                seed, w0, truth, update)
+    return em_loop(x, y, regressors, _gating_start(regressors, radius, seed, w0),
+                   sigma, activation, eps, max_iters, update, truth)
 
 
 def run_gradient_em(x: np.ndarray, y: np.ndarray, regressors: np.ndarray, sigma: float,
                     activation: Activation, radius: float = 1.0,
                     step_alpha: Optional[float] = None, eps: float = 1e-4,
                     max_iters: int = 100, seed=0, w0: Optional[np.ndarray] = None,
-                    truth: Optional[np.ndarray] = None) -> GatingState:
+                    truth: Optional[np.ndarray] = None) -> EmState:
     """Generalized EM: one projected ascent step on Q per outer iteration."""
     x = np.atleast_2d(x)
     alpha_max = default_gradient_step()
@@ -235,11 +236,11 @@ def run_gradient_em(x: np.ndarray, y: np.ndarray, regressors: np.ndarray, sigma:
     if alpha < 0 or alpha > alpha_max * (1 + 1e-9):
         raise ConfigError(f"step size must lie in (0, {alpha_max:.4f}], got {alpha}")
 
-    def update(w, posteriors):
-        return project_rows(w + alpha * q_gradient(x, posteriors, w), radius)
+    def update(a, w, posteriors):
+        return a, project_rows(w + alpha * q_gradient(x, posteriors, w), radius)
 
-    return _run(x, y, regressors, sigma, activation, radius, eps, max_iters,
-                seed, w0, truth, update)
+    return em_loop(x, y, regressors, _gating_start(regressors, radius, seed, w0),
+                   sigma, activation, eps, max_iters, update, truth)
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,10 @@ class Dataset:
             bad = np.count_nonzero(~np.isfinite(self.x).all(axis=1))
             raise DataError(f"{bad} of {self.x.shape[0]} rows have a non-finite "
                             "feature (NaN or inf)")
+        if not np.isfinite(self.y).all():
+            bad = np.count_nonzero(~np.isfinite(self.y))
+            raise DataError(f"{bad} of {self.y.shape[0]} rows have a non-finite "
+                            "label (NaN or inf)")
         if self.z is not None:
             self.z = np.asarray(self.z, dtype=int).ravel()
             if self.z.shape[0] != self.y.shape[0]:

@@ -20,9 +20,9 @@ from .activations import Activation
 from .cqt import CqtCoefficients, solve_cqt
 from .decomposition import DecompositionOptions, DecompositionResult, recover_regressors
 from .errors import ConfigError, NumericalError
-from .gating_em import GatingState, run_em, run_gradient_em
+from .gating_em import EmState, run_em, run_gradient_em
 from .gating_mom import mom_gating
-from .joint_em import JointState, run_joint_em
+from .joint_em import run_joint_em
 from .metrics import (FitReport, canonical_gauge, gating_fit, gating_fit_rows,
                       param_error_min_gauge, regressor_fit)
 from .model import Dataset, InputDistribution, MoeModel, RNG_NAME, softmax_rows
@@ -54,9 +54,7 @@ class PipelineResult:
     w_padded: np.ndarray                 # (k, d) canonical-gauge gating estimate
     cqt: Optional[CqtCoefficients] = None
     decomposition: Optional[DecompositionResult] = None
-    gating_state: Optional[GatingState] = None
-    joint_state: Optional[JointState] = None
-    mom_direction: Optional[np.ndarray] = None
+    em_state: Optional[EmState] = None
     flags: list = field(default_factory=list)
 
 
@@ -104,7 +102,7 @@ def fit_pipeline(data: Dataset, dist: InputDistribution, k: int, sigma: float,
                        radius=radius, seed=seed, eps=opts.em_eps,
                        max_iters=opts.em_max_iters)
         w_pad = canonical_gauge(np.vstack([state.w, np.zeros((1, data.d))]))
-        return PipelineResult(opts.algo, state.a, w_pad, joint_state=state)
+        return PipelineResult(opts.algo, state.a, w_pad, em_state=state)
 
     dec, cqt = spectral_regressors(data, dist, k, sigma, activation, opts, seed=seed)
     a_est = dec.vectors
@@ -122,7 +120,6 @@ def fit_pipeline(data: Dataset, dist: InputDistribution, k: int, sigma: float,
         if mom.below_noise_floor:
             result.flags.append("mom: moment below noise floor")
         # direction only; scale is not identified by the indicator moment
-        result.mom_direction = mom.w_hat
         result.w_padded = canonical_gauge(np.vstack([mom.w_hat[None, :],
                                                      np.zeros((1, data.d))]))
         return result
@@ -134,7 +131,7 @@ def fit_pipeline(data: Dataset, dist: InputDistribution, k: int, sigma: float,
                    seed=seed, truth=None)
     if not state.converged:
         result.flags.append("gating EM hit the iteration cap without converging")
-    result.gating_state = state
+    result.em_state = state
     result.w_padded = canonical_gauge(np.vstack([state.w, np.zeros((1, data.d))]))
     return result
 
@@ -147,12 +144,11 @@ def fit_report(result: PipelineResult, config: dict) -> FitReport:
         report.cqt = result.cqt.to_dict()
     if result.decomposition is not None:
         report.decomposition = result.decomposition.to_dict()
-    state = result.gating_state or result.joint_state
-    if state is not None:
+    if result.em_state is not None:
         report.traces["iterations"] = [
             {"iter": r.iteration, "step_norm": r.step_norm, "q_value": r.q_value,
              "loglik": r.loglik, "dist_to_truth": r.dist_to_truth}
-            for r in state.trace
+            for r in result.em_state.trace
         ]
     return report
 

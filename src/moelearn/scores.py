@@ -81,13 +81,6 @@ class Sym2:
         _, mult = packed_indices(self.d, 2)
         return float(np.sqrt(np.sum(mult * self.data**2)))
 
-    def contract(self, u: np.ndarray, v: np.ndarray) -> float:
-        (i, j), mult = packed_indices(self.d, 2)
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        terms = self.data * (mult / 2.0) * (u[i] * v[j] + u[j] * v[i])
-        return float(terms.sum())
-
 
 @dataclass(frozen=True)
 class Sym3:
@@ -122,25 +115,6 @@ class Sym3:
     def frobenius(self) -> float:
         _, mult = packed_indices(self.d, 3)
         return float(np.sqrt(np.sum(mult * self.data**2)))
-
-    def contract(self, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
-        """Multilinear form T(u, v, w)."""
-        (i, j, l), mult = packed_indices(self.d, 3)
-        u, v, w = (np.asarray(a, dtype=float) for a in (u, v, w))
-        s = (u[i] * v[j] * w[l] + u[i] * v[l] * w[j] + u[j] * v[i] * w[l]
-             + u[j] * v[l] * w[i] + u[l] * v[i] * w[j] + u[l] * v[j] * w[i])
-        return float(np.sum(self.data * (mult / 6.0) * s))
-
-    def collapse(self, v: np.ndarray) -> np.ndarray:
-        """Contraction over two slots: r_j = sum_{kl} T_{jkl} v_k v_l."""
-        (i, j, l), mult = packed_indices(self.d, 3)
-        v = np.asarray(v, dtype=float)
-        coef = self.data * (mult / 3.0)   # 6 permutations pair up: 2 per leading slot
-        r = np.zeros(self.d)
-        np.add.at(r, i, coef * v[j] * v[l])
-        np.add.at(r, j, coef * v[i] * v[l])
-        np.add.at(r, l, coef * v[i] * v[j])
-        return r
 
     def collapse_matrix(self, v: np.ndarray) -> np.ndarray:
         """Slice along one slot: M_{kl} = sum_j T_{jkl} v_j."""
@@ -260,16 +234,6 @@ def _full_width(parts: list, order: int) -> np.ndarray:
     return _score_columns(parts, order, slice(0, size), _workspace(parts, size))
 
 
-def hermite2_packed(u: np.ndarray) -> np.ndarray:
-    """(n, P2) packed H2(u) = u u^T - I rows for a batch u."""
-    return _full_width([(None, _transposed(u))], 2)
-
-
-def hermite3_packed(u: np.ndarray) -> np.ndarray:
-    """(n, P3) packed third Hermite tensor rows for a batch u."""
-    return _full_width([(None, _transposed(u))], 3)
-
-
 def score2_packed(x: np.ndarray, dist: InputDistribution) -> np.ndarray:
     """(n, P2) packed S2 rows under the given input law."""
     return _full_width(_components(np.atleast_2d(x), dist), 2)
@@ -300,33 +264,3 @@ def score_moment(x: np.ndarray, dist: InputDistribution, weights: np.ndarray,
     for cols in blocks:
         out[cols] = weights @ _score_columns(parts, order, cols, work)
     return out
-
-
-# ---------------------------------------------------------------------------
-# single-point operations
-# ---------------------------------------------------------------------------
-
-def score2_gaussian(x: np.ndarray) -> Sym2:
-    """S2(x) = x x^T - I for standard Gaussian inputs."""
-    x = np.asarray(x, dtype=float).ravel()
-    return Sym2(x.shape[0], hermite2_packed(x[None, :])[0])
-
-
-def score3_gaussian(x: np.ndarray) -> Sym3:
-    """Third Hermite tensor; equals -grad^3 p / p for the standard Gaussian."""
-    x = np.asarray(x, dtype=float).ravel()
-    return Sym3(x.shape[0], hermite3_packed(x[None, :])[0])
-
-
-def score_gmm(x: np.ndarray, dist: InputDistribution, order: int):
-    """Score tensor of a known identity-covariance Gaussian mixture."""
-    if dist.kind != "gmm":
-        raise ConfigError("score_gmm requires a GaussianMixture input distribution")
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != dist.d:
-        raise ConfigError("input dimension mismatch")
-    if order == 2:
-        return Sym2(dist.d, score2_packed(x[None, :], dist)[0])
-    if order == 3:
-        return Sym3(dist.d, score3_packed(x[None, :], dist)[0])
-    raise ConfigError("order must be 2 or 3")

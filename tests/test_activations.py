@@ -1,30 +1,30 @@
 import numpy as np
 import pytest
 
-from moelearn import Activation, activation_eval
+from moelearn import Activation
 from moelearn.errors import ConfigError
 
 
 def test_sigmoid_values_at_zero():
     act = Activation.sigmoid()
-    assert activation_eval(act, 0, 0.0) == pytest.approx(0.5)
+    assert float(act(0.0, 0)) == pytest.approx(0.5)
     # g' = g(1-g) evaluated at 0.5
-    assert activation_eval(act, 1, 0.0) == pytest.approx(0.25)
+    assert float(act(0.0, 1)) == pytest.approx(0.25)
 
 
 def test_linear_third_derivative_vanishes():
     act = Activation.linear()
     for t in (-3.0, 0.0, 1.7):
-        assert activation_eval(act, 3, t) == 0.0
-        assert activation_eval(act, 1, t) == 1.0
+        assert float(act(t, 3)) == 0.0
+        assert float(act(t, 1)) == 1.0
 
 
 def test_relu_conventions():
     act = Activation.relu()
-    assert activation_eval(act, 0, -1.0) == 0.0
-    assert activation_eval(act, 0, 2.5) == 2.5
-    assert activation_eval(act, 1, 0.0) == 0.0       # subgradient pinned to 0
-    assert activation_eval(act, 1, 1e-12) == 1.0
+    assert float(act(-1.0, 0)) == 0.0
+    assert float(act(2.5, 0)) == 2.5
+    assert float(act(0.0, 1)) == 0.0       # subgradient pinned to 0
+    assert float(act(1e-12, 1)) == 1.0
     t = np.linspace(-2, 2, 9)
     assert np.all(act(t, 2) == 0.0)
     assert np.all(act(t, 3) == 0.0)

@@ -130,6 +130,24 @@ def test_nan_feature_is_data_error_not_traceback(tmp_path, capsys):
     assert err == "data error: 1 of 800 rows have a non-finite feature (NaN or inf)\n"
 
 
+def test_nan_label_is_data_error(tmp_path, capsys):
+    """A NaN label used to reach the E-step, whose NaN posteriors stalled the
+    M-step so the fit reported convergence with a gating fit of 0."""
+    cfg = _write_config(tmp_path / "cfg.json", out=str(tmp_path / "run"))
+    assert main(["generate", "--config", str(cfg)]) == 0
+    csv = tmp_path / "run" / "dataset.csv"
+    lines = csv.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[lines[0].split(",").index("y")] = "nan"
+    lines[5] = ",".join(cells)
+    csv.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["fit", "--config", str(cfg), "--data", str(csv),
+                 "--model", str(tmp_path / "run" / "model.json")]) == 2
+    err = capsys.readouterr().err
+    assert err == "data error: 1 of 800 rows have a non-finite label (NaN or inf)\n"
+
+
 def test_linalg_error_is_numerical_exit(tmp_path, capsys, monkeypatch):
     cfg = _write_config(tmp_path / "cfg.json", out=str(tmp_path / "run"))
     assert main(["generate", "--config", str(cfg)]) == 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from moelearn import (Activation, InputDistribution, gating_fit, run_em,
-                      run_gradient_em, sample_dataset)
+                      run_gradient_em, run_joint_em, sample_dataset)
 from moelearn.errors import ConfigError
 from moelearn.gating_em import (default_gradient_step, e_step,
                                 em_curvature_constants, m_step, q_value,
@@ -175,7 +175,7 @@ def test_estimated_regressors_gating_fit_within_five_iterations():
     res = fit_pipeline(data, dist, 2, 0.1, model.activation, seed=300,
                        opts=PipelineOptions(algo="spectral+em"))
     fits = []
-    for w_t in res.gating_state.iterates[:5]:
+    for _, w_t in res.em_state.iterates[:5]:
         fits.append(gating_fit(w_t[0], model.w[0]))
     assert max(fits) >= 0.9
 
@@ -242,3 +242,37 @@ def test_trace_and_radius_contract():
     assert np.all(np.linalg.norm(st.w, axis=1) <= 0.5 + 1e-9)
     assert [r.iteration for r in st.trace] == list(range(1, len(st.trace) + 1))
     assert np.all(np.isfinite([r.q_value for r in st.trace]))
+
+
+@pytest.mark.parametrize("runner", ["em", "gradient-em", "joint-em"])
+def test_step_norm_is_row_metric_of_stacked_iterates(runner):
+    """All three runners share one loop: each step is the largest row move of
+    the stacked (a, w) iterate, equal to the larger of the two parts' moves,
+    and the run has converged exactly when its last step is below eps."""
+    model = make_model(11, k=3, d=5, sigma=0.3)
+    data = sample_dataset(model, InputDistribution.standard_gaussian(5), 1500, seed=12)
+    rng = np.random.default_rng(13)
+    w0 = 0.4 * unit_rows(rng, 2, 5)           # inside the ball: projection keeps it
+    a0 = unit_rows(rng, 3, 5) if runner == "joint-em" else model.a
+    seen = set()
+    for eps, max_iters in ((1e-2, 200), (0.0, 6)):
+        if runner == "joint-em":
+            st = run_joint_em(data.x, data.y, 3, 0.3, model.activation, radius=2.0,
+                              eps=eps, max_iters=max_iters, a0=a0, w0=w0)
+            start = (a0 / np.linalg.norm(a0, axis=1, keepdims=True), w0)
+        else:
+            run = run_em if runner == "em" else run_gradient_em
+            st = run(data.x, data.y, model.a, 0.3, model.activation, radius=2.0,
+                     eps=eps, max_iters=max_iters, w0=w0)
+            start = (model.a, w0)
+        assert len(st.trace) == len(st.iterates)
+        for row, before, after in zip(st.trace, [start] + st.iterates, st.iterates):
+            assert row.step_norm == row_metric(np.vstack(after), np.vstack(before))
+            assert row.step_norm == max(row_metric(after[0], before[0]),
+                                        row_metric(after[1], before[1]))
+        steps = [row.step_norm for row in st.trace]
+        assert st.converged == (steps[-1] < eps)
+        assert all(s >= eps for s in steps[:-1])
+        assert st.converged or len(steps) == max_iters
+        seen.add(st.converged)
+    assert seen == {True, False}

@@ -17,7 +17,7 @@ def test_sphere_weighted_ls_is_constrained_optimum():
         m = rng.standard_normal((d + 2, d))
         h = m.T @ m
         b = rng.standard_normal(d)
-        a, unc_norm, _ = _sphere_weighted_ls(h, b)
+        a, _ = _sphere_weighted_ls(h, b)
         assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-10)
         obj = a @ h @ a - 2 * b @ a
         # KKT: (h + nu I) a = b for some nu >= -lambda_min
@@ -37,7 +37,7 @@ def test_sphere_weighted_ls_hard_case():
     # b orthogonal to the bottom eigenvector: solution pads with that direction
     h = np.diag([0.5, 2.0, 3.0])
     b = np.array([0.0, 0.2, 0.1])
-    a, _, _ = _sphere_weighted_ls(h, b)
+    a, _ = _sphere_weighted_ls(h, b)
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-10)
     direct = a @ h @ a - 2 * b @ a
     grid = np.random.default_rng(1).standard_normal((5000, 3))
@@ -102,6 +102,8 @@ def test_joint_em_records_diagnostics():
     data = sample_dataset(model, dist, 2000, seed=59)
     st = run_joint_em(data.x, data.y, 2, 0.3, model.activation, seed=2, max_iters=10,
                       eps=0.0)
-    assert len(st.pre_normalization_norms) == 10
-    assert len(st.iterates) == 10
-    assert all(len(norms) == 2 for norms in st.pre_normalization_norms)
+    assert len(st.trace) == len(st.iterates) == 10
+    assert all(a.shape == (2, 4) and w.shape == (1, 4) for a, w in st.iterates)
+    assert np.array_equal(st.iterates[-1][0], st.a)
+    assert np.array_equal(st.iterates[-1][1], st.w)
+    assert not st.ridge_flagged

@@ -114,10 +114,12 @@ def test_dataset_rejects_nonfinite_features_with_row_count(bad):
     x[4, 1] = bad
     with pytest.raises(DataError, match="2 of 6 rows have a non-finite feature"):
         Dataset(x, np.zeros(6))
-    # a non-finite label is left to the moment accumulator's outlier cap
+    # a non-finite label is rejected the same way
     y = np.zeros(6)
     y[0] = bad
-    assert Dataset(np.ones((6, 3)), y).n == 6
+    y[5] = bad
+    with pytest.raises(DataError, match="2 of 6 rows have a non-finite label"):
+        Dataset(np.ones((6, 3)), y)
 
 
 def test_model_validation():

@@ -12,7 +12,7 @@ from moelearn.cqt import apply_p3, gauss_hermite
 from moelearn.errors import NumericalError
 from moelearn.moments import (CHUNK, MomentAccumulator, accumulate, finalize,
                               raw_third_moment)
-from moelearn.scores import Sym3, hermite3_packed, score3_packed
+from moelearn.scores import Sym3, score3_packed
 
 from conftest import make_model, orthogonal_gating, unit_rows
 
@@ -117,7 +117,7 @@ def test_quadrature_oracle_population_t3_sigmoid_d2():
         h = m**3 + 3 * m * sigma**2 + cqt.alpha * (m**2 + sigma**2) + cqt.beta * m
         return 0.5 * h[:, 0] + 0.5 * h[:, 1]
 
-    s3 = hermite3_packed(nodes)
+    s3 = score3_packed(nodes, InputDistribution.standard_gaussian(d))
     oracle = (weights * p3_cond(nodes)) @ s3
     closed = Sym3.from_dense(
         cqt.c3 * 0.5 * (np.einsum("a,b,c->abc", a[0], a[0], a[0])
@@ -151,7 +151,8 @@ def test_quadrature_oracle_population_t3_linear_d3_with_gating():
         f = 1.0 / (1.0 + np.exp(-x @ w[0]))
         return f * h[:, 0] + (1 - f) * h[:, 1]
 
-    oracle = (weights * p3_cond(nodes)) @ hermite3_packed(nodes)
+    s3 = score3_packed(nodes, InputDistribution.standard_gaussian(d))
+    oracle = (weights * p3_cond(nodes)) @ s3
     closed = Sym3.from_dense(
         6 * 0.5 * (np.einsum("a,b,c->abc", a[0], a[0], a[0])
                    + np.einsum("a,b,c->abc", a[1], a[1], a[1]))).data

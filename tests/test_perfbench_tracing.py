@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moelearn import InputDistribution, gating_em, moments, sample_dataset, solve_cqt
+from moelearn import (InputDistribution, gating_em, joint_em, moments, sample_dataset,
+                      solve_cqt)
 
 from conftest import make_model
 
@@ -69,3 +70,26 @@ def test_traced_accumulate_counts_rejected_rows(tracing):
     assert acc.chunks[0].rejected > 0    # ReLU labels reach the cap on their own
     assert tracer.counters["moments.rejected"] == acc.n_rejected
     assert tracer.counters["moments.rows"] == data.n
+
+
+def test_traced_joint_em_reproduces_untraced_and_counts_expert_time(tracing):
+    """Joint EM runs the shared EM loop; its spans count as joint EM, not as
+    gating EM, and the expert step is what is left after the E- and M-steps."""
+    model = make_model(6, k=3, d=4, sigma=0.3)
+    data = sample_dataset(model, InputDistribution.standard_gaussian(4), 600, seed=3)
+    plain = joint_em.run_joint_em(data.x, data.y, 3, 0.3, model.activation, seed=1,
+                                  max_iters=15)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = joint_em.run_joint_em(data.x, data.y, 3, 0.3, model.activation, seed=1,
+                                       max_iters=15)
+    finally:
+        tracer.uninstall()
+    assert np.array_equal(plain.a, traced.a)
+    assert np.array_equal(plain.w, traced.w)
+    layer = tracer.per_layer()
+    assert layer["joint_em.outer_iters"] == len(plain.trace)
+    assert layer["gating_em.outer_iters"] == 0
+    assert layer["gating_em.m_step.calls"] == len(plain.trace)
+    assert layer["joint_em.expert_step.self_s"] > 0.0

@@ -8,26 +8,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moelearn import (InputDistribution, Sym2, Sym3, score2_gaussian,
-                      score3_gaussian, score_gmm, scores)
-from moelearn.errors import ConfigError
-from moelearn.scores import (hermite3_packed, packed_indices, packed_size,
-                             score2_packed, score3_packed, score_moment)
+from moelearn import InputDistribution, Sym2, Sym3, scores
+from moelearn.scores import (packed_indices, packed_size, score2_packed, score3_packed,
+                             score_moment)
+
+
+def _score(x, order, dist=None):
+    """Score tensor at one point, from the batched packed kernel on a one-row
+    batch; standard Gaussian inputs unless ``dist`` is given."""
+    x = np.asarray(x, dtype=float)
+    dist = dist or InputDistribution.standard_gaussian(x.shape[0])
+    packed = (score2_packed if order == 2 else score3_packed)(x[None, :], dist)[0]
+    return (Sym2 if order == 2 else Sym3)(x.shape[0], packed)
 
 
 def test_score2_examples():
-    assert np.allclose(score2_gaussian(np.zeros(3)).to_dense(), -np.eye(3))
-    assert score2_gaussian(np.array([2.0])).to_dense()[0, 0] == pytest.approx(3.0)
-    got = score2_gaussian(np.array([1.0, 1.0])).to_dense()
+    assert np.allclose(_score(np.zeros(3), 2).to_dense(), -np.eye(3))
+    assert _score(np.array([2.0]), 2).to_dense()[0, 0] == pytest.approx(3.0)
+    got = _score(np.array([1.0, 1.0]), 2).to_dense()
     assert np.allclose(got, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_score3_examples():
-    assert score3_gaussian(np.zeros(4)).frobenius() == 0.0
+    assert _score(np.zeros(4), 3).frobenius() == 0.0
     # d = 1 reduces to the third Hermite polynomial
     for t in (-2.0, 0.5, 3.0):
-        assert score3_gaussian(np.array([t])).to_dense()[0, 0, 0] == pytest.approx(t**3 - 3 * t)
-    dense = score3_gaussian(np.array([1.0, 0.0])).to_dense()
+        assert _score(np.array([t]), 3).to_dense()[0, 0, 0] == pytest.approx(t**3 - 3 * t)
+    dense = _score(np.array([1.0, 0.0]), 3).to_dense()
     assert dense[0, 0, 0] == pytest.approx(-2.0)   # 1 - 3*1
     assert dense[0, 1, 1] == pytest.approx(-1.0)   # 0 - x0*d_11
 
@@ -60,7 +67,7 @@ def test_score3_matches_numeric_density_derivatives():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(3)
     numeric = _numeric_third_score(_gauss_density, x)
-    assert np.allclose(score3_gaussian(x).to_dense(), numeric, atol=5e-5)
+    assert np.allclose(_score(x, 3).to_dense(), numeric, atol=5e-5)
 
 
 def test_gmm_score_degenerate_single_component():
@@ -68,14 +75,14 @@ def test_gmm_score_degenerate_single_component():
     rng = np.random.default_rng(4)
     for _ in range(3):
         x = rng.standard_normal(3)
-        assert np.allclose(score_gmm(x, dist, 3).data, score3_gaussian(x).data)
-        assert np.allclose(score_gmm(x, dist, 2).data, score2_gaussian(x).data)
+        assert np.allclose(_score(x, 3, dist).data, _score(x, 3).data)
+        assert np.allclose(_score(x, 2, dist).data, _score(x, 2).data)
 
 
 def test_gmm_score_two_component_symmetry_point():
     mu = np.array([0.7, -0.2, 0.4])
     dist = InputDistribution.gaussian_mixture([0.5, 0.5], np.vstack([mu, -mu]))
-    got = score_gmm(np.zeros(3), dist, 2).to_dense()
+    got = _score(np.zeros(3), 2, dist).to_dense()
     assert np.allclose(got, np.outer(mu, mu) - np.eye(3), atol=1e-12)
 
 
@@ -90,7 +97,7 @@ def test_gmm_score_matches_numeric_density_derivatives():
 
     x = np.array([0.45, -0.2])
     numeric3 = _numeric_third_score(density, x)
-    assert np.allclose(score_gmm(x, dist, 3).to_dense(), numeric3, atol=5e-5)
+    assert np.allclose(_score(x, 3, dist).to_dense(), numeric3, atol=5e-5)
     # second order by central differences as well
     h = 1e-4
     d = 2
@@ -102,13 +109,13 @@ def test_gmm_score_matches_numeric_density_derivatives():
             xx[k] += sk * h
             return density(xx)
         hess[j, k] = (shift(1, 1) - shift(1, -1) - shift(-1, 1) + shift(-1, -1)) / (4 * h**2)
-    assert np.allclose(score_gmm(x, dist, 2).to_dense(), hess / density(x), atol=1e-5)
+    assert np.allclose(_score(x, 2, dist).to_dense(), hess / density(x), atol=1e-5)
 
 
 def test_gmm_score_finite_in_far_tails():
     dist = InputDistribution.gaussian_mixture([0.5, 0.5],
                                               np.array([[30.0, 0.0], [-30.0, 0.0]]))
-    s = score_gmm(np.array([500.0, -300.0]), dist, 3)
+    s = _score(np.array([500.0, -300.0]), 3, dist)
     assert np.all(np.isfinite(s.data))
 
 
@@ -118,7 +125,6 @@ def test_score_zero_mean_monte_carlo():
     means = np.array([[0.5, 0, 0, 0.5], [-0.5, 0.5, 0, 0]])
     dist = InputDistribution.gaussian_mixture([0.4, 0.6], means)
     x = dist.sample(n, rng)
-    from moelearn.scores import score2_packed
     m = score2_packed(x, dist).mean(axis=0)
     assert np.max(np.abs(m)) <= 5.0 / np.sqrt(n)
 
@@ -131,7 +137,7 @@ def test_stein_identity_third_order():
     a /= np.linalg.norm(a)
     x = rng.standard_normal((n, d))
     f = (x @ a) ** 3
-    s3 = hermite3_packed(x)
+    s3 = score3_packed(x, InputDistribution.standard_gaussian(d))
     est = f @ s3 / n
     target = Sym3.from_dense(6 * np.einsum("a,b,c->abc", a, a, a)).data
     se = np.std(f[:, None] * s3, axis=0) / np.sqrt(n)
@@ -159,41 +165,18 @@ def test_packed_sizes_and_multiplicities():
     assert mult.sum() == 27  # multiplicities tile the dense cube
 
 
-def test_contraction_examples():
-    d = 2
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
-    t = Sym3.from_dense(np.einsum("a,b,c->abc", e1, e1, e1))
-    assert t.contract(e1, e1, e1) == pytest.approx(1.0)
-    assert np.allclose(t.collapse(e2), np.zeros(2))
-    t2 = Sym3.from_dense(np.einsum("a,b,c->abc", e1, e1, e1)
-                         + 2 * np.einsum("a,b,c->abc", e2, e2, e2))
-    u = np.array([1.0, 1.0]) / np.sqrt(2)
-    assert t2.contract(u, u, u) == pytest.approx(3.0 / 2**1.5)
-
-
 def test_contractions_match_dense_einsum():
     rng = np.random.default_rng(3)
     d = 5
     dense = rng.standard_normal((d, d, d))
     dense = sum(dense.transpose(p) for p in itertools.permutations(range(3))) / 6
     t = Sym3.from_dense(dense)
-    u, v, w = rng.standard_normal((3, d))
-    assert t.contract(u, v, w) == pytest.approx(np.einsum("jkl,j,k,l->", dense, u, v, w))
-    assert t.contract(u, v, w) == pytest.approx(t.contract(w, u, v))  # symmetry
-    assert np.allclose(t.collapse(v), np.einsum("jkl,k,l->j", dense, v, v))
+    v = rng.standard_normal(d)
+    assert np.allclose(t.collapse_matrix(v), np.einsum("jkl,j->kl", dense, v))
     wmap = rng.standard_normal((d, 3))
     assert np.allclose(t.contract_all_modes(wmap),
                        np.einsum("jkl,ja,kb,lc->abc", dense, wmap, wmap, wmap))
     assert t.frobenius() == pytest.approx(np.linalg.norm(dense))
-
-
-def test_score_gmm_requires_mixture():
-    with pytest.raises(ConfigError):
-        score_gmm(np.zeros(3), InputDistribution.standard_gaussian(3), 2)
-    dist = InputDistribution.gaussian_mixture([1.0], np.zeros((1, 3)))
-    with pytest.raises(ConfigError):
-        score_gmm(np.zeros(3), dist, 4)
 
 
 # ---------------------------------------------------------------------------
