@@ -15,9 +15,11 @@ also tests the claim rule: the change wins at least 9 of 10 pairs and its
 median is better than the parent's by more than the parent's q3 - q1.
 
 Each workload then runs traced (``--trace 1``) once per tree at the first
-seed, for its per-layer metrics. Last, every trial of every (workload, seed)
+seed, for its per-layer metrics. Then every trial of every (workload, seed)
 runs once more in each tree, BLAS on one thread, and the trials whose
-``run_trial`` output differs as canonical JSON are counted.
+``run_trial`` output differs as canonical JSON are counted. Last, the Tier-1
+verify command (``TIER1``) runs once in each tree, BLAS on one thread, and its
+wall time and pytest summary line are recorded.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -51,6 +54,10 @@ print(json.dumps({t.key: hashlib.sha256(json.dumps(
 _ONE_THREAD = {name: "1" for name in
                ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
+# ROADMAP.md's Tier-1 verify command, run by this interpreter with src/ first
+# on PYTHONPATH.
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+
 
 def sweep(tree: Path, workload: str, seed: int, trace: int, work: Path) -> dict:
     """One sweep.py run in ``tree``: its result line plus the full record
@@ -70,6 +77,19 @@ def output_hashes(tree: Path, workload: str, seed: int) -> dict:
                           cwd=tree, check=True, stdout=subprocess.PIPE, text=True,
                           env={**os.environ, **_ONE_THREAD}, timeout=1800)
     return json.loads(done.stdout)
+
+
+def tier1(tree: Path) -> dict:
+    """One Tier-1 run in ``tree``: wall time, exit code and pytest's summary line."""
+    path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1], cwd=tree, text=True,
+                          env={**os.environ, **_ONE_THREAD, "PYTHONPATH": path},
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT, timeout=3600)
+    wall = time.perf_counter() - start
+    lines = done.stdout.strip().splitlines()
+    return {"wall_s": wall, "returncode": done.returncode,
+            "summary": lines[-1] if lines else ""}
 
 
 def compare(parent: list, change: list, better: str) -> dict:
@@ -204,6 +224,13 @@ def main() -> int:
                   "thread, compared between the two trees as canonical JSON "
                   "(json.dumps(sort_keys=True), floats at full repr precision)",
         "trials": total, "differ": differ}
+
+    report["tier1"] = {"command": "PYTHONPATH=src python " + " ".join(TIER1),
+                       "threads": _ONE_THREAD}
+    for side, tree in trees.items():
+        report["tier1"][side] = tier1(tree)
+        print(f"tier-1 {side}: {report['tier1'][side]['wall_s']:.1f} s, "
+              f"{report['tier1'][side]['summary']}", flush=True)
 
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {args.out}")

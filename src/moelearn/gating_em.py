@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .activations import Activation
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .model import logsumexp_rows, make_rng, softmax_rows
 from .cqt import gauss_hermite
 
@@ -76,29 +76,40 @@ def e_step(x: np.ndarray, y: np.ndarray, regressors: np.ndarray, w: np.ndarray,
     return EStepResult(post, float(lse.mean()), False)
 
 
-def q_value(x: np.ndarray, posteriors: np.ndarray, w: np.ndarray) -> float:
-    """Empirical EM surrogate Q(w | posteriors)."""
-    logits = x @ w.T
+def q_value(x: np.ndarray, posteriors: np.ndarray, w: np.ndarray,
+            logits: Optional[np.ndarray] = None) -> float:
+    """Empirical EM surrogate Q(w | posteriors); ``logits`` is x @ w.T if known."""
+    if logits is None:
+        logits = x @ w.T
     linear = np.einsum("ni,ni->n", posteriors[:, :-1], logits)
-    return float(np.mean(linear - logsumexp_rows(logits, zero_column=True)))
+    return float((linear - logsumexp_rows(logits, zero_column=True)).sum() / x.shape[0])
 
 
-def q_gradient(x: np.ndarray, posteriors: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(k-1, d) gradient of Q at w."""
-    probs = softmax_rows(x @ w.T, zero_column=True)
+def q_gradient(x: np.ndarray, posteriors: np.ndarray, w: np.ndarray,
+               logits: Optional[np.ndarray] = None) -> np.ndarray:
+    """(k-1, d) gradient of Q at w; ``logits`` is x @ w.T if known."""
+    if logits is None:
+        logits = x @ w.T
+    probs = softmax_rows(logits, zero_column=True)
     return (posteriors[:, :-1] - probs[:, :-1]).T @ x / x.shape[0]
+
+
+def _row_norms(w: np.ndarray) -> np.ndarray:
+    """Euclidean row norms, bitwise what ``np.linalg.norm(w, axis=1)`` gives
+    for real input, without its dispatch."""
+    return np.sqrt((w * w).sum(axis=1))
 
 
 def project_rows(w: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto the product of row balls of the given radius."""
-    norms = np.linalg.norm(w, axis=1, keepdims=True)
+    norms = _row_norms(w)[:, None]
     scale = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
     return w * scale
 
 
 def _projected_gradient_norm(w: np.ndarray, grad: np.ndarray, radius: float) -> float:
     pg = grad.copy()
-    norms = np.linalg.norm(w, axis=1)
+    norms = _row_norms(w)
     for i in np.flatnonzero(norms >= radius * (1 - 1e-12)):
         radial = float(grad[i] @ w[i])
         if radial > 0:   # outward component is blocked by the constraint
@@ -113,19 +124,22 @@ def m_step(x: np.ndarray, posteriors: np.ndarray, w_init: np.ndarray, radius: fl
     w = project_rows(np.array(w_init, dtype=float), radius)
     if w.size == 0:
         return w
-    q = q_value(x, posteriors, w)
+    # each point's logits x @ w.T are computed once, for its Q and gradient
+    logits = x @ w.T
+    q = q_value(x, posteriors, w, logits=logits)
     step = 1.0
     for _ in range(max_inner):
-        grad = q_gradient(x, posteriors, w)
+        grad = q_gradient(x, posteriors, w, logits=logits)
         if _projected_gradient_norm(w, grad, radius) <= grad_tol:
             break
         step = min(step * 2.0, 1e6)   # warm-started, grown before backtracking
         accepted = False
         while step > 1e-16:
             cand = project_rows(w + step * grad, radius)
-            q_cand = q_value(x, posteriors, cand)
-            if q_cand >= q + armijo_c * float(np.sum(grad * (cand - w))):
-                w, q, accepted = cand, q_cand, True
+            cand_logits = x @ cand.T
+            q_cand = q_value(x, posteriors, cand, logits=cand_logits)
+            if q_cand >= q + armijo_c * float((grad * (cand - w)).sum()):
+                w, q, logits, accepted = cand, q_cand, cand_logits, True
                 break
             step *= shrink
         if not accepted:
@@ -163,7 +177,7 @@ def row_metric(w_a: np.ndarray, w_b: np.ndarray) -> float:
     """max_i ||w_a_i - w_b_i||_2, the gating-parameter error metric."""
     if w_a.size == 0:
         return 0.0
-    return float(np.max(np.linalg.norm(w_a - w_b, axis=1)))
+    return float(np.max(_row_norms(w_a - w_b)))
 
 
 def random_gating_init(k: int, d: int, radius: float, rng: np.random.Generator) -> np.ndarray:
@@ -175,14 +189,27 @@ def random_gating_init(k: int, d: int, radius: float, rng: np.random.Generator) 
     return u / norms * r
 
 
+def _finite_loglik(est: EStepResult, iteration: int) -> EStepResult:
+    if not (est.hard_assignment or math.isfinite(est.loglik)):
+        raise NumericalError(f"EM iteration {iteration}: the E-step log-likelihood is "
+                             f"{est.loglik} (a label too large for the noise level?)")
+    return est
+
+
 def em_loop(x, y, a, w, sigma, activation, eps, max_iters, update, truth=None) -> EmState:
     """Alternate the E-step with ``update(a, w, posteriors) -> (a, w)`` until
-    the stacked (a, w) rows move less than eps."""
+    the stacked (a, w) rows move less than eps.
+
+    A non-finite Q, or a non-finite log-likelihood from a soft E-step, raises
+    NumericalError: the M-step cannot move on NaN posteriors, so the zero
+    step would otherwise read as convergence. A hard-assignment E-step
+    (sigma = 0) reports a NaN log-likelihood by design.
+    """
     state = EmState(a=a, w=w)
     if truth is not None:
         state.initial_distance = row_metric(w, truth)
     for t in range(max_iters):
-        est = e_step(x, y, a, w, sigma, activation)
+        est = _finite_loglik(e_step(x, y, a, w, sigma, activation), t + 1)
         state.hard_assignment = state.hard_assignment or est.hard_assignment
         a_next, w_next = update(a, w, est.posteriors)
         # one row_metric over both parts: np.max keeps a NaN row, which
@@ -190,6 +217,8 @@ def em_loop(x, y, a, w, sigma, activation, eps, max_iters, update, truth=None) -
         step = row_metric(np.vstack([a_next, w_next]), np.vstack([a, w]))
         row = TraceRow(iteration=t + 1, step_norm=step,
                        q_value=q_value(x, est.posteriors, w_next), loglik=est.loglik)
+        if not math.isfinite(row.q_value):
+            raise NumericalError(f"EM iteration {t + 1}: Q is {row.q_value} after the M-step")
         if truth is not None:
             row.dist_to_truth = row_metric(w_next, truth)
         state.trace.append(row)
@@ -199,7 +228,8 @@ def em_loop(x, y, a, w, sigma, activation, eps, max_iters, update, truth=None) -
             state.converged = True
             break
     state.a, state.w = a, w
-    state.final_loglik = e_step(x, y, a, w, sigma, activation).loglik
+    state.final_loglik = _finite_loglik(e_step(x, y, a, w, sigma, activation),
+                                        len(state.trace) + 1).loglik
     return state
 
 

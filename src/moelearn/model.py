@@ -36,27 +36,30 @@ def spawn_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
 
 # The package's one softmax / log-sum-exp. Every caller has a few columns and
 # many rows, where an axis-1 numpy reduction costs far more per call than a
-# loop over columns. Max is exact either way; numpy adds fewer than
-# _PAIRWISE_WIDTH elements left to right, so the column loop below that width
-# gives the same bits as ``.sum(axis=1)``, and from it on numpy's pairwise
-# order is kept by calling it.
+# loop over columns, so both work on the transposed logits: one contiguous
+# (c, n) copy whose rows are the columns. Max is exact in any order; numpy
+# adds fewer than _PAIRWISE_WIDTH elements left to right, so the row loop
+# below that width gives the same bits as ``.sum(axis=1)`` over the (n, c)
+# array, and from it on that call's pairwise order is kept by making it on a
+# C-contiguous (n, c) copy (a strided reduction is not pairwise). ``exp``
+# runs only on contiguous arrays.
 _PAIRWISE_WIDTH = 8
 
 
-def _row_max(a: np.ndarray) -> np.ndarray:
-    m = a[:, 0].copy()
-    for j in range(1, a.shape[1]):
-        np.maximum(m, a[:, j], out=m)
+def _column_max(cols: np.ndarray) -> np.ndarray:
+    m = cols[0].copy()
+    for col in cols[1:]:
+        np.maximum(m, col, out=m)
     return m
 
 
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    """Bitwise equal to ``a.sum(axis=1)``."""
-    if a.shape[1] >= _PAIRWISE_WIDTH:
-        return a.sum(axis=1)
-    s = a[:, 0].copy()
-    for j in range(1, a.shape[1]):
-        s += a[:, j]
+def _column_sum(cols: np.ndarray) -> np.ndarray:
+    """Bitwise equal to ``cols.T.sum(axis=1)`` on a C-contiguous copy."""
+    if cols.shape[0] >= _PAIRWISE_WIDTH:
+        return np.ascontiguousarray(cols.T).sum(axis=1)
+    s = cols[0].copy()
+    for col in cols[1:]:
+        s += col
     return s
 
 
@@ -64,35 +67,41 @@ def logsumexp_rows(logits: np.ndarray, zero_column: bool = False) -> np.ndarray:
     """log(sum_j exp(logits_j)) per row, stable.
 
     With ``zero_column`` the rows get an implicit extra logit 0, giving
-    log(1 + sum_j exp(logits_j)); its term is added before the others.
+    log(1 + sum_j exp(logits_j)); its term is added after the others' sum.
     """
-    if not zero_column:
-        m = _row_max(logits)
-        return m + np.log(_row_sum(np.exp(logits - m[:, None])))
-    if logits.shape[1] == 0:
+    if zero_column and logits.shape[1] == 0:
         return np.zeros(logits.shape[0])
-    m = np.maximum(_row_max(logits), 0.0)
-    return m + np.log(np.exp(-m) + _row_sum(np.exp(logits - m[:, None])))
+    cols = np.ascontiguousarray(logits.T)
+    m = _column_max(cols)
+    if zero_column:
+        np.maximum(m, 0.0, out=m)
+    e = cols - m
+    s = _column_sum(np.exp(e, out=e))
+    if zero_column:
+        s = np.exp(-m) + s
+    return m + np.log(s)
 
 
 def softmax_rows(logits: np.ndarray, zero_column: bool = False) -> np.ndarray:
-    """Row-wise softmax, stable.
+    """Row-wise softmax, stable, as a C-contiguous (n, c) array.
 
     With ``zero_column`` the rows get an implicit last logit 0 and the result
     has one more column, the probability of that last entry.
     """
-    if not zero_column:
-        e = np.exp(logits - _row_max(logits)[:, None])
-        e /= _row_sum(e)[:, None]
-        return e
     n, c = logits.shape
-    m = np.maximum(_row_max(logits), 0.0) if c else np.zeros(n)
-    e = np.empty((n, c + 1))
-    np.subtract(logits, m[:, None], out=e[:, :c])
-    np.negative(m, out=e[:, c])
+    cols = np.ascontiguousarray(logits.T)
+    m = _column_max(cols) if c else np.zeros(n)
+    e = np.empty((c + zero_column, n))
+    if zero_column:
+        np.maximum(m, 0.0, out=m)
+        np.negative(m, out=e[c])
+    np.subtract(cols, m, out=e[:c])
     np.exp(e, out=e)
-    e /= _row_sum(e)[:, None]
-    return e
+    s = _column_sum(e)
+    probs = np.empty((n, len(e)))
+    for j, col in enumerate(e):   # divides and transposes in one pass
+        np.divide(col, s, out=probs[:, j])
+    return probs
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,28 @@ def test_nan_label_is_data_error(tmp_path, capsys):
     assert err == "data error: 1 of 800 rows have a non-finite label (NaN or inf)\n"
 
 
+def test_overflowing_label_is_numerical_exit(tmp_path, capsys):
+    """A finite label of 1e200 passes the data checks and the moment cap, but
+    its squared residual overflows in the E-step; the fit used to exit 0 with
+    a gating fit of 0 instead of failing."""
+    cfg = _write_config(tmp_path / "cfg.json", out=str(tmp_path / "run"))
+    assert main(["generate", "--config", str(cfg)]) == 0
+    csv = tmp_path / "run" / "dataset.csv"
+    lines = csv.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[lines[0].split(",").index("y")] = "1e200"
+    lines[5] = ",".join(cells)
+    csv.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        rc = main(["fit", "--config", str(cfg), "--data", str(csv),
+                   "--model", str(tmp_path / "run" / "model.json")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: [gating-em] EM iteration 1: the E-step log-likelihood is nan")
+    assert not (tmp_path / "run" / "fit_report.json").exists()
+
+
 def test_linalg_error_is_numerical_exit(tmp_path, capsys, monkeypatch):
     cfg = _write_config(tmp_path / "cfg.json", out=str(tmp_path / "run"))
     assert main(["generate", "--config", str(cfg)]) == 0

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moelearn import (Activation, InputDistribution, gating_fit, run_em,
                       run_gradient_em, run_joint_em, sample_dataset)
-from moelearn.errors import ConfigError
+from moelearn.errors import ConfigError, NumericalError
 from moelearn.gating_em import (default_gradient_step, e_step,
-                                em_curvature_constants, m_step, q_value,
-                                row_metric)
+                                em_curvature_constants, m_step, q_gradient,
+                                q_value, row_metric)
 
 from conftest import make_model, unit_rows
 
@@ -123,6 +125,95 @@ def test_m_step_is_ascent():
     w0 = rng.standard_normal((2, 5)) * 0.4
     w1 = m_step(data.x, res.posteriors, w0, radius=1.0)
     assert q_value(data.x, res.posteriors, w1) >= q_value(data.x, res.posteriors, w0)
+
+
+# The M-step before it shared each point's logits between Q and the gradient,
+# with the package softmax/log-sum-exp written as the axis-1 numpy formulas
+# it is bitwise equal to and np.linalg.norm/np.mean/np.sum in place of their
+# direct forms: the bitwise reference for m_step.
+def _ref_q_value(x, posteriors, w):
+    logits = x @ w.T
+    linear = np.einsum("ni,ni->n", posteriors[:, :-1], logits)
+    m = np.maximum(logits.max(axis=1), 0.0)
+    lse = m + np.log(np.exp(-m) + np.exp(logits - m[:, None]).sum(axis=1))
+    return float(np.mean(linear - lse))
+
+
+def _ref_q_gradient(x, posteriors, w):
+    full = np.hstack([x @ w.T, np.zeros((x.shape[0], 1))])
+    e = np.exp(full - full.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    return (posteriors[:, :-1] - probs[:, :-1]).T @ x / x.shape[0]
+
+
+def _ref_project_rows(w, radius):
+    norms = np.linalg.norm(w, axis=1, keepdims=True)
+    return w * np.minimum(1.0, radius / np.maximum(norms, 1e-300))
+
+
+def _ref_projected_gradient_norm(w, grad, radius):
+    pg = grad.copy()
+    norms = np.linalg.norm(w, axis=1)
+    for i in np.flatnonzero(norms >= radius * (1 - 1e-12)):
+        radial = float(grad[i] @ w[i])
+        if radial > 0:
+            pg[i] = grad[i] - (radial / max(norms[i] ** 2, 1e-300)) * w[i]
+    return float(np.linalg.norm(pg))
+
+
+def _ref_m_step(x, posteriors, w_init, radius, grad_tol=1e-7, max_inner=500,
+                armijo_c=1e-4, shrink=0.5):
+    w = _ref_project_rows(np.array(w_init, dtype=float), radius)
+    q = _ref_q_value(x, posteriors, w)
+    step = 1.0
+    for _ in range(max_inner):
+        grad = _ref_q_gradient(x, posteriors, w)
+        if _ref_projected_gradient_norm(w, grad, radius) <= grad_tol:
+            break
+        step = min(step * 2.0, 1e6)
+        accepted = False
+        while step > 1e-16:
+            cand = _ref_project_rows(w + step * grad, radius)
+            q_cand = _ref_q_value(x, posteriors, cand)
+            if q_cand >= q + armijo_c * float(np.sum(grad * (cand - w))):
+                w, q, accepted = cand, q_cand, True
+                break
+            step *= shrink
+        if not accepted:
+            break
+    return w
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=12),
+       st.one_of(st.integers(min_value=1, max_value=300), st.just(2000)),
+       st.lists(st.sampled_from(["inside", "on", "outside"]), min_size=4, max_size=4),
+       st.sampled_from([0.3, 1.0, 2.5]), st.sampled_from([0.0, 0.3, 1.0]),
+       st.integers(min_value=0, max_value=2**31 - 1))
+def test_m_step_bitwise_matches_reference(k, d, n, starts, radius, frac_zero, seed):
+    """Same iterates, same bits: starts inside, on and outside the row ball,
+    posteriors with exact zeros (all but one in a row when frac_zero is 1)."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) * rng.choice([0.5, 1.0, 3.0])
+    posteriors = rng.dirichlet(np.ones(k), size=n)
+    keep = rng.integers(0, k, size=n)
+    zero = rng.random((n, k)) < frac_zero
+    zero[np.arange(n), keep] = False
+    posteriors[zero] = 0.0
+    posteriors /= posteriors.sum(axis=1, keepdims=True)
+    w0 = unit_rows(rng, k - 1, d) * radius
+    scale = {"inside": rng.random(), "on": 1.0, "outside": 1.0 + 3.0 * rng.random()}
+    w0 *= np.array([scale[starts[i]] for i in range(k - 1)])[:, None]
+
+    got = m_step(x, posteriors, w0, radius)
+    assert np.array_equal(got, _ref_m_step(x, posteriors, w0, radius))
+    for w in (w0, got):
+        logits = x @ w.T
+        assert q_value(x, posteriors, w) == q_value(x, posteriors, w, logits=logits)
+        assert q_value(x, posteriors, w) == _ref_q_value(x, posteriors, w)
+        grad = q_gradient(x, posteriors, w)
+        assert np.array_equal(grad, q_gradient(x, posteriors, w, logits=logits))
+        assert np.array_equal(grad, _ref_q_gradient(x, posteriors, w))
 
 
 def _criterion5_instance(sigma=0.05, n=100000, seed=5):
@@ -276,3 +367,29 @@ def test_step_norm_is_row_metric_of_stacked_iterates(runner):
         assert st.converged or len(steps) == max_iters
         seen.add(st.converged)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("runner", ["em", "gradient-em", "joint-em"])
+def test_overflowing_label_raises_instead_of_converging(runner):
+    """A finite label of 1e200 overflows that row's squared residual, so its
+    posteriors are NaN and the M-step cannot move; the zero step used to read
+    as convergence after one iteration with Q and the log-likelihood NaN."""
+    model = make_model(3, k=2, d=6, sigma=0.1)
+    data = sample_dataset(model, InputDistribution.standard_gaussian(6), 900, seed=4)
+    y = data.y.copy()
+    y[7] = 1e200
+    with np.errstate(all="ignore"):
+        if runner == "joint-em":
+            fit = lambda labels, sigma: run_joint_em(data.x, labels, 2, sigma,
+                                                     model.activation, seed=1)
+        else:
+            run = run_em if runner == "em" else run_gradient_em
+            fit = lambda labels, sigma: run(data.x, labels, model.a, sigma,
+                                            model.activation)
+        with pytest.raises(NumericalError, match="EM iteration 1: the E-step "
+                                                 "log-likelihood is nan"):
+            fit(y, 0.1)
+        # the hard-assignment E-step reports a NaN log-likelihood by design
+        hard = fit(data.y, 0.0)
+    assert hard.hard_assignment and np.isnan(hard.final_loglik)
+    assert all(np.isfinite(row.q_value) for row in hard.trace)

@@ -189,23 +189,33 @@ def _lse_with_zero_axis1(logits):
 @settings(max_examples=30, deadline=None)
 @given(st.one_of(st.integers(min_value=1, max_value=8), st.sampled_from([2000, 2500])),
        st.sampled_from([1.0, 30.0, 800.0, 1e300]), st.sampled_from([0.0, 0.05, 0.5, 1.0]),
-       st.booleans(), st.integers(min_value=0, max_value=2**31 - 1))
+       st.booleans(), st.integers(min_value=0, max_value=2**31 - 1),
+       st.sampled_from(["C", "F", "first columns", "last columns"]))
 def test_row_softmax_and_lse_bitwise_match_axis1_numpy(width, n, scale, frac_special,
-                                                       shifted, seed):
+                                                       shifted, seed, layout):
     """Widths 1-12 straddle the switch to numpy's pairwise sum at 8 columns;
-    logits are up to 1e300 in size, shifted far negative, or +-inf."""
+    logits are up to 1e300 in size, shifted far negative, or +-inf. The
+    helpers get them C- or F-ordered or as a column slice of a wider array
+    (as ``posteriors[:, :-1]``), and must give the bits the axis-1 formulas
+    give on the C-ordered array, the softmax as a C-contiguous array."""
     rng = np.random.default_rng(seed)
     logits = rng.standard_normal((n, width)) * scale - (1e3 if shifted else 0.0)
     special = rng.random((n, width)) < frac_special
     logits[special] = rng.choice([-np.inf, np.inf, -1e308, 1e308, -745.0, 710.0],
                                  size=int(special.sum()), p=[0.5, 0.1, 0.1, 0.1, 0.1, 0.1])
     full = np.hstack([logits, np.zeros((n, 1))])
+    extra = rng.standard_normal((n, 1))
+    given = {"C": logits, "F": np.asfortranarray(logits),
+             "first columns": np.hstack([logits, extra])[:, :-1],
+             "last columns": np.hstack([extra, logits])[:, 1:]}[layout]
+    assert np.array_equal(given, logits, equal_nan=True)
     with np.errstate(all="ignore"):
-        cases = [(softmax_rows(logits, zero_column=True), _softmax_axis1(full)),
-                 (logsumexp_rows(logits, zero_column=True), _lse_with_zero_axis1(logits))]
+        cases = [(softmax_rows(given, zero_column=True), _softmax_axis1(full)),
+                 (logsumexp_rows(given, zero_column=True), _lse_with_zero_axis1(logits))]
         if width:
-            cases += [(softmax_rows(logits), _softmax_axis1(logits)),
-                      (logsumexp_rows(logits), _lse_axis1(logits))]
+            cases += [(softmax_rows(given), _softmax_axis1(logits)),
+                      (logsumexp_rows(given), _lse_axis1(logits))]
     for got, want in cases:
         assert got.shape == want.shape
+        assert got.flags.c_contiguous
         assert np.array_equal(got, want, equal_nan=True)
