@@ -378,14 +378,14 @@ def test_overflowing_label_raises_instead_of_converging(runner):
     data = sample_dataset(model, InputDistribution.standard_gaussian(6), 900, seed=4)
     y = data.y.copy()
     y[7] = 1e200
-    with np.errstate(all="ignore"):
+
+    def fit(labels, sigma):
         if runner == "joint-em":
-            fit = lambda labels, sigma: run_joint_em(data.x, labels, 2, sigma,
-                                                     model.activation, seed=1)
-        else:
-            run = run_em if runner == "em" else run_gradient_em
-            fit = lambda labels, sigma: run(data.x, labels, model.a, sigma,
-                                            model.activation)
+            return run_joint_em(data.x, labels, 2, sigma, model.activation, seed=1)
+        run = run_em if runner == "em" else run_gradient_em
+        return run(data.x, labels, model.a, sigma, model.activation)
+
+    with np.errstate(all="ignore"):
         with pytest.raises(NumericalError, match="EM iteration 1: the E-step "
                                                  "log-likelihood is nan"):
             fit(y, 0.1)
