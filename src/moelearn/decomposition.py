@@ -92,30 +92,45 @@ def power_method(t3: np.ndarray, n_components: int, restarts: int = 30,
     eigenvalues = np.zeros(n_components)
     iters_used, weak_flags, deflation_norms = [], [], []
     floor = None
-    # The greedy contraction order depends only on the operand shapes, which
-    # stay fixed for the whole call; searching it once here, not in every
-    # einsum call, leaves the contractions and their bits unchanged.
+    # Every contraction below is the one numpy's optimize=True einsum makes,
+    # with its bits. The greedy order depends only on the operand shapes, so
+    # it is searched once per call. When it is a single contraction (every
+    # restarts > m >= 2), the batched steps call einsum directly with the
+    # operands in the planner's order, which skips einsum's re-planning.
     batch, vec = np.empty((restarts, m)), np.empty(m)
     path_batch = np.einsum_path("abc,lb,lc->la", t, batch, batch, optimize=True)[0]
     path_batch_lam = np.einsum_path("abc,la,lb,lc->l", t, batch, batch, batch,
                                     optimize=True)[0]
-    path_vec = np.einsum_path("abc,b,c->a", t, vec, vec, optimize=True)[0]
     path_vec_lam = np.einsum_path("abc,a,b,c->", t, vec, vec, vec, optimize=True)[0]
+    direct = len(path_batch) == 2 and len(path_batch_lam) == 2
 
     for comp in range(n_components):
         theta = rng.standard_normal((restarts, m))
         theta /= np.linalg.norm(theta, axis=1, keepdims=True)
         for _ in range(iterations):
-            theta = np.einsum("abc,lb,lc->la", t, theta, theta, optimize=path_batch)
-            nrm = np.linalg.norm(theta, axis=1, keepdims=True)
+            if direct:
+                theta = np.einsum("lc,lb,abc->la", theta, theta, t)
+            else:
+                theta = np.einsum("abc,lb,lc->la", t, theta, theta, optimize=path_batch)
+            # np.linalg.norm(theta, axis=1, keepdims=True), as it computes it
+            nrm = np.sqrt((theta * theta).sum(axis=1, keepdims=True))
             nrm[nrm == 0] = 1.0
             theta /= nrm
-        lam = np.einsum("abc,la,lb,lc->l", t, theta, theta, theta, optimize=path_batch_lam)
+        if direct:
+            lam = np.einsum("lc,lb,la,abc->l", theta, theta, theta, t)
+        else:
+            lam = np.einsum("abc,la,lb,lc->l", t, theta, theta, theta,
+                            optimize=path_batch_lam)
         best = int(np.argmax(lam))
         v = theta[best]
+        # T(I, v, v) as the two matmuls numpy 2's optimize=True einsum runs
+        # for "abc,b,c->a" (its batch-matmul path): contract b on the
+        # (m, m*m) unfolding, then c
+        unfolded = t.transpose(1, 0, 2).reshape(m, m * m)
         for _ in range(iterations):
-            v_new = np.einsum("abc,b,c->a", t, v, v, optimize=path_vec)
-            nrm = np.linalg.norm(v_new)
+            v_new = ((v.reshape(1, m) @ unfolded).reshape(m, m)
+                     @ v.reshape(m, 1)).reshape(m)
+            nrm = np.sqrt(v_new.dot(v_new))   # np.linalg.norm(v_new), as it computes it
             if nrm == 0:
                 break
             v = v_new / nrm

@@ -22,8 +22,7 @@ from .activations import Activation
 from .errors import ConfigError, MoeError
 from .metrics import (canonical_gauge, config_hash, gating_fit,
                       param_error_min_gauge, write_aggregate_csv)
-from .model import (Dataset, InputDistribution, MoeModel, make_rng,
-                    sample_dataset, spawn_seeds)
+from .model import Dataset, InputDistribution, MoeModel, make_rng, sample_dataset
 from .pipeline import PipelineOptions, evaluate, fit_pipeline, predict_moe
 from .tabular import ingest_csv
 
@@ -134,9 +133,16 @@ def draw_instance(config: ExperimentConfig, seed) -> tuple[MoeModel, InputDistri
     return model, dist
 
 
+def trial_seeds(seed: int, trial: int) -> list[np.random.SeedSequence]:
+    """The model, data and algorithm seeds of one trial: children 3*trial to
+    3*trial + 2 of SeedSequence(seed).spawn(...), built without spawning the
+    children of the trials before it."""
+    return [np.random.SeedSequence(seed, spawn_key=(3 * trial + j,)) for j in range(3)]
+
+
 def run_trial(config: ExperimentConfig, trial: int) -> dict:
     """One model draw, one dataset, one fit; returns metrics and traces."""
-    model_seed, data_seed, algo_seed = spawn_seeds(config.seed, 3 * config.trials)[3 * trial:3 * trial + 3]
+    model_seed, data_seed, algo_seed = trial_seeds(config.seed, trial)
     model, dist = draw_instance(config, model_seed)
     data = sample_dataset(model, dist, config.n, data_seed)
     result = fit_pipeline(data, dist, config.k, config.sigma, model.activation,

@@ -29,20 +29,16 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def spawn_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
-    """Independent child seeds for parallel trials."""
-    return np.random.SeedSequence(seed).spawn(n)
-
-
 # The package's one softmax / log-sum-exp. Every caller has a few columns and
 # many rows, where an axis-1 numpy reduction costs far more per call than a
 # loop over columns, so both work on the transposed logits: one contiguous
-# (c, n) copy whose rows are the columns. Max is exact in any order; numpy
-# adds fewer than _PAIRWISE_WIDTH elements left to right, so the row loop
-# below that width gives the same bits as ``.sum(axis=1)`` over the (n, c)
-# array, and from it on that call's pairwise order is kept by making it on a
-# C-contiguous (n, c) copy (a strided reduction is not pairwise). ``exp``
-# runs only on contiguous arrays.
+# (c, n) array whose rows are the columns, a copy unless the logits are
+# already the transpose of one (as gating_em passes them). Max is exact in
+# any order; numpy adds fewer than _PAIRWISE_WIDTH elements left to right, so
+# the row loop below that width gives the same bits as ``.sum(axis=1)`` over
+# the (n, c) array, and from it on that call's pairwise order is kept by
+# making it on a C-contiguous (n, c) copy (a strided reduction is not
+# pairwise). ``exp`` runs only on contiguous arrays.
 _PAIRWISE_WIDTH = 8
 
 

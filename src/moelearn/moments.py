@@ -82,8 +82,10 @@ def accumulate(acc: MomentAccumulator, batch) -> MomentAccumulator:
     if x.shape[1] != acc.d:
         raise ConfigError("batch dimension does not match accumulator")
 
-    p3 = apply_p3(acc.cqt, y)
-    p2 = apply_p2(acc.cqt, y)
+    # a huge label overflows its transforms; the cap below rejects those rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        p3 = apply_p3(acc.cqt, y)
+        p2 = apply_p2(acc.cqt, y)
 
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)

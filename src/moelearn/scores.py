@@ -126,8 +126,10 @@ class Sym3:
         coef = self.data * (mult / 6.0)
         out = None
         rows = (w[i], w[j], w[l])
+        # the six terms share operand shapes, so they share optimize=True's path
+        path = np.einsum_path("p,pa,pb,pc->abc", coef, *rows, optimize=True)[0]
         for a, b, c in itertools.permutations(range(3)):
-            t = np.einsum("p,pa,pb,pc->abc", coef, rows[a], rows[b], rows[c], optimize=True)
+            t = np.einsum("p,pa,pb,pc->abc", coef, rows[a], rows[b], rows[c], optimize=path)
             out = t if out is None else out + t
         return out
 

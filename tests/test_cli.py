@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -148,10 +149,8 @@ def test_nan_label_is_data_error(tmp_path, capsys):
     assert err == "data error: 1 of 800 rows have a non-finite label (NaN or inf)\n"
 
 
-def test_overflowing_label_is_numerical_exit(tmp_path, capsys):
-    """A finite label of 1e200 passes the data checks and the moment cap, but
-    its squared residual overflows in the E-step; the fit used to exit 0 with
-    a gating fit of 0 instead of failing."""
+def _overflowing_label_set(tmp_path):
+    """A generated k = 2, d = 6, sigma = 0.1 set with one label set to 1e200."""
     cfg = _write_config(tmp_path / "cfg.json", out=str(tmp_path / "run"))
     assert main(["generate", "--config", str(cfg)]) == 0
     csv = tmp_path / "run" / "dataset.csv"
@@ -160,6 +159,14 @@ def test_overflowing_label_is_numerical_exit(tmp_path, capsys):
     cells[lines[0].split(",").index("y")] = "1e200"
     lines[5] = ",".join(cells)
     csv.write_text("\n".join(lines) + "\n")
+    return cfg, csv
+
+
+def test_overflowing_label_is_numerical_exit(tmp_path, capsys):
+    """A finite label of 1e200 passes the data checks and the moment cap, but
+    its squared residual overflows in the E-step; the fit used to exit 0 with
+    a gating fit of 0 instead of failing."""
+    cfg, csv = _overflowing_label_set(tmp_path)
     capsys.readouterr()
     with np.errstate(all="ignore"):
         rc = main(["fit", "--config", str(cfg), "--data", str(csv),
@@ -168,6 +175,20 @@ def test_overflowing_label_is_numerical_exit(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "numerical failure: [gating-em] EM iteration 1: the E-step log-likelihood is nan")
     assert not (tmp_path / "run" / "fit_report.json").exists()
+
+
+def test_overflowing_label_gives_one_message_and_no_warnings(tmp_path, capsys):
+    """The label transforms and the E-step overflow on a 1e200 label; the
+    cap and em_loop catch the result, so numpy must not warn on the way."""
+    cfg, csv = _overflowing_label_set(tmp_path)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["fit", "--config", str(cfg), "--data", str(csv)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("numerical failure: [gating-em] EM iteration 1:")
 
 
 def test_linalg_error_is_numerical_exit(tmp_path, capsys, monkeypatch):

@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moelearn import ExperimentConfig, draw_instance, run_suite
 from moelearn.errors import ConfigError
-from moelearn.experiments import run_trial
+from moelearn.experiments import run_trial, trial_seeds
 
 
 def test_draw_instance_contracts():
@@ -37,6 +39,18 @@ def test_run_trial_returns_metrics_and_curves():
     assert len(out["gating_fit_curve"]) == len(out["error_curve"])
     out1 = run_trial(cfg, 1)
     assert out1["regressor_fit"] != out["regressor_fit"]   # independent draws
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**63), st.integers(min_value=0, max_value=40),
+       st.integers(min_value=0, max_value=20))
+def test_trial_seeds_are_the_spawned_children(seed, trial, extra):
+    """Each trial's seeds equal children 3*trial..3*trial+2 of a spawn over
+    all trials, however many trials the cell has."""
+    spawned = np.random.SeedSequence(seed).spawn(3 * (trial + 1) + extra)
+    for j, child in enumerate(trial_seeds(seed, trial)):
+        assert np.array_equal(child.generate_state(8),
+                              spawned[3 * trial + j].generate_state(8))
 
 
 def test_config_validation_and_json(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -214,6 +216,69 @@ def test_m_step_bitwise_matches_reference(k, d, n, starts, radius, frac_zero, se
         grad = q_gradient(x, posteriors, w)
         assert np.array_equal(grad, q_gradient(x, posteriors, w, logits=logits))
         assert np.array_equal(grad, _ref_q_gradient(x, posteriors, w))
+
+
+# The E-step before its (k, n) layout, with the package log-sum-exp written as
+# the axis-1 numpy formulas it is bitwise equal to: the bitwise reference for
+# e_step.
+def _ref_e_step(x, y, regressors, w, sigma, activation):
+    k = regressors.shape[0]
+    res = y[:, None] - activation(x @ regressors.T)
+    logits = x @ w.T if k > 1 else np.zeros((x.shape[0], 0))
+    if k == 1:
+        return np.ones((x.shape[0], 1)), float(np.mean(
+            -0.5 * res[:, 0] ** 2 / max(sigma**2, 1e-12)
+            - 0.5 * math.log(2 * math.pi * max(sigma**2, 1e-12))))
+    if sigma == 0.0:
+        z = np.argmin(np.abs(res), axis=1)
+        post = np.zeros((x.shape[0], k))
+        post[np.arange(x.shape[0]), z] = 1.0
+        return post, float("nan")
+    s2 = max(sigma**2, 1e-12)
+    m = np.maximum(logits.max(axis=1), 0.0)
+    lse_prior = m + np.log(np.exp(-m) + np.exp(logits - m[:, None]).sum(axis=1))
+    full_logits = np.hstack([logits, np.zeros((x.shape[0], 1))])
+    log_joint = (full_logits - lse_prior[:, None] - 0.5 * res**2 / s2
+                 - 0.5 * math.log(2 * math.pi * s2))
+    m = log_joint.max(axis=1)
+    lse = m + np.log(np.exp(log_joint - m[:, None]).sum(axis=1))
+    return np.exp(log_joint - lse[:, None]), float(lse.mean())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=12),
+       st.one_of(st.integers(min_value=1, max_value=300), st.just(2000)),
+       st.sampled_from([0.0, 0.05, 0.3, 1.0]), st.sampled_from(["linear", "relu", "sigmoid"]),
+       st.sampled_from([0.3, 1.0, 5.0]), st.integers(min_value=0, max_value=2**31 - 1))
+def test_e_step_bitwise_matches_reference(k, d, n, sigma, activation, scale, seed):
+    """Same posteriors and log-likelihood bit for bit, as a C-contiguous
+    (n, k) array, for one to nine experts and sigma = 0 included."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d))
+    regressors = unit_rows(rng, k, d)
+    w = rng.standard_normal((k - 1, d)) * scale
+    y = rng.standard_normal(n) * scale
+    act = Activation.by_name(activation)
+    got = e_step(x, y, regressors, w, sigma, act)
+    post, loglik = _ref_e_step(x, y, regressors, w, sigma, act)
+    assert got.posteriors.flags.c_contiguous
+    assert np.array_equal(got.posteriors, post)
+    assert got.loglik == loglik or (math.isnan(got.loglik) and math.isnan(loglik))
+    assert got.hard_assignment == (sigma == 0.0)
+
+
+@pytest.mark.parametrize("k", [4, 6, 10])
+def test_q_value_bitwise_matches_reference_with_three_or_more_gating_rows(k):
+    """From three gating rows on, einsum sums each point's linear term in
+    another order unless the logits reach it C-ordered, while q_value gets
+    them as a transposed view. A changed linear term changes Q's last bit
+    only now and then, so many draws are compared."""
+    rng = np.random.default_rng(k)
+    for _ in range(30):
+        x = rng.standard_normal((300, 7))
+        posteriors = rng.dirichlet(np.ones(k), size=300)
+        w = rng.standard_normal((k - 1, 7))
+        assert q_value(x, posteriors, w) == _ref_q_value(x, posteriors, w)
 
 
 def _criterion5_instance(sigma=0.05, n=100000, seed=5):

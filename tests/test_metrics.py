@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from moelearn import canonical_gauge, gating_fit, param_error, regressor_fit
 from moelearn.errors import ConfigError
 from moelearn.metrics import (FitReport, config_hash, gating_fit_rows,
-                              write_aggregate_csv, write_trace_csv)
+                              param_error_min_gauge, write_aggregate_csv,
+                              write_trace_csv)
 
 from conftest import unit_rows
 
@@ -100,6 +101,24 @@ def test_metric_invariances(k, seed):
     e_base, _ = param_error(est, w_est, truth, rng.standard_normal((k, d)) * 0)
     e_perm, _ = param_error(est[perm], w_est[perm], truth, np.zeros((k, d)))
     assert e_perm == pytest.approx(e_base, abs=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=2, max_value=5), st.sampled_from([0.1, 1.0, 4.0]),
+       st.integers(min_value=0, max_value=10**6))
+def test_param_error_min_gauge_is_softmax_gauge_invariant(k, scale, seed):
+    """Adding one vector to every row of the padded estimate leaves the
+    softmax, and so the parameter error, unchanged."""
+    rng = np.random.default_rng(seed)
+    d = k + 2
+    a_true = unit_rows(rng, k, d)
+    w_true = np.vstack([rng.standard_normal((k - 1, d)), np.zeros((1, d))])
+    a_est = a_true + 0.1 * rng.standard_normal((k, d))
+    w_est = rng.standard_normal((k, d))
+    shift = scale * rng.standard_normal(d)
+    base, _ = param_error_min_gauge(a_est, w_est, a_true, w_true)
+    shifted, _ = param_error_min_gauge(a_est, w_est + shift, a_true, w_true)
+    assert shifted == pytest.approx(base, rel=1e-9, abs=1e-12)
 
 
 def test_canonical_gauge_minimal_norm_and_equivalence():

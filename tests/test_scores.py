@@ -179,6 +179,26 @@ def test_contractions_match_dense_einsum():
     assert t.frobenius() == pytest.approx(np.linalg.norm(dense))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.data(),
+       st.integers(min_value=0, max_value=2**31 - 1))
+def test_contract_all_modes_bitwise_matches_per_term_path_search(d, data, seed):
+    """One path search per call gives each permutation term the contraction
+    numpy's optimize=True einsum chooses for it."""
+    k = data.draw(st.integers(min_value=1, max_value=min(d, 5)))
+    rng = np.random.default_rng(seed)
+    t = Sym3(d, rng.standard_normal(packed_size(d, 3)))
+    w = rng.standard_normal((d, k))
+    (i, j, l), mult = packed_indices(d, 3)
+    coef = t.data * (mult / 6.0)
+    rows = (w[i], w[j], w[l])
+    want = None
+    for a, b, c in itertools.permutations(range(3)):
+        term = np.einsum("p,pa,pb,pc->abc", coef, rows[a], rows[b], rows[c], optimize=True)
+        want = term if want is None else want + term
+    assert np.array_equal(t.contract_all_modes(w), want)
+
+
 # ---------------------------------------------------------------------------
 # blocked moment kernel
 # ---------------------------------------------------------------------------
