@@ -15,11 +15,13 @@ also tests the claim rule: the change wins at least 9 of 10 pairs and its
 median is better than the parent's by more than the parent's q3 - q1.
 
 Each workload then runs traced (``--trace 1``) once per tree at the first
-seed, for its per-layer metrics. Then every trial of every (workload, seed)
-runs once more in each tree, BLAS on one thread, and the trials whose
-``run_trial`` output differs as canonical JSON are counted. Last, the Tier-1
-verify command (``TIER1``) runs once in each tree, BLAS on one thread, and its
-wall time and pytest summary line are recorded.
+seed, for its per-layer metrics; its ``counts_differ`` lists the per-layer
+metrics of unit ``count`` in ``BENCHMARK.json`` whose values differ between
+the two trees (empty when a change keeps every count). Then every trial of
+every (workload, seed) runs once more in each tree, BLAS on one thread, and
+the trials whose ``run_trial`` output differs as canonical JSON are counted.
+Last, the Tier-1 verify command (``TIER1``) runs once in each tree, BLAS on
+one thread, and its wall time and pytest summary line are recorded.
 """
 
 from __future__ import annotations
@@ -142,6 +144,7 @@ def main() -> int:
     benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     units = {m["name"]: m["unit"] for m in benchmark["end_to_end"]}
+    counts = [m["name"] for m in benchmark["per_layer"] if m["unit"] == "count"]
     workloads = args.workloads or [w["name"] for w in benchmark["workloads"]]
 
     report = {
@@ -205,7 +208,11 @@ def main() -> int:
                     "untraced_wall_s": run["record"]["untraced_wall_s"],
                     "per_layer": {name: m["value"] for name, m in run["metrics"].items()},
                 }
-            print(f"{workload} traced seed {trace_seed} done", flush=True)
+            layers = {side: traced[workload][side]["per_layer"] for side in trees}
+            traced[workload]["counts_differ"] = [
+                name for name in counts if layers["parent"].get(name) != layers["change"].get(name)]
+            print(f"{workload} traced seed {trace_seed}: counts differ "
+                  f"{traced[workload]['counts_differ']}", flush=True)
         report["trace_seed"] = {
             "command": f"python3 perfbench/run.py --workload W --seed {trace_seed} "
                        f"--trace 1 (through sweep.py)",

@@ -9,7 +9,10 @@
                    [--split 0.75] [--seed S] [--out DIR]
 
 Exit codes: 0 success, 1 usage/configuration error, 2 data error,
-3 numerical failure. MOE_THREADS is the fallback for --threads.
+3 numerical failure. A failure prints one stderr line, the message behind a
+prefix: "configuration error: ", "data error: ", "numerical failure: "
+(numpy's LinAlgError included) or "i/o error: " (an OSError, exit 2).
+MOE_THREADS is the fallback for --threads.
 """
 
 from __future__ import annotations

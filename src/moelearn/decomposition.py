@@ -68,10 +68,18 @@ def whiten(t2: Sym2, k: int, c2_sign: float = 1.0) -> WhiteningMap:
 class PowerMethodResult:
     vectors: np.ndarray      # (k, m) rows: unit eigenvectors, descending eigenvalue
     eigenvalues: np.ndarray  # (k,)
-    iterations: list         # per-component iteration counts
+    residuals: list          # per component ||T(I,v,v) - lambda v||, before its deflation
     restarts: int
     weak_flags: list         # components whose eigenvalue fell below the noise floor
     deflation_norms: list    # Frobenius norm of the tensor after each deflation
+
+
+def _contract_ivv(unfolded: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """T(I, v, v) as the two matmuls numpy 2's optimize=True einsum runs for
+    "abc,b,c->a" (its batch-matmul path): contract b on the (m, m*m)
+    unfolding ``T.transpose(1, 0, 2).reshape(m, m*m)``, then c."""
+    m = v.shape[0]
+    return ((v.reshape(1, m) @ unfolded).reshape(m, m) @ v.reshape(m, 1)).reshape(m)
 
 
 def power_method(t3: np.ndarray, n_components: int, restarts: int = 30,
@@ -81,7 +89,9 @@ def power_method(t3: np.ndarray, n_components: int, restarts: int = 30,
     For each component the best of ``restarts`` random starts (by eigenvalue
     after ``iterations`` fixed-point steps v <- T(I,v,v)/||.||) is polished
     with another round of iterations, then deflated. Restarts iterate as one
-    batched matrix, so the per-seed result is deterministic.
+    batched matrix, so the per-seed result is deterministic. Each component's
+    fixed-point residual ||T(I,v,v) - lambda v|| is taken on the tensor it
+    was found in: near zero when the iteration converged to an eigenpair.
     """
     if restarts < 1 or iterations < 1:
         raise NumericalError("restarts and iterations must be >= 1")
@@ -90,7 +100,7 @@ def power_method(t3: np.ndarray, n_components: int, restarts: int = 30,
     rng = make_rng(seed)
     vectors = np.zeros((n_components, m))
     eigenvalues = np.zeros(n_components)
-    iters_used, weak_flags, deflation_norms = [], [], []
+    residuals, weak_flags, deflation_norms = [], [], []
     floor = None
     # Every contraction below is the one numpy's optimize=True einsum makes,
     # with its bits. The greedy order depends only on the operand shapes, so
@@ -123,13 +133,9 @@ def power_method(t3: np.ndarray, n_components: int, restarts: int = 30,
                             optimize=path_batch_lam)
         best = int(np.argmax(lam))
         v = theta[best]
-        # T(I, v, v) as the two matmuls numpy 2's optimize=True einsum runs
-        # for "abc,b,c->a" (its batch-matmul path): contract b on the
-        # (m, m*m) unfolding, then c
         unfolded = t.transpose(1, 0, 2).reshape(m, m * m)
         for _ in range(iterations):
-            v_new = ((v.reshape(1, m) @ unfolded).reshape(m, m)
-                     @ v.reshape(m, 1)).reshape(m)
+            v_new = _contract_ivv(unfolded, v)
             nrm = np.sqrt(v_new.dot(v_new))   # np.linalg.norm(v_new), as it computes it
             if nrm == 0:
                 break
@@ -145,14 +151,14 @@ def power_method(t3: np.ndarray, n_components: int, restarts: int = 30,
             weak_flags.append(comp)
         vectors[comp] = v
         eigenvalues[comp] = lam_v
-        iters_used.append(2 * iterations)
+        residuals.append(float(np.linalg.norm(_contract_ivv(unfolded, v) - lam_v * v)))
         t = t - lam_v * np.einsum("a,b,c->abc", v, v, v)
         deflation_norms.append(float(np.linalg.norm(t)))
 
     order = np.argsort(-eigenvalues, kind="stable")
     position = {old: new for new, old in enumerate(order)}
     return PowerMethodResult(vectors[order], eigenvalues[order],
-                             [iters_used[i] for i in order], restarts,
+                             [residuals[i] for i in order], restarts,
                              sorted(position[i] for i in weak_flags),
                              deflation_norms)
 
@@ -163,7 +169,7 @@ class DecompositionResult:
     weights: np.ndarray       # (k,) positive scales |c3| E[p_i]
     residual: float           # Frobenius norm left after deflation (whitened space)
     restarts: int
-    iterations: list
+    residuals: list           # per component, as PowerMethodResult.residuals
     weak_flags: list = field(default_factory=list)
     deflation_norms: list = field(default_factory=list)
 
@@ -173,7 +179,7 @@ class DecompositionResult:
             "weights": self.weights.tolist(),
             "residual": self.residual,
             "restarts": self.restarts,
-            "iterations": self.iterations,
+            "residuals": self.residuals,
         }
 
 
@@ -210,5 +216,5 @@ def recover_regressors(t2: Sym2, t3: Sym3, k: int, cqt: CqtCoefficients,
         weights[i] = pm.eigenvalues[i] * nrm**3
     return DecompositionResult(vectors, weights,
                                residual=pm.deflation_norms[-1] if pm.deflation_norms else 0.0,
-                               restarts=opts.restarts, iterations=pm.iterations,
+                               restarts=opts.restarts, residuals=pm.residuals,
                                weak_flags=pm.weak_flags, deflation_norms=pm.deflation_norms)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .activations import Activation
 from .errors import ConfigError, NumericalError
-from .model import logsumexp_rows, make_rng, softmax_rows
+from .model import ExpPass, exp_pass, logsumexp_rows, make_rng
 from .cqt import gauss_hermite
 
 SIGMA2_FLOOR = 1e-12
@@ -53,8 +53,8 @@ class EStepResult(NamedTuple):
 def _logits(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The (n, c) logits x @ w.T, as the transposed view of w @ x.T.
 
-    Its (c, n) rows are the contiguous columns logsumexp_rows and
-    softmax_rows work on, so they skip their transposing copy. This assumes
+    Its (c, n) rows, the rows model.exp_pass works on, are contiguous, so
+    the linear term can read each column as one. This assumes
     that w @ x.T has the bits of (x @ w.T).T. On OpenBLAS 0.3.31 (Haswell
     kernels) it does for C-contiguous x at every shape tried: n 1-8000,
     d 1-64, c 1-9, one and two threads, gemv included.
@@ -103,28 +103,55 @@ def e_step(x: np.ndarray, y: np.ndarray, regressors: np.ndarray, w: np.ndarray,
     return EStepResult(post, float(lse.mean()), False)
 
 
+def _linear_term(posteriors: np.ndarray, logits: np.ndarray) -> np.ndarray:
+    """sum_j posteriors[:, j] * logits[:, j] per row, with the bits of einsum
+    on C-ordered (n, c) logits.
+
+    Up to two columns that is the products' left-to-right sum, but for the
+    sign of a zero: einsum's sum starts from +0.0, so it never gives -0.0.
+    q_value's ``.sum()`` starts from +0.0 too, so Q does not see the sign.
+    From three columns on einsum sums in another order, and on the
+    transposed view of gating logits in yet another, so it gets a C-ordered
+    copy.
+    """
+    c = logits.shape[1]
+    if c not in (1, 2):
+        return np.einsum("ni,ni->n", posteriors[:, :c], np.ascontiguousarray(logits))
+    rows = logits.T
+    linear = posteriors[:, 0] * rows[0]
+    if c == 2:
+        linear += posteriors[:, 1] * rows[1]
+    return linear
+
+
 def q_value(x: np.ndarray, posteriors: np.ndarray, w: np.ndarray,
-            logits: Optional[np.ndarray] = None) -> float:
-    """Empirical EM surrogate Q(w | posteriors); ``logits`` is x @ w.T if known."""
+            logits: Optional[np.ndarray] = None, exps: Optional[ExpPass] = None) -> float:
+    """Empirical EM surrogate Q(w | posteriors); ``logits`` is x @ w.T and
+    ``exps`` its zero-column exp_pass, if known."""
     if logits is None:
         logits = _logits(x, w)
-    # einsum sums each row in another order for c >= 3 unless its operands
-    # are C-ordered (n, c), as they were before the logits became a view
-    linear = np.einsum("ni,ni->n", posteriors[:, :-1], np.ascontiguousarray(logits))
-    return float((linear - logsumexp_rows(logits, zero_column=True)).sum() / x.shape[0])
+    if exps is None:
+        exps = exp_pass(logits.T, zero_column=True)
+    linear = _linear_term(posteriors, logits)
+    lse = np.log(exps.s)
+    lse += exps.m
+    linear -= lse
+    return float(linear.sum() / x.shape[0])
 
 
 def q_gradient(x: np.ndarray, posteriors: np.ndarray, w: np.ndarray,
-               logits: Optional[np.ndarray] = None) -> np.ndarray:
-    """(k-1, d) gradient of Q at w; ``logits`` is x @ w.T if known."""
-    if logits is None:
-        logits = _logits(x, w)
-    probs = softmax_rows(logits, zero_column=True)
-    # posteriors[:, :-1] - probs[:, :-1] one column at a time: numpy runs
-    # arithmetic on strided (n, c) arrays this narrow one row at a time
-    diff = np.empty((x.shape[0], logits.shape[1]))
+               exps: Optional[ExpPass] = None) -> np.ndarray:
+    """(k-1, d) gradient of Q at w; ``exps`` as for q_value."""
+    if exps is None:
+        exps = exp_pass(_logits(x, w).T, zero_column=True)
+    s = exps.softmax_sum()
+    # posteriors[:, :c] minus the softmax probabilities e_j / s, one column
+    # at a time: numpy runs arithmetic on strided (n, c) arrays this narrow
+    # one row at a time; the zero column's probability is not needed
+    diff = np.empty((x.shape[0], len(exps.e) - 1))
     for j, col in enumerate(diff.T):
-        np.subtract(posteriors[:, j], probs[:, j], out=col)
+        np.divide(exps.e[j], s, out=col)
+        np.subtract(posteriors[:, j], col, out=col)
     return diff.T @ x / x.shape[0]
 
 
@@ -158,12 +185,13 @@ def m_step(x: np.ndarray, posteriors: np.ndarray, w_init: np.ndarray, radius: fl
     w = project_rows(np.array(w_init, dtype=float), radius)
     if w.size == 0:
         return w
-    # each point's logits are computed once, for its Q and gradient
+    # each point's logits and exp pass are computed once, for its Q and gradient
     logits = _logits(x, w)
-    q = q_value(x, posteriors, w, logits=logits)
+    exps = exp_pass(logits.T, zero_column=True)
+    q = q_value(x, posteriors, w, logits=logits, exps=exps)
     step = 1.0
     for _ in range(max_inner):
-        grad = q_gradient(x, posteriors, w, logits=logits)
+        grad = q_gradient(x, posteriors, w, exps=exps)
         if _projected_gradient_norm(w, grad, radius) <= grad_tol:
             break
         step = min(step * 2.0, 1e6)   # warm-started, grown before backtracking
@@ -171,9 +199,10 @@ def m_step(x: np.ndarray, posteriors: np.ndarray, w_init: np.ndarray, radius: fl
         while step > 1e-16:
             cand = project_rows(w + step * grad, radius)
             cand_logits = _logits(x, cand)
-            q_cand = q_value(x, posteriors, cand, logits=cand_logits)
+            cand_exps = exp_pass(cand_logits.T, zero_column=True)
+            q_cand = q_value(x, posteriors, cand, logits=cand_logits, exps=cand_exps)
             if q_cand >= q + armijo_c * float((grad * (cand - w)).sum()):
-                w, q, logits, accepted = cand, q_cand, cand_logits, True
+                w, q, exps, accepted = cand, q_cand, cand_exps, True
                 break
             step *= shrink
         if not accepted:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -29,74 +29,73 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-# The package's one softmax / log-sum-exp. Every caller has a few columns and
-# many rows, where an axis-1 numpy reduction costs far more per call than a
-# loop over columns, so both work on the transposed logits: one contiguous
-# (c, n) array whose rows are the columns, a copy unless the logits are
-# already the transpose of one (as gating_em passes them). Max is exact in
-# any order; numpy adds fewer than _PAIRWISE_WIDTH elements left to right, so
-# the row loop below that width gives the same bits as ``.sum(axis=1)`` over
-# the (n, c) array, and from it on that call's pairwise order is kept by
-# making it on a C-contiguous (n, c) copy (a strided reduction is not
-# pairwise). ``exp`` runs only on contiguous arrays.
+# The package's one max / exp / sum, under its softmax and log-sum-exp. The
+# callers have few columns and many rows, where an axis-1 numpy reduction
+# costs far more per call than a loop over columns, so exp_pass loops over
+# the rows of ``logits.T`` (contiguous for gating_em's logits). Max and
+# subtraction are exact in any layout; ``exp`` runs on one new contiguous
+# array. numpy adds fewer than _PAIRWISE_WIDTH elements left to right, so the
+# row loop below that width gives the bits of ``.sum(axis=1)`` over the (n, c)
+# array; from it on that call's pairwise order is kept by making it on a
+# C-contiguous (n, c) copy (a strided reduction is not pairwise).
 _PAIRWISE_WIDTH = 8
 
 
-def _column_max(cols: np.ndarray) -> np.ndarray:
-    m = cols[0].copy()
-    for col in cols[1:]:
-        np.maximum(m, col, out=m)
-    return m
-
-
-def _column_sum(cols: np.ndarray) -> np.ndarray:
-    """Bitwise equal to ``cols.T.sum(axis=1)`` on a C-contiguous copy."""
-    if cols.shape[0] >= _PAIRWISE_WIDTH:
-        return np.ascontiguousarray(cols.T).sum(axis=1)
-    s = cols[0].copy()
-    for col in cols[1:]:
-        s += col
+def _column_sum(rows: np.ndarray) -> np.ndarray:
+    """Bitwise ``rows.T.sum(axis=1)`` on a C-contiguous copy; one row as is."""
+    if len(rows) >= _PAIRWISE_WIDTH:
+        return np.ascontiguousarray(rows.T).sum(axis=1)
+    s = rows[0] if len(rows) == 1 else rows[0] + rows[1]
+    for row in rows[2:]:
+        s += row
     return s
 
 
-def logsumexp_rows(logits: np.ndarray, zero_column: bool = False) -> np.ndarray:
-    """log(sum_j exp(logits_j)) per row, stable.
+class ExpPass(NamedTuple):
+    m: np.ndarray     # (n,) row max of the logits, at least 0 with the zero column
+    e: np.ndarray     # (c [+ 1], n) exp(logits - m), the zero column's exp(-m) last
+    s: np.ndarray     # (n,) e's sum for the log-sum-exp m + log(s), exp(-m) added last
+    wide: bool        # a zero column and c + 1 >= _PAIRWISE_WIDTH: then the
+                      # softmax's pairwise sum over all of e is another sum
 
-    With ``zero_column`` the rows get an implicit extra logit 0, giving
-    log(1 + sum_j exp(logits_j)); its term is added after the others' sum.
-    """
-    if zero_column and logits.shape[1] == 0:
-        return np.zeros(logits.shape[0])
-    cols = np.ascontiguousarray(logits.T)
-    m = _column_max(cols)
+    def softmax_sum(self) -> np.ndarray:
+        return _column_sum(self.e) if self.wide else self.s
+
+
+def exp_pass(rows: np.ndarray, zero_column: bool = False) -> ExpPass:
+    """Max, exp and sum over (n, c) logits given as ``logits.T``, with an
+    implicit last column of zeros if asked; the max in the order of
+    ``logits.max(axis=1)`` and then ``np.maximum(m, 0.0)``."""
+    c, n = rows.shape
+    ops = [*rows, 0.0] if zero_column else [*rows]
+    m = np.maximum(ops[0], ops[1]) if len(ops) > 1 else (np.zeros(n) if c == 0 else rows[0])
+    for op in ops[2:]:
+        np.maximum(m, op, out=m)
+    e = np.empty((c + zero_column, n))
+    np.subtract(rows, m, out=e[:c])
     if zero_column:
-        np.maximum(m, 0.0, out=m)
-    e = cols - m
-    s = _column_sum(np.exp(e, out=e))
-    if zero_column:
-        s = np.exp(-m) + s
-    return m + np.log(s)
+        np.negative(m, out=e[c])
+    np.exp(e, out=e)
+    wide = zero_column and c + 1 >= _PAIRWISE_WIDTH
+    return ExpPass(m, e, _column_sum(e[:c]) + e[c] if wide else _column_sum(e), wide)
+
+
+def logsumexp_rows(logits: np.ndarray, zero_column: bool = False) -> np.ndarray:
+    """log(sum_j exp(logits_j)) per row, stable; ``zero_column`` adds a logit 0."""
+    t = exp_pass(logits.T, zero_column)
+    lse = np.log(t.s, out=t.s)
+    lse += t.m
+    return lse
 
 
 def softmax_rows(logits: np.ndarray, zero_column: bool = False) -> np.ndarray:
-    """Row-wise softmax, stable, as a C-contiguous (n, c) array.
-
-    With ``zero_column`` the rows get an implicit last logit 0 and the result
-    has one more column, the probability of that last entry.
-    """
-    n, c = logits.shape
-    cols = np.ascontiguousarray(logits.T)
-    m = _column_max(cols) if c else np.zeros(n)
-    e = np.empty((c + zero_column, n))
-    if zero_column:
-        np.maximum(m, 0.0, out=m)
-        np.negative(m, out=e[c])
-    np.subtract(cols, m, out=e[:c])
-    np.exp(e, out=e)
-    s = _column_sum(e)
-    probs = np.empty((n, len(e)))
-    for j, col in enumerate(e):   # divides and transposes in one pass
-        np.divide(col, s, out=probs[:, j])
+    """Row-wise softmax, stable, as a C-contiguous (n, c) array; ``zero_column``
+    adds a last logit 0, and the result a column for it."""
+    t = exp_pass(logits.T, zero_column)
+    s = t.softmax_sum()
+    probs = np.empty((logits.shape[0], len(t.e)))
+    for j, row in enumerate(t.e):   # divides and transposes in one pass
+        np.divide(row, s, out=probs[:, j])
     return probs
 
 

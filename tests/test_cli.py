@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moelearn import ExperimentConfig, MoeModel, run_suite
 from moelearn import cli
 from moelearn.cli import main
+from moelearn.errors import ConfigError, DataError, NumericalError
 
 
 def _write_config(path, **overrides):
@@ -203,6 +209,34 @@ def test_linalg_error_is_numerical_exit(tmp_path, capsys, monkeypatch):
     rc = main(["fit", "--config", str(cfg), "--data", str(tmp_path / "run" / "dataset.csv")])
     assert rc == 3
     assert capsys.readouterr().err == "numerical failure: Eigenvalues did not converge\n"
+
+
+_ERROR_EXITS = [(ConfigError, 1, "configuration error: "), (DataError, 2, "data error: "),
+                (NumericalError, 3, "numerical failure: "),
+                (np.linalg.LinAlgError, 3, "numerical failure: "), (OSError, 2, "i/o error: ")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_ERROR_EXITS),
+       st.sampled_from(["cmd_generate", "cmd_fit", "cmd_experiment", "cmd_ingest"]),
+       st.text().filter(lambda text: "".join(text.splitlines()) == text))
+def test_error_class_maps_to_exit_code_and_one_stderr_line(error, command, text):
+    """Whatever a subcommand raises of the four error classes, with any
+    one-line message: its exit code, and on stderr that message behind the
+    class's prefix as one line, with no traceback."""
+    cls, code, prefix = error
+
+    def fail(args):
+        raise cls(text)
+
+    argv = {"cmd_generate": ["generate"], "cmd_experiment": ["experiment", "--suite", "table1"],
+            "cmd_fit": ["fit", "--data", "data.csv"],
+            "cmd_ingest": ["ingest", "--csv", "a.csv", "--features", "f", "--target", "y"]}
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        mp.setattr(cli, command, fail)
+        assert main(argv[command]) == code
+    assert err.getvalue() == f"{prefix}{text}\n"
 
 
 def test_unwritable_output_dir_is_data_error(tmp_path):

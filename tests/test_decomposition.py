@@ -91,6 +91,31 @@ def test_power_method_perturbation_robustness():
         assert min(errs) <= 10 * eps
 
 
+def test_power_method_residual_shows_an_unconverged_fixed_point():
+    """Each component's residual ||T(I,v,v) - lambda v|| is taken on the
+    tensor it was found in. On an exactly orthogonally decomposable tensor
+    the iteration converges quadratically, so ten steps reach rounding level;
+    a perturbation of the eigenvalues' size leaves the tensor without that
+    structure, the iteration converges only linearly and the residual shows
+    it."""
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    t = sum(lam * _rank1(q[:, i]) for i, lam in enumerate([3.0, 2.0, 1.0]))
+    g = rng.standard_normal((3, 3, 3))
+    noise = sum(g.transpose(p) for p in itertools.permutations(range(3))) / 6
+    exact = power_method(t, 3, restarts=30, iterations=10, seed=0)
+    assert len(exact.residuals) == 3
+    assert max(exact.residuals) < 1e-12
+    perturbed = power_method(t + noise, 3, restarts=30, iterations=10, seed=0)
+    assert max(perturbed.residuals) > 1e-12
+    # the first component is found in the undeflated tensor
+    one = power_method(t + noise, 1, restarts=30, iterations=10, seed=0)
+    v, lam = one.vectors[0], one.eigenvalues[0]
+    direct = np.linalg.norm(np.einsum("abc,b,c->a", t + noise, v, v) - lam * v)
+    assert one.residuals[0] > 1e-12
+    assert one.residuals[0] == pytest.approx(direct, rel=1e-9, abs=1e-14)
+
+
 def test_recover_exact_population_tensors():
     rng = np.random.default_rng(11)
     d, k = 10, 3

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moelearn import (Activation, InputDistribution, gating_fit, run_em,
                       run_gradient_em, run_joint_em, sample_dataset)
+from moelearn import gating_em
 from moelearn.errors import ConfigError, NumericalError
 from moelearn.gating_em import (default_gradient_step, e_step,
                                 em_curvature_constants, m_step, q_gradient,
                                 q_value, row_metric)
+from moelearn.model import exp_pass
 
 from conftest import make_model, unit_rows
 
@@ -187,14 +189,18 @@ def _ref_m_step(x, posteriors, w_init, radius, grad_tol=1e-7, max_inner=500,
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=12),
+@given(st.integers(min_value=2, max_value=9), st.integers(min_value=1, max_value=12),
        st.one_of(st.integers(min_value=1, max_value=300), st.just(2000)),
-       st.lists(st.sampled_from(["inside", "on", "outside"]), min_size=4, max_size=4),
+       st.lists(st.sampled_from(["inside", "on", "outside"]), min_size=8, max_size=8),
        st.sampled_from([0.3, 1.0, 2.5]), st.sampled_from([0.0, 0.3, 1.0]),
        st.integers(min_value=0, max_value=2**31 - 1))
+@example(k=8, d=5, n=2000, starts=["inside"] * 8, radius=2.5, frac_zero=0.0, seed=8)
+@example(k=9, d=5, n=2000, starts=["on"] * 8, radius=2.5, frac_zero=0.3, seed=9)
 def test_m_step_bitwise_matches_reference(k, d, n, starts, radius, frac_zero, seed):
     """Same iterates, same bits: starts inside, on and outside the row ball,
-    posteriors with exact zeros (all but one in a row when frac_zero is 1)."""
+    posteriors with exact zeros (all but one in a row when frac_zero is 1),
+    two to nine experts, so the softmax's c + 1 columns cross numpy's
+    pairwise-sum width of 8."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d)) * rng.choice([0.5, 1.0, 3.0])
     posteriors = rng.dirichlet(np.ones(k), size=n)
@@ -211,11 +217,46 @@ def test_m_step_bitwise_matches_reference(k, d, n, starts, radius, frac_zero, se
     assert np.array_equal(got, _ref_m_step(x, posteriors, w0, radius))
     for w in (w0, got):
         logits = x @ w.T
-        assert q_value(x, posteriors, w) == q_value(x, posteriors, w, logits=logits)
-        assert q_value(x, posteriors, w) == _ref_q_value(x, posteriors, w)
+        exps = exp_pass(logits.T, zero_column=True)
+        q = q_value(x, posteriors, w)
+        assert q == q_value(x, posteriors, w, logits=logits)
+        assert q == q_value(x, posteriors, w, logits=logits, exps=exps)
+        assert q == _ref_q_value(x, posteriors, w)
         grad = q_gradient(x, posteriors, w)
-        assert np.array_equal(grad, q_gradient(x, posteriors, w, logits=logits))
+        assert np.array_equal(grad, q_gradient(x, posteriors, w, exps=exps))
         assert np.array_equal(grad, _ref_q_gradient(x, posteriors, w))
+
+
+@pytest.mark.parametrize("c", [1, 2])
+def test_q_value_of_all_zero_terms_is_positive_zero(c):
+    """All posterior mass on the last expert and gating logits so negative
+    that each row's log-sum-exp is 0: every row's term is a zero, +0.0 from
+    einsum's linear term and -0.0 from the products', and Q is +0.0 either
+    way, as numpy's sum starts from +0.0."""
+    x = np.ones((5, 1))
+    w = np.full((c, 1), -50.0)
+    posteriors = np.zeros((5, c + 1))
+    posteriors[:, -1] = 1.0
+    for q in (q_value(x, posteriors, w), _ref_q_value(x, posteriors, w)):
+        assert q == 0.0 and math.copysign(1.0, q) == 1.0
+
+
+@pytest.mark.parametrize("c", [6, 7, 8])
+def test_q_gradient_from_q_values_exp_pass_at_the_pairwise_width(c):
+    """The gradient m_step takes from the exp pass of its point's Q equals
+    the one computed afresh and the axis-1 reference bit for bit where the
+    softmax's c + 1 columns reach numpy's pairwise-sum width: below it the
+    log-sum-exp's sum is the softmax's, from it on (c = 7, 8) it is not."""
+    rng = np.random.default_rng(c)
+    x = rng.standard_normal((2000, 6)) * 2.0
+    posteriors = rng.dirichlet(np.ones(c + 1), size=2000)
+    w = rng.standard_normal((c, 6))
+    logits = gating_em._logits(x, w)
+    exps = exp_pass(logits.T, zero_column=True)
+    assert q_value(x, posteriors, w, logits=logits, exps=exps) == _ref_q_value(x, posteriors, w)
+    shared = q_gradient(x, posteriors, w, exps=exps)
+    assert np.array_equal(shared, q_gradient(x, posteriors, w))
+    assert np.array_equal(shared, _ref_q_gradient(x, posteriors, w))
 
 
 # The E-step before its (k, n) layout, with the package log-sum-exp written as

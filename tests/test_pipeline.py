@@ -17,6 +17,8 @@ def test_spectral_em_pipeline_scores_well(gaussian10):
     assert rep.gating_fit > 0.9
     assert rep.param_error < 1.0
     assert rep.cqt is not None and rep.decomposition is not None
+    assert len(rep.decomposition["residuals"]) == 2
+    assert max(rep.decomposition["residuals"]) < 1e-6
     assert rep.traces["iterations"]
 
 
