@@ -21,7 +21,9 @@ the two trees (empty when a change keeps every count). Then every trial of
 every (workload, seed) runs once more in each tree, BLAS on one thread, and
 the trials whose ``run_trial`` output differs as canonical JSON are counted.
 Last, the Tier-1 verify command (``TIER1``) runs once in each tree, BLAS on
-one thread, and its wall time and pytest summary line are recorded.
+one thread, and its wall time and pytest summary line are recorded. The line
+count of each tree's ``src/moelearn/*.py`` is recorded too, so a change that
+deletes code shows its deletion beside the metrics.
 """
 
 from __future__ import annotations
@@ -119,6 +121,12 @@ def claim_result(entry: dict, better: str, unused_seeds: list) -> dict:
             "seeds_not_used_while_writing_the_change": unused_seeds}
 
 
+def source_lines(tree: Path) -> int:
+    """Lines of src/moelearn/*.py, as ``cat src/moelearn/*.py | wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "moelearn").glob("*.py"))
+
+
 def source_sha256(tree: Path) -> str:
     digest = hashlib.sha256()
     for path in sorted((tree / "src" / "moelearn").glob("*.py")):
@@ -151,6 +159,7 @@ def main() -> int:
         "title": args.title,
         "parent_commit": args.parent_commit,
         "source_sha256": {side: source_sha256(tree) for side, tree in trees.items()},
+        "source_lines": {side: source_lines(tree) for side, tree in trees.items()},
         "environment": None,
         "method": (f"Each (workload, seed) ran as `python3 perfbench/sweep.py --workloads W "
                    f"--seeds S --trace 0` in the parent tree and in the change tree, one "

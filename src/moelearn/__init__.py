@@ -8,8 +8,8 @@ metrics, and an experiment CLI round out the package.
 
 from .activations import Activation
 from .cqt import CqtCoefficients, apply_p2, apply_p3, check_conditions, solve_cqt
-from .decomposition import (DecompositionOptions, DecompositionResult,
-                            WhiteningMap, power_method, recover_regressors, whiten)
+from .decomposition import (DecompositionResult, WhiteningMap, power_method,
+                            recover_regressors, whiten)
 from .errors import ConfigError, DataError, MoeError, NumericalError
 from .gating_em import (EmState, e_step, em_curvature_constants, m_step,
                         run_em, run_gradient_em)

@@ -12,14 +12,12 @@ Exit codes: 0 success, 1 usage/configuration error, 2 data error,
 3 numerical failure. A failure prints one stderr line, the message behind a
 prefix: "configuration error: ", "data error: ", "numerical failure: "
 (numpy's LinAlgError included) or "i/o error: " (an OSError, exit 2).
-MOE_THREADS is the fallback for --threads.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -30,8 +28,8 @@ from .activations import Activation
 from .errors import ConfigError, DataError, NumericalError
 from .experiments import SUITES, ExperimentConfig, draw_instance, run_suite
 from .metrics import write_trace_csv
-from .model import Dataset, InputDistribution, MoeModel, sample_dataset
-from .pipeline import evaluate, fit_pipeline, fit_report
+from .model import Dataset, InputDistribution, MoeModel, load_json, sample_dataset
+from .pipeline import ALGORITHMS, evaluate, fit_pipeline, fit_report
 from .tabular import ingest_csv
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
@@ -44,10 +42,6 @@ def _load_config(args) -> ExperimentConfig:
         val = getattr(args, name, None)
         if val is not None:
             overrides[name] = val
-    if not getattr(args, "threads", None):
-        env_threads = os.environ.get("MOE_THREADS")
-        if env_threads:
-            overrides.setdefault("threads", int(env_threads))
     return replace(cfg, **overrides) if overrides else cfg
 
 
@@ -72,17 +66,15 @@ def cmd_fit(args) -> int:
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     data = Dataset.from_csv(args.data)
-    dist_path = Path(args.data).with_name("distribution.json")
-    if args.dist:
-        dist = InputDistribution.from_dict(json.loads(Path(args.dist).read_text()))
-    elif dist_path.exists():
-        dist = InputDistribution.from_dict(json.loads(dist_path.read_text()))
+    dist_path = Path(args.dist or Path(args.data).with_name("distribution.json"))
+    if args.dist or dist_path.exists():
+        dist = load_json(dist_path, InputDistribution.from_dict)
     else:
         dist = InputDistribution.standard_gaussian(data.d)
     truth = MoeModel.from_json(Path(args.model)) if args.model else None
 
     result = fit_pipeline(data, dist, cfg.k, cfg.sigma, Activation.by_name(cfg.activation),
-                          radius=cfg.radius, seed=cfg.seed, opts=cfg.pipeline_options())
+                          radius=cfg.radius, seed=cfg.seed, opts=cfg)
     if result.em_state is not None:
         write_trace_csv(outdir / "trace.csv", result.em_state.trace,
                         include_loglik=result.algo == "joint-em")
@@ -139,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--out", default=None, help="output directory")
     common.add_argument("--threads", type=int, default=None,
-                        help="worker processes for trials (MOE_THREADS fallback)")
+                        help="worker processes for trials")
 
     p = sub.add_parser("generate", parents=[common], help="sample a synthetic dataset")
     p.set_defaults(fn=cmd_generate)
@@ -148,12 +140,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--model", help="ground-truth model JSON for scoring")
     p.add_argument("--dist", help="input distribution JSON (defaults to standard Gaussian)")
-    p.add_argument("--algo", choices=["spectral+em", "spectral+gradient-em",
-                                      "spectral+mom", "joint-em"], default=None)
+    p.add_argument("--algo", choices=ALGORITHMS, default=None)
     p.set_defaults(fn=cmd_fit)
 
     p = sub.add_parser("experiment", parents=[common], help="run a reproduction suite")
-    p.add_argument("--suite", required=True, choices=list(SUITES))
+    p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--trials", type=int, default=None)
     p.set_defaults(fn=cmd_experiment)
 

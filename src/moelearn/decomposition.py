@@ -183,15 +183,8 @@ class DecompositionResult:
         }
 
 
-@dataclass(frozen=True)
-class DecompositionOptions:
-    restarts: int = 30
-    iterations: int = 50
-    seed: int = 0
-
-
-def recover_regressors(t2: Sym2, t3: Sym3, k: int, cqt: CqtCoefficients,
-                       opts: DecompositionOptions = DecompositionOptions()) -> DecompositionResult:
+def recover_regressors(t2: Sym2, t3: Sym3, k: int, cqt: CqtCoefficients, *,
+                       restarts: int, iterations: int, seed) -> DecompositionResult:
     """Whiten, decompose, back-project: unit-norm regressor estimates from (T2, T3).
 
     Signs: both tensors are corrected by the signs of c2 and c3 so the whitened
@@ -202,7 +195,7 @@ def recover_regressors(t2: Sym2, t3: Sym3, k: int, cqt: CqtCoefficients,
         raise NumericalError(f"cannot recover k={k} components in dimension {t2.d}")
     wm = whiten(t2, k, c2_sign=np.sign(cqt.c2))
     t3w = t3.contract_all_modes(wm.w_map) * np.sign(cqt.c3)
-    pm = power_method(t3w, k, restarts=opts.restarts, iterations=opts.iterations, seed=opts.seed)
+    pm = power_method(t3w, k, restarts=restarts, iterations=iterations, seed=seed)
 
     back = wm.pseudo_inverse_transpose
     vectors = np.zeros((k, t2.d))
@@ -216,5 +209,5 @@ def recover_regressors(t2: Sym2, t3: Sym3, k: int, cqt: CqtCoefficients,
         weights[i] = pm.eigenvalues[i] * nrm**3
     return DecompositionResult(vectors, weights,
                                residual=pm.deflation_norms[-1] if pm.deflation_norms else 0.0,
-                               restarts=opts.restarts, residuals=pm.residuals,
+                               restarts=restarts, residuals=pm.residuals,
                                weak_flags=pm.weak_flags, deflation_norms=pm.deflation_norms)

@@ -26,13 +26,11 @@ from .model import Dataset, InputDistribution, MoeModel, make_rng, sample_datase
 from .pipeline import PipelineOptions, evaluate, fit_pipeline, predict_moe
 from .tabular import ingest_csv
 
-SUITES = ("table1", "table2", "fig_k3", "fig_k4", "fig_nonorth",
-          "varying_n", "nonlinear", "realdata")
-
 
 @dataclass
-class ExperimentConfig:
-    """A single experiment cell; all defaults are explicit after loading."""
+class ExperimentConfig(PipelineOptions):
+    """A single experiment cell, which is also its fit's ``PipelineOptions``;
+    all defaults are explicit after loading."""
 
     experiment: str = "custom"
     k: int = 2
@@ -45,14 +43,6 @@ class ExperimentConfig:
     n: int = 2000
     trials: int = 10
     seed: int = 0
-    algo: str = "spectral+em"
-    restarts: int = 30
-    power_iterations: int = 50
-    em_eps: float = 1e-4
-    em_max_iters: int = 100
-    em_radius: Optional[float] = None
-    outlier_cap: float = 50.0
-    force_gaussian_score: bool = False
     threads: int = 1
     out: str = "out"
     # real-data fields
@@ -62,32 +52,37 @@ class ExperimentConfig:
     split: float = 0.75
 
     def __post_init__(self):
+        super().__post_init__()
         if self.k < 1 or self.d < 1 or self.n < 1 or self.trials < 1:
             raise ConfigError("k, d, n, trials must be positive")
         if self.sigma < 0:
             raise ConfigError("sigma must be nonnegative")
+        if self.radius <= 0:
+            raise ConfigError("radius must be positive")
+        if self.threads < 1:
+            raise ConfigError("threads must be >= 1")
+        if not 0.0 < self.split < 1.0:
+            raise ConfigError("split must lie strictly between 0 and 1")
         Activation.by_name(self.activation)   # validate the name early
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
-        payload = json.loads(Path(path).read_text())
-        unknown = set(payload) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**payload)
+        try:
+            payload = json.loads(Path(path).read_text())
+            unknown = set(payload) - set(cls.__dataclass_fields__)
+            if unknown:
+                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            return cls(**payload)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+        except TypeError as exc:
+            raise ConfigError(f"{path}: a setting has the wrong type: {exc}") from exc
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     def hash(self) -> str:
         return config_hash(self.to_dict())
-
-    def pipeline_options(self) -> PipelineOptions:
-        return PipelineOptions(algo=self.algo, restarts=self.restarts,
-                               power_iterations=self.power_iterations,
-                               em_eps=self.em_eps, em_max_iters=self.em_max_iters,
-                               em_radius=self.em_radius, outlier_cap=self.outlier_cap,
-                               force_gaussian_score=self.force_gaussian_score)
 
 
 def draw_instance(config: ExperimentConfig, seed) -> tuple[MoeModel, InputDistribution]:
@@ -146,8 +141,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
     model, dist = draw_instance(config, model_seed)
     data = sample_dataset(model, dist, config.n, data_seed)
     result = fit_pipeline(data, dist, config.k, config.sigma, model.activation,
-                          radius=config.radius, seed=algo_seed,
-                          opts=config.pipeline_options())
+                          radius=config.radius, seed=algo_seed, opts=config)
     report = evaluate(result, model, config.to_dict())
 
     out = {"trial": trial, "regressor_fit": report.regressor_fit,
@@ -356,7 +350,7 @@ def suite_realdata(base: ExperimentConfig, outdir: Path, manifest: dict) -> list
         cfg = replace(base, algo=algo, d=d)
         try:
             res = fit_pipeline(data, dist, cfg.k, cfg.sigma, act, radius=cfg.radius,
-                               seed=cfg.seed, opts=cfg.pipeline_options())
+                               seed=cfg.seed, opts=cfg)
             pred_tr = predict_moe(res.a_est, res.w_padded, act, tab.train_x)
             pred_te = predict_moe(res.a_est, res.w_padded, act, tab.test_x)
             var_tr = float(np.var(pred_tr))
@@ -388,6 +382,7 @@ _SUITE_FNS = {
     "nonlinear": suite_nonlinear,
     "realdata": suite_realdata,
 }
+SUITES = tuple(_SUITE_FNS)
 
 
 def run_suite(name: str, config: ExperimentConfig, outdir: str | Path) -> dict:

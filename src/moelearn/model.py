@@ -99,6 +99,17 @@ def softmax_rows(logits: np.ndarray, zero_column: bool = False) -> np.ndarray:
     return probs
 
 
+def load_json(path: str | Path, build):
+    """``build(payload)`` for the JSON in the file at ``path``. A file that
+    does not parse, lacks a key or holds a mistyped value is a DataError."""
+    try:
+        return build(json.loads(Path(path).read_text()))
+    except KeyError as exc:
+        raise DataError(f"{path}: missing key {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class MoeModel:
     a: np.ndarray           # (k, d) unit-norm regressor rows
@@ -159,19 +170,14 @@ class MoeModel:
         return text
 
     @classmethod
-    def from_json(cls, source: str | Path) -> "MoeModel":
-        if isinstance(source, Path) or (isinstance(source, str) and not source.lstrip().startswith("{")):
-            text = Path(source).read_text()
-        else:
-            text = str(source)
-        payload = json.loads(text)
-        return cls(
+    def from_json(cls, path: str | Path) -> "MoeModel":
+        return load_json(path, lambda payload: cls(
             a=np.array(payload["a"], dtype=float),
             w=np.array(payload["w"], dtype=float).reshape(payload["k"] - 1, payload["d"]),
             sigma=float(payload["sigma"]),
             activation=Activation.by_name(payload["activation"]),
             radius=float(payload.get("radius", 1.0)),
-        )
+        ))
 
 
 @dataclass(frozen=True)
@@ -274,19 +280,18 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Dataset":
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"dataset file not found: {path}")
-        with path.open() as fh:
-            header = fh.readline().strip().split(",")
-        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        names = [h.strip() for h in header]
-        if "y" not in names:
-            raise DataError("dataset CSV needs a 'y' column")
-        xcols = [i for i, h in enumerate(names) if h.startswith("x")]
-        ycol = names.index("y")
-        z = table[:, names.index("z")].astype(int) if "z" in names else None
-        return cls(table[:, xcols], table[:, ycol], z)
+        """The x... columns, y and an optional z of a CSV with a header row;
+        a row with a cell that does not parse is an error, never dropped."""
+        from .tabular import _read_numeric_csv   # tabular imports this module
+        table, names, rejected = _read_numeric_csv(Path(path), lambda header: (
+            [h for h in header if h.startswith("x")] + ["y"]
+            + (["z"] if "z" in header else [])))
+        if rejected:
+            raise DataError(f"{rejected} of {rejected + len(table)} rows of {path} "
+                            "have a missing or non-numeric cell")
+        d = names.index("y")
+        z = table[:, d + 1].astype(int) if "z" in names else None
+        return cls(table[:, :d], table[:, d], z)
 
 
 def sample_dataset(model: MoeModel, dist: InputDistribution, n: int, seed) -> Dataset:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .activations import Activation
 from .cqt import CqtCoefficients, solve_cqt
-from .decomposition import DecompositionOptions, DecompositionResult, recover_regressors
+from .decomposition import DecompositionResult, recover_regressors
 from .errors import ConfigError, NumericalError
 from .gating_em import EmState, run_em, run_gradient_em
 from .gating_mom import mom_gating
@@ -45,6 +45,14 @@ class PipelineOptions:
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algo!r}; choose from {ALGORITHMS}")
+        if self.restarts < 1 or self.power_iterations < 1 or self.em_max_iters < 1:
+            raise ConfigError("restarts, power_iterations and em_max_iters must be >= 1")
+        if self.em_eps < 0:
+            raise ConfigError("em_eps must be nonnegative")
+        if self.em_radius is not None and self.em_radius <= 0:
+            raise ConfigError("em_radius must be positive when set")
+        if self.outlier_cap <= 0:
+            raise ConfigError("outlier_cap must be positive")
 
 
 @dataclass
@@ -85,8 +93,7 @@ def spectral_regressors(data: Dataset, dist: InputDistribution, k: int, sigma: f
     accumulate(acc, data)
     t2, t3 = finalize(acc)
     dec = _stage("decomposition", recover_regressors, t2, t3, k, cqt,
-                 DecompositionOptions(restarts=opts.restarts,
-                                      iterations=opts.power_iterations, seed=seed))
+                 restarts=opts.restarts, iterations=opts.power_iterations, seed=seed)
     return dec, cqt
 
 

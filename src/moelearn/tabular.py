@@ -51,7 +51,12 @@ class TabularDataset:
     feature_names: list = field(default_factory=list)
 
 
-def _read_numeric_csv(path: Path, feature_cols: Sequence, target_col) -> tuple:
+def _read_numeric_csv(path: Path, columns) -> tuple[np.ndarray, list, int]:
+    """The float table of the columns ``columns(header)`` names (names or
+    indices), their header names, and how many rows had a selected cell that
+    is missing or not a number; blank rows are skipped."""
+    if not path.exists():
+        raise DataError(f"CSV not found: {path}")
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -68,24 +73,18 @@ def _read_numeric_csv(path: Path, feature_cols: Sequence, target_col) -> tuple:
                 raise DataError(f"column {col!r} not in header {header}")
             return header.index(col)
 
-        fidx = [col_index(c) for c in feature_cols]
-        tidx = col_index(target_col)
+        idx = [col_index(c) for c in columns(header)]
         rows, rejected = [], 0
         for raw in reader:
             if not raw or all(not c.strip() for c in raw):
                 continue
             try:
-                rows.append([float(raw[i]) for i in fidx] + [float(raw[tidx])])
+                rows.append([float(raw[i]) for i in idx])
             except (ValueError, IndexError):
                 rejected += 1
         if not rows:
-            raise DataError("no numeric rows survived parsing")
-        table = np.array(rows, dtype=float)
-        bad = np.count_nonzero(~np.isfinite(table).all(axis=1))
-        if bad:
-            raise DataError(f"{bad} of {len(rows)} numeric rows have a non-finite "
-                            "feature or target (nan or inf)")
-        return table[:, :-1], table[:, -1], [header[i] for i in fidx], rejected
+            raise DataError(f"no numeric rows in {path} ({rejected} rejected)")
+        return np.array(rows, dtype=float), [header[i] for i in idx], rejected
 
 
 def ingest_csv(path: str | Path, feature_cols: Sequence, target_col,
@@ -97,11 +96,14 @@ def ingest_csv(path: str | Path, feature_cols: Sequence, target_col,
     they make the whitening singular; a constant target is an error.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"CSV not found: {path}")
     if not 0.0 < split < 1.0:
         raise DataError("split must lie strictly between 0 and 1")
-    x, y, names, rejected = _read_numeric_csv(path, feature_cols, target_col)
+    table, names, rejected = _read_numeric_csv(path, lambda _: [*feature_cols, target_col])
+    bad = np.count_nonzero(~np.isfinite(table).all(axis=1))
+    if bad:
+        raise DataError(f"{bad} of {len(table)} numeric rows have a non-finite "
+                        "feature or target (nan or inf)")
+    x, y, names = table[:, :-1], table[:, -1], names[:-1]
     n = x.shape[0]
     if n < 4:
         raise DataError("need at least 4 usable rows")

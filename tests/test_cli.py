@@ -137,6 +137,96 @@ def test_nan_feature_is_data_error_not_traceback(tmp_path, capsys):
     assert err == "data error: 1 of 800 rows have a non-finite feature (NaN or inf)\n"
 
 
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """A generated k = 2, d = 6 set: (config path, its output directory)."""
+    root = tmp_path_factory.mktemp("generated")
+    cfg = _write_config(root / "cfg.json", out=str(root / "run"))
+    assert main(["generate", "--config", str(cfg)]) == 0
+    return cfg, root / "run"
+
+
+def _exit_and_stderr(capsys, argv):
+    """(exit code, stderr) of one ``moe`` call."""
+    capsys.readouterr()
+    rc = main(argv)
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("restarts", 0), ("power_iterations", 0), ("outlier_cap", 0), ("em_radius", -1),
+    ("radius", -1), ("threads", -2), ("split", 1.5)])
+def test_invalid_setting_is_configuration_error(generated, tmp_path, capsys, key, value):
+    cfg, run = generated
+    bad = _write_config(tmp_path / "bad.json", out=str(tmp_path / "out"), **{key: value})
+    rc, err = _exit_and_stderr(capsys, ["fit", "--config", str(bad),
+                                        "--data", str(run / "dataset.csv")])
+    assert rc == 1
+    assert err.startswith("configuration error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", ['{"k": 2,', '{"k": "two"}', '[2]'])
+def test_malformed_config_is_configuration_error(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    rc, err = _exit_and_stderr(capsys, ["generate", "--config", str(bad)])
+    assert rc == 1
+    assert err.startswith("configuration error: ") and len(err.splitlines()) == 1
+
+
+def _non_numeric_cell(lines):
+    lines[5] = "abc," + lines[5].split(",", 1)[1]
+    return lines
+
+
+def _two_short_rows(lines):
+    lines[3] = lines[3].rsplit(",", 2)[0]
+    lines[9] = lines[9].rsplit(",", 2)[0]
+    return lines
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_non_numeric_cell, "1 of 800 rows of {} have a missing or non-numeric cell"),
+    (_two_short_rows, "2 of 800 rows of {} have a missing or non-numeric cell"),
+    (lambda lines: lines[:1], "no numeric rows in {} (0 rejected)")])
+def test_unparsed_dataset_rows_are_data_error(generated, tmp_path, capsys, edit, message):
+    """moe fit never drops a row: one that does not parse fails the fit."""
+    cfg, run = generated
+    path = tmp_path / "dataset.csv"
+    path.write_text("\n".join(edit((run / "dataset.csv").read_text().splitlines())) + "\n")
+    rc, err = _exit_and_stderr(capsys, ["fit", "--config", str(cfg), "--data", str(path)])
+    assert rc == 2
+    assert err == "data error: " + message.format(path) + "\n"
+
+
+def test_model_file_missing_key_is_data_error(generated, tmp_path, capsys):
+    cfg, run = generated
+    payload = json.loads((run / "model.json").read_text())
+    del payload["a"]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    rc, err = _exit_and_stderr(capsys, ["fit", "--config", str(cfg), "--out", str(tmp_path),
+                                        "--data", str(run / "dataset.csv"), "--model", str(model)])
+    assert rc == 2
+    assert err == f"data error: {model}: missing key 'a'\n"
+
+
+def test_distribution_without_kind_is_data_error(generated, tmp_path, capsys):
+    cfg, run = generated
+    dist = tmp_path / "distribution.json"
+    dist.write_text(json.dumps({"d": 6}))
+    rc, err = _exit_and_stderr(capsys, ["fit", "--config", str(cfg), "--out", str(tmp_path),
+                                        "--data", str(run / "dataset.csv"), "--dist", str(dist)])
+    assert rc == 2
+    assert err == f"data error: {dist}: missing key 'kind'\n"
+
+
+def test_threads_has_no_environment_fallback(tmp_path, monkeypatch):
+    monkeypatch.setenv("MOE_THREADS", "abc")
+    cfg = _write_config(tmp_path / "cfg.json", out=str(tmp_path / "run"))
+    assert main(["generate", "--config", str(cfg)]) == 0
+
+
 def test_nan_label_is_data_error(tmp_path, capsys):
     """A NaN label used to reach the E-step, whose NaN posteriors stalled the
     M-step so the fit reported convergence with a gating fit of 0."""

@@ -66,6 +66,12 @@ def test_config_validation_and_json(tmp_path):
     assert cfg.hash() == ExperimentConfig(k=3, d=7, n=500, sigma=0.2).hash()
 
 
+def test_config_hash_pinned():
+    """Suite CSVs carry this hash in their config_hash column."""
+    assert ExperimentConfig().hash() == "21b3bbee180b7c5c"
+    assert ExperimentConfig(k=3, d=7, n=500, sigma=0.2).hash() == "899d4bf0021d5dad"
+
+
 def test_small_suites_run_clean(tmp_path):
     base = ExperimentConfig(trials=2, seed=11, n=800)
     for suite, outputs in [

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moelearn import canonical_gauge, gating_fit, param_error, regressor_fit
+from moelearn import metrics
 from moelearn.errors import ConfigError
 from moelearn.metrics import (FitReport, config_hash, gating_fit_rows,
                               param_error_min_gauge, write_aggregate_csv,
@@ -37,6 +38,38 @@ def test_regressor_fit_hand_example():
 def test_regressor_fit_mismatch():
     with pytest.raises(ConfigError):
         regressor_fit(np.eye(3), np.eye(2))
+
+
+def test_hungarian_fallbacks_recover_a_row_permutation():
+    """Above BRUTE_FORCE_LIMIT both metrics match by linear_sum_assignment."""
+    rng = np.random.default_rng(9)
+    k, d = 9, 12
+    a = unit_rows(rng, k, d)
+    w = np.vstack([unit_rows(rng, k - 1, d), np.zeros((1, d))])
+    perm = rng.permutation(k)
+    fit, pi, exact = regressor_fit(a[perm], a)
+    assert fit == pytest.approx(1.0) and not exact
+    assert pi == tuple(np.argsort(perm))    # est row pi[i] is truth row i
+    err, pi = param_error(a[perm], w[perm], a, w)
+    assert err == 0.0
+    assert pi == tuple(perm)                # est row r is truth row pi[r]
+
+
+def test_hungarian_fallbacks_agree_with_brute_force(monkeypatch):
+    rng = np.random.default_rng(4)
+    k, d = 4, 6
+    a = unit_rows(rng, k, d)
+    w = np.vstack([unit_rows(rng, k - 1, d), np.zeros((1, d))])
+    perm = rng.permutation(k)
+    a_est = a[perm] + 0.05 * rng.standard_normal((k, d))
+    w_est = w[perm] + 0.05 * rng.standard_normal((k, d))
+    brute_fit = regressor_fit(a_est, a)
+    brute_err = param_error(a_est, w_est, a, w)
+    monkeypatch.setattr(metrics, "BRUTE_FORCE_LIMIT", 3)
+    fit, pi, exact = regressor_fit(a_est, a)
+    assert not exact and brute_fit[2]
+    assert (fit, pi) == brute_fit[:2]
+    assert param_error(a_est, w_est, a, w) == brute_err
 
 
 def test_gating_fit_examples():

@@ -276,7 +276,7 @@ def test_zero_inputs_give_zero_raw_tensor():
 def test_rank_k_component_dominates_transformed_tensor():
     # the best rank-k symmetric part carries nearly all of the tensor mass;
     # at n = 1e5 roughly one percent of ||T3||^2 is sampling noise
-    from moelearn.decomposition import DecompositionOptions, recover_regressors
+    from moelearn.decomposition import recover_regressors
     dist = InputDistribution.standard_gaussian(10)
     for k, floor in ((2, 0.985), (4, 0.95)):
         model = make_model(17 + k, k=k, d=10, sigma=0.1)
@@ -284,7 +284,7 @@ def test_rank_k_component_dominates_transformed_tensor():
         acc = _acc(10, Activation.linear(), 0.1)
         accumulate(acc, data)
         t2, t3 = finalize(acc)
-        dec = recover_regressors(t2, t3, k, acc.cqt, DecompositionOptions(seed=1))
+        dec = recover_regressors(t2, t3, k, acc.cqt, restarts=30, iterations=50, seed=1)
         dense = t3.to_dense()
         approx = sum(wt * np.einsum("a,b,c->abc", v, v, v)
                      for wt, v in zip(dec.weights, dec.vectors))

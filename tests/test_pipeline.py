@@ -77,6 +77,14 @@ def test_unknown_algorithm_rejected():
         PipelineOptions(algo="alchemy")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("restarts", 0), ("power_iterations", 0), ("em_eps", -1e-4), ("em_max_iters", 0),
+    ("em_radius", 0.0), ("em_radius", -1.0), ("outlier_cap", 0.0)])
+def test_invalid_setting_rejected(key, value):
+    with pytest.raises(ConfigError, match=key):
+        PipelineOptions(**{key: value})
+
+
 def test_predict_moe_matches_model(gaussian10):
     model = make_model(72, k=3, d=10, sigma=0.2)
     x = np.random.default_rng(0).standard_normal((20, 10))
