@@ -16,16 +16,11 @@ from .errors import ConfigError
 
 
 def _sigmoid(t):
-    # two-sided evaluation, stable for large |t|
+    # two-sided evaluation from one exp(-|t|), stable for large |t|
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out[0] if scalar else out
+    e = np.exp(-np.abs(t))
+    out = np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return out[()] if t.ndim == 0 else out
 
 
 def _sigmoid_d1(t):

@@ -4,6 +4,8 @@ The CLI maps these to exit codes: ConfigError -> 1, DataError -> 2,
 NumericalError (and numpy's LinAlgError) -> 3.
 """
 
+import numbers
+
 
 class MoeError(Exception):
     """Base class for all package errors."""
@@ -19,3 +21,18 @@ class DataError(MoeError):
 
 class NumericalError(MoeError):
     """Numerical failure: rank deficiency, invalid activation, degenerate model."""
+
+
+def require_numbers(settings, ints=(), reals=()):
+    """ConfigError unless each field named in ``ints`` of ``settings`` is an
+    integer and each one in ``reals`` a real number; a bool is neither.
+
+    A JSON config can give 2.5 or "2" where a count belongs, and numpy would
+    only fail on it later, with a traceback.
+    """
+    for names, kind, what in ((ints, numbers.Integral, "an integer"),
+                              (reals, numbers.Real, "a number")):
+        for name in names:
+            value = getattr(settings, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")

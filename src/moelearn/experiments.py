@@ -19,10 +19,11 @@ from typing import Optional
 import numpy as np
 
 from .activations import Activation
-from .errors import ConfigError, MoeError
+from .errors import ConfigError, MoeError, require_numbers
 from .metrics import (canonical_gauge, config_hash, gating_fit,
                       param_error_min_gauge, write_aggregate_csv)
-from .model import Dataset, InputDistribution, MoeModel, make_rng, sample_dataset
+from .model import (INPUT_KINDS, Dataset, InputDistribution, MoeModel, make_rng,
+                    sample_dataset)
 from .pipeline import PipelineOptions, evaluate, fit_pipeline, predict_moe
 from .tabular import ingest_csv
 
@@ -53,6 +54,12 @@ class ExperimentConfig(PipelineOptions):
 
     def __post_init__(self):
         super().__post_init__()
+        require_numbers(self, ints=("k", "d", "n", "trials", "seed", "threads"),
+                        reals=("sigma", "radius", "split"))
+        if (not isinstance(self.dist, dict)
+                or self.dist.get("kind", "gaussian") not in INPUT_KINDS):
+            raise ConfigError(f"dist must be an object with kind in {INPUT_KINDS}, "
+                              f"got {self.dist!r}")
         if self.k < 1 or self.d < 1 or self.n < 1 or self.trials < 1:
             raise ConfigError("k, d, n, trials must be positive")
         if self.sigma < 0:
@@ -106,11 +113,10 @@ def draw_instance(config: ExperimentConfig, seed) -> tuple[MoeModel, InputDistri
         raise ConfigError("degenerate gating draw: zero vector after projection")
     w = w / norms * min(1.0, config.radius)
 
-    spec = dict(config.dist)
-    kind = spec.get("kind", "gaussian")
-    if kind == "gaussian":
+    spec = config.dist
+    if spec.get("kind", "gaussian") == "gaussian":
         dist = InputDistribution.standard_gaussian(d)
-    elif kind == "gmm":
+    else:
         p = float(spec.get("p", 0.5))
         mu1 = rng.standard_normal(d)
         mu1 /= np.linalg.norm(mu1)
@@ -120,8 +126,6 @@ def draw_instance(config: ExperimentConfig, seed) -> tuple[MoeModel, InputDistri
         weights = spec.get("weights", [p, 1.0 - p])
         dist = InputDistribution.gaussian_mixture(
             weights, means if means is not None else [mu1, mu2])
-    else:
-        raise ConfigError(f"unknown input distribution kind {kind!r}")
     model = MoeModel(a=a, w=w, sigma=config.sigma,
                      activation=Activation.by_name(config.activation),
                      radius=config.radius)

@@ -180,17 +180,20 @@ class MoeModel:
         ))
 
 
+INPUT_KINDS = ("gaussian", "gmm")
+
+
 @dataclass(frozen=True)
 class InputDistribution:
     """Standard Gaussian or identity-covariance Gaussian mixture inputs."""
 
-    kind: str                     # "gaussian" | "gmm"
+    kind: str                     # one of INPUT_KINDS
     d: int
     weights: Optional[np.ndarray] = None   # (c,) mixture weights
     means: Optional[np.ndarray] = None     # (c, d) component means
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "gmm"):
+        if self.kind not in INPUT_KINDS:
             raise ConfigError(f"unknown input distribution {self.kind!r}")
         if self.d < 1:
             raise ConfigError("dimension must be positive")
@@ -264,10 +267,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.x.shape[1]
-
-    def slice(self, start: int, stop: int) -> "Dataset":
-        z = None if self.z is None else self.z[start:stop]
-        return Dataset(self.x[start:stop], self.y[start:stop], z)
 
     def to_csv(self, path: str | Path) -> None:
         d = self.d

@@ -19,7 +19,7 @@ import numpy as np
 from .activations import Activation
 from .cqt import CqtCoefficients, solve_cqt
 from .decomposition import DecompositionResult, recover_regressors
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, require_numbers
 from .gating_em import EmState, run_em, run_gradient_em
 from .gating_mom import mom_gating
 from .joint_em import run_joint_em
@@ -43,6 +43,9 @@ class PipelineOptions:
     force_gaussian_score: bool = False  # ablation: ignore known GMM input law
 
     def __post_init__(self):
+        require_numbers(self, ints=("restarts", "power_iterations", "em_max_iters"),
+                        reals=("em_eps", "outlier_cap")
+                        + (("em_radius",) if self.em_radius is not None else ()))
         if self.algo not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algo!r}; choose from {ALGORITHMS}")
         if self.restarts < 1 or self.power_iterations < 1 or self.em_max_iters < 1:

@@ -60,10 +60,6 @@ class Sym2:
             raise ConfigError("packed Sym2 buffer has the wrong length")
 
     @classmethod
-    def zeros(cls, d: int) -> "Sym2":
-        return cls(d, np.zeros(packed_size(d, 2)))
-
-    @classmethod
     def from_dense(cls, m: np.ndarray) -> "Sym2":
         m = np.asarray(m, dtype=float)
         d = m.shape[0]
@@ -93,10 +89,6 @@ class Sym3:
         object.__setattr__(self, "data", np.asarray(self.data, dtype=float).ravel())
         if self.data.shape[0] != packed_size(self.d, 3):
             raise ConfigError("packed Sym3 buffer has the wrong length")
-
-    @classmethod
-    def zeros(cls, d: int) -> "Sym3":
-        return cls(d, np.zeros(packed_size(d, 3)))
 
     @classmethod
     def from_dense(cls, t: np.ndarray) -> "Sym3":
@@ -157,27 +149,54 @@ def _column_blocks(size: int) -> list:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [size])]
 
 
+@lru_cache(maxsize=None)
+def _runs(d: int, order: int, start: int, stop: int) -> tuple:
+    """The packed columns start..stop-1 cut into shared-prefix runs.
+
+    In lexicographic order the columns with one prefix (i,) or (i, j) are
+    contiguous, with last index l rising by one per column. Each piece is
+    (first row, end row, prefix, first l), rows counted from ``start``.
+    """
+    idx = packed_indices(d, order)[0][:, start:stop]
+    heads = np.flatnonzero(np.any(idx[:-1, 1:] != idx[:-1, :-1], axis=0)) + 1
+    bounds = [0, *heads.tolist(), stop - start]
+    return tuple((r0, r1, tuple(idx[:-1, r0].tolist()), int(idx[-1, r0]))
+                 for r0, r1 in zip(bounds, bounds[1:]))
+
+
 def _hermite_columns(ut: np.ndarray, order: int, cols: slice, out: np.ndarray,
-                     tmp: np.ndarray) -> np.ndarray:
+                     pair: np.ndarray) -> np.ndarray:
     """Columns ``cols`` of the packed order-2 or order-3 Hermite rows of a batch.
 
     The batch comes transposed as ut (d, n). The columns are written into out
-    (width, n), with tmp (same shape) holding each gathered factor, and are
-    returned as out.T: (n, width), Fortran-ordered.
+    (width, n) and returned as out.T: (n, width), Fortran-ordered, the memory
+    order of the full-width matrix, so a block reaches the same BLAS kernel.
+    They are built one shared-prefix run (``_runs``) at a time. For order 3,
+    x_i * x_j goes once per run into the one-row buffer ``pair`` (n,), and the
+    run is one broadcast product of it with the contiguous rows ut[l0:l1]; for
+    order 2 the run is x_i times those rows. The deltas are slice corrections:
+    -1 on the diagonal for order 2; for order 3, -x_i where j == l (the run's
+    first row), -x_j where i == l (that row again when i == j), and -x_l over
+    the whole run where i == j, in that order. The left factor stays the first
+    operand throughout, so for finite inputs every entry, NaNs included, has
+    the bits of the per-column formula x_i * x_j * x_l.
     """
-    idx, _ = packed_indices(ut.shape[0], order)
-    idx = idx[:, cols]
-    np.take(ut, idx[0], axis=0, out=out, mode="clip")
-    for k in idx[1:]:
-        np.take(ut, k, axis=0, out=tmp, mode="clip")
-        out *= tmp
-    if order == 2:
-        out[idx[0] == idx[1]] -= 1.0
-        return out.T
-    i, j, l = idx
-    # subtract x_i when j == l, x_j when i == l, x_l when i == j
-    for delta, other in ((j == l, i), (i == l, j), (i == j, l)):
-        out[delta] -= ut[other[delta]]
+    for r0, r1, prefix, l0 in _runs(ut.shape[0], order, cols.start, cols.stop):
+        rows, xl = out[r0:r1], ut[l0:l0 + r1 - r0]
+        if order == 2:
+            (i,) = prefix
+            np.multiply(ut[i], xl, out=rows)
+            if l0 == i:
+                rows[0] -= 1.0
+            continue
+        i, j = prefix
+        np.multiply(np.multiply(ut[i], ut[j], out=pair), xl, out=rows)
+        if l0 == j:
+            rows[0] -= ut[i]
+            if i == j:
+                rows[0] -= ut[j]
+        if i == j:
+            rows -= xl
     return out.T
 
 
@@ -203,13 +222,15 @@ def _components(x: np.ndarray, dist: InputDistribution) -> list:
 
 
 def _workspace(parts: list, width: int) -> list:
-    """Flat buffers for ``_score_columns``: two, and two more for a mixture.
+    """Buffers for ``_score_columns``: a flat (width * n) block and the (n,)
+    ``pair`` row of ``_hermite_columns``, and two more blocks for a mixture.
 
     Reused from block to block: fresh arrays per block fault in new pages
     every time, which made the wide_moments benchmark about 1.5x slower.
     """
     n = parts[0][1].shape[1]
-    return [np.empty(width * n) for _ in range(2 if parts[0][0] is None else 4)]
+    blocks = 1 if parts[0][0] is None else 3
+    return [np.empty(n)] + [np.empty(width * n) for _ in range(blocks)]
 
 
 def _score_columns(parts: list, order: int, cols: slice, work: list) -> np.ndarray:
@@ -220,13 +241,13 @@ def _score_columns(parts: list, order: int, cols: slice, work: list) -> np.ndarr
     mixture, as the full-width matrices have always been.
     """
     n, width = parts[0][1].shape[1], cols.stop - cols.start
-    out, tmp = (buf[:width * n].reshape(width, n) for buf in work[:2])
+    pair, out = work[0], work[1][:width * n].reshape(width, n)
     if parts[0][0] is None:
-        return _hermite_columns(parts[0][1], order, cols, out, tmp)
+        return _hermite_columns(parts[0][1], order, cols, out, pair)
     total, term = (buf[:width * n].reshape(n, width) for buf in work[2:])
     total.fill(0.0)
     for r, ut in parts:
-        np.multiply(r, _hermite_columns(ut, order, cols, out, tmp), out=term)
+        np.multiply(r, _hermite_columns(ut, order, cols, out, pair), out=term)
         total += term
     return total
 

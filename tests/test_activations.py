@@ -62,3 +62,27 @@ def test_custom_activation_roundtrip_and_validation():
         Activation.by_name("swish")
     with pytest.raises(ConfigError):
         tanh(0.0, 4)
+
+
+def _two_half_sigmoid(t):
+    """The sigmoid as two masked halves: 1/(1+exp(-t)) for t >= 0 and
+    exp(t)/(1+exp(t)) below, each evaluated on its own half only."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_one_exp_matches_two_half_form():
+    act = Activation.sigmoid()
+    rng = np.random.default_rng(5)
+    t = np.concatenate([scale * rng.standard_normal(2000)
+                        for scale in (0.5, 3.0, 40.0, 800.0)]
+                       + [[0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, np.nan]])
+    assert np.array_equal(act(t), _two_half_sigmoid(t), equal_nan=True)
+    for s in (-0.0, 0.7, -745.5, np.inf):
+        got = act(s)
+        assert np.ndim(got) == 0 and got == _two_half_sigmoid(s)[0]

@@ -174,6 +174,19 @@ def test_malformed_config_is_configuration_error(tmp_path, capsys, text):
     assert err.startswith("configuration error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("key, value", [
+    ("dist", "gmm"), ("k", 2.5), ("n", True), ("em_max_iters", 10.5), ("sigma", "0.1"),
+    ("dist", {"kind": "uniform"})])
+def test_mistyped_setting_is_configuration_error(tmp_path, capsys, key, value):
+    """Values of the wrong type that no range check trips: a string for the
+    input law, a float or bool for a count, a string for a number."""
+    bad = _write_config(tmp_path / "bad.json", out=str(tmp_path / "out"), **{key: value})
+    rc, err = _exit_and_stderr(capsys, ["generate", "--config", str(bad)])
+    assert rc == 1
+    assert err.startswith("configuration error: ") and len(err.splitlines()) == 1
+    assert key in err
+
+
 def _non_numeric_cell(lines):
     lines[5] = "abc," + lines[5].split(",", 1)[1]
     return lines

@@ -169,7 +169,7 @@ def test_restart_seed_invariance_for_separated_eigenvalues():
 def test_recover_rejects_k_above_dimension():
     cqt = solve_cqt(Activation.linear(), 0.0)
     t2 = Sym2.from_dense(np.eye(3))
-    t3 = Sym3.zeros(3)
+    t3 = Sym3(3, np.zeros(10))
     with pytest.raises(NumericalError):
         recover_regressors(t2, t3, 4, cqt, restarts=30, iterations=50, seed=0)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moelearn import (InputDistribution, gating_em, joint_em, moments, sample_dataset,
+from moelearn import (Dataset, InputDistribution, gating_em, joint_em, moments, sample_dataset,
                       solve_cqt)
 
 from conftest import make_model
@@ -62,8 +62,8 @@ def test_traced_accumulate_counts_rejected_rows(tracing):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        moments.accumulate(acc, data.slice(0, moments.CHUNK))
-        moments.accumulate(acc, data.slice(moments.CHUNK, data.n))
+        for a, b in ((0, moments.CHUNK), (moments.CHUNK, data.n)):
+            moments.accumulate(acc, Dataset(data.x[a:b], data.y[a:b]))
     finally:
         tracer.uninstall()
     assert len(acc.chunks) == 3

@@ -203,6 +203,109 @@ def test_contract_all_modes_bitwise_matches_per_term_path_search(d, data, seed):
 # blocked moment kernel
 # ---------------------------------------------------------------------------
 
+# Finite special inputs, and those Dataset rejects but the kernel still takes.
+_FINITE_SPECIALS = [0.0, -0.0, 1e200, -1e200, 5e-324, -5e-324]
+_NONFINITE_SPECIALS = [np.inf, -np.inf, np.nan, -np.nan]
+
+
+def _plain_hermite(x, order):
+    """(n, P) packed Hermite rows straight from the formula: one column per
+    packed tuple, factors multiplied left to right, then the deltas in the
+    order j == l (-x_i), i == l (-x_j), i == j (-x_l)."""
+    cols = []
+    for t in packed_indices(x.shape[1], order)[0].T:
+        if order == 2:
+            i, l = t
+            col = x[:, i] * x[:, l]
+            if i == l:
+                col = col - 1.0
+        else:
+            i, j, l = t
+            col = x[:, i] * x[:, j] * x[:, l]
+            if j == l:
+                col = col - x[:, i]
+            if i == l:
+                col = col - x[:, j]
+            if i == j:
+                col = col - x[:, l]
+        cols.append(col)
+    return np.stack(cols, axis=1)
+
+
+def _plain_score(x, dist, order):
+    """Packed score rows: the Hermite rows for Gaussian inputs; for a mixture,
+    responsibility times the centred Hermite rows, added from +0.0 in
+    component order."""
+    if dist.kind == "gaussian":
+        return _plain_hermite(x, order)
+    r = scores.gmm_responsibilities(x, dist)
+    total = np.zeros((x.shape[0], packed_size(x.shape[1], order)))
+    for c, mean in enumerate(dist.means):
+        total = total + r[:, c:c + 1] * _plain_hermite(x - mean, order)
+    return total
+
+
+def _special_batch(kind, d, n, frac_special, finite, seed):
+    rng = np.random.default_rng(seed)
+    dist = _input_law(kind, d, rng)
+    x = dist.sample(n, rng)
+    specials = _FINITE_SPECIALS + ([] if finite else _NONFINITE_SPECIALS)
+    special = rng.random(x.shape) < frac_special
+    x[special] = rng.choice(specials, size=int(special.sum()))
+    return x, dist
+
+
+def _assert_same_bits(got, want, finite):
+    """Byte for byte, NaN sign bits included, for finite inputs. With NaN or
+    inf inputs two NaNs of opposite sign can meet in a product; IEEE 754 does
+    not fix which one a product returns, and numpy returns the left one in
+    the vector body of a loop and the right one in its scalar tail. There
+    every entry but the NaNs must match byte for byte, and the NaNs must sit
+    in the same places."""
+    assert got.shape == want.shape
+    if finite:
+        assert got.tobytes() == want.tobytes()
+        return
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=40),
+       st.sampled_from(["gaussian", "gmm"]), st.sampled_from([2, 3]),
+       st.sampled_from([0.0, 0.2, 0.6]), st.booleans(),
+       st.integers(min_value=0, max_value=2**31 - 1))
+def test_score_packed_bitwise_matches_plain_formula(d, n, kind, order, frac_special, finite,
+                                                    seed):
+    """On inputs with +-0, +-1e200 and subnormals, and +-inf and +-NaN too
+    when not ``finite``."""
+    x, dist = _special_batch(kind, d, n, frac_special, finite, seed)
+    packed = score2_packed if order == 2 else score3_packed
+    with np.errstate(all="ignore"):
+        _assert_same_bits(packed(x, dist), _plain_score(x, dist, order), finite)
+
+
+@pytest.mark.parametrize("finite", [True, False])
+@pytest.mark.parametrize("kind", ["gaussian", "gmm"])
+@pytest.mark.parametrize("d, order", [(11, 3), (12, 3), (12, 2)])
+def test_score_blocks_bitwise_match_plain_formula_where_runs_cross_blocks(kind, d, order,
+                                                                          finite):
+    """Each block of BLOCK_COLUMNS columns, as score_moment builds it, where
+    shared-prefix runs cross block edges (at d = 11 a run with i == j does)."""
+    x, dist = _special_batch(kind, d, 50, 0.2, finite, d)
+    blocks = scores._column_blocks(packed_size(d, order))
+    # some block starts inside a run: its first piece's l is past the prefix
+    assert any(piece[3] != piece[2][-1] for piece in
+               (scores._runs(d, order, b.start, b.stop)[0] for b in blocks))
+    with np.errstate(all="ignore"):
+        parts = scores._components(x, dist)
+        work = scores._workspace(parts, scores.BLOCK_COLUMNS)
+        want = _plain_score(x, dist, order)
+        for cols in blocks:
+            got = scores._score_columns(parts, order, cols, work)
+            _assert_same_bits(got, want[:, cols], finite)
+
 def _openblas_thread_calls():
     """(get, set) for the thread count of the OpenBLAS this process loaded."""
     try:
