@@ -20,10 +20,14 @@ metrics of unit ``count`` in ``BENCHMARK.json`` whose values differ between
 the two trees (empty when a change keeps every count). Then every trial of
 every (workload, seed) runs once more in each tree, BLAS on one thread, and
 the trials whose ``run_trial`` output differs as canonical JSON are counted.
-Last, the Tier-1 verify command (``TIER1``) runs once in each tree, BLAS on
-one thread, and its wall time and pytest summary line are recorded. The line
-count of each tree's ``src/moelearn/*.py`` is recorded too, so a change that
-deletes code shows its deletion beside the metrics.
+Per workload it also records, over the fields the benchmark's reference
+check reads (``perfbench/reference.py``'s ``checked_fields``), the largest
+|change - parent| of each score and the number of trials whose
+``iterations`` or ``converged`` differ. Last, the Tier-1 verify command
+(``TIER1``) runs once in each tree, BLAS on one thread, and its wall time
+and pytest summary line are recorded. The line count of each tree's
+``src/moelearn/*.py`` is recorded too, so a change that deletes code shows
+its deletion beside the metrics.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -40,19 +45,25 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from reference import COUNTS, SCORES  # noqa: E402
 from sweep import quartiles  # noqa: E402
 
 CLAIM_WINS = 9
 
-# Prints {trial key: sha256 of the canonical JSON of its run_trial output}.
+# Prints {trial key: {"sha256": of the canonical JSON of its run_trial output,
+# "checked": the fields the reference check reads}}.
 _DUMP_OUTPUTS = """
 import hashlib, json, sys
 sys.path[:0] = ["perfbench", "src"]
 from moelearn import experiments
+from reference import checked_fields
 from workloads import build_trials
-print(json.dumps({t.key: hashlib.sha256(json.dumps(
-    experiments.run_trial(t.config, t.index), sort_keys=True).encode()).hexdigest()
-    for t in build_trials(sys.argv[1], int(sys.argv[2]))}))
+outputs = {}
+for t in build_trials(sys.argv[1], int(sys.argv[2])):
+    out = experiments.run_trial(t.config, t.index)
+    outputs[t.key] = {"sha256": hashlib.sha256(json.dumps(out, sort_keys=True).encode())
+                      .hexdigest(), "checked": checked_fields(out)}
+print(json.dumps(outputs))
 """
 
 _ONE_THREAD = {name: "1" for name in
@@ -76,11 +87,22 @@ def sweep(tree: Path, workload: str, seed: int, trace: int, work: Path) -> dict:
     return {**run, "record": record}
 
 
-def output_hashes(tree: Path, workload: str, seed: int) -> dict:
+def trial_outputs(tree: Path, workload: str, seed: int) -> dict:
     done = subprocess.run([sys.executable, "-c", _DUMP_OUTPUTS, workload, str(seed)],
                           cwd=tree, check=True, stdout=subprocess.PIPE, text=True,
                           env={**os.environ, **_ONE_THREAD}, timeout=1800)
     return json.loads(done.stdout)
+
+
+def score_delta(parent, change) -> float:
+    """|change - parent|: 0 when both are NaN or the same infinity, inf when
+    only one is NaN or a side lacks the field."""
+    if parent == change or (parent != parent and change != change):
+        return 0.0
+    if parent is None or change is None:
+        return math.inf
+    delta = abs(change - parent)
+    return math.inf if math.isnan(delta) else delta
 
 
 def tier1(tree: Path) -> dict:
@@ -227,19 +249,31 @@ def main() -> int:
                        f"--trace 1 (through sweep.py)",
             "seed": trace_seed, "workloads": traced}
 
-    differ, total = {}, 0
+    differ, checked, total = {}, {}, 0
     for workload in workloads:
         differ[workload] = 0
+        max_delta, mismatched = dict.fromkeys(SCORES, 0.0), dict.fromkeys(COUNTS, 0)
         for seed in args.seeds:
-            hashes = {side: output_hashes(tree, workload, seed) for side, tree in trees.items()}
-            total += len(hashes["change"])
-            differ[workload] += sum(hashes["parent"].get(key) != digest
-                                    for key, digest in hashes["change"].items())
+            outputs = {side: trial_outputs(tree, workload, seed) for side, tree in trees.items()}
+            total += len(outputs["change"])
+            for key, change in outputs["change"].items():
+                parent = outputs["parent"].get(key, {"sha256": None, "checked": {}})
+                differ[workload] += parent["sha256"] != change["sha256"]
+                for name in SCORES:
+                    max_delta[name] = max(max_delta[name], score_delta(
+                        parent["checked"].get(name), change["checked"].get(name)))
+                for name in COUNTS:
+                    mismatched[name] += parent["checked"].get(name) != change["checked"].get(name)
+        checked[workload] = {"max_abs_delta": max_delta, "mismatched": mismatched}
+        print(f"{workload} outputs: {differ[workload]} differ, {checked[workload]}", flush=True)
     report["bit_identical_outputs"] = {
         "method": "every run_trial output of every workload and seed, BLAS on one "
                   "thread, compared between the two trees as canonical JSON "
-                  "(json.dumps(sort_keys=True), floats at full repr precision)",
-        "trials": total, "differ": differ}
+                  "(json.dumps(sort_keys=True), floats at full repr precision); "
+                  "checked_fields: over perfbench/reference.py's checked_fields, the "
+                  "largest |change - parent| of each score and the count of trials "
+                  "whose iterations or converged differ",
+        "trials": total, "differ": differ, "checked_fields": checked}
 
     report["tier1"] = {"command": "PYTHONPATH=src python " + " ".join(TIER1),
                        "threads": _ONE_THREAD}

@@ -38,7 +38,7 @@ EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NUMERIC = 0, 1, 2, 3
 def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
     overrides = {}
-    for name in ("seed", "out", "algo", "trials", "threads"):
+    for name in ("seed", "out", "algo", "trials", "threads", "split"):
         val = getattr(args, name, None)
         if val is not None:
             overrides[name] = val
@@ -101,7 +101,7 @@ def cmd_ingest(args) -> int:
     features = [c.strip() for c in args.features.split(",")] if args.features else None
     if not features:
         raise ConfigError("--features is required (comma-separated column names)")
-    tab = ingest_csv(args.csv, features, args.target, split=args.split, seed=cfg.seed)
+    tab = ingest_csv(args.csv, features, args.target, split=cfg.split, seed=cfg.seed)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     Dataset(tab.train_x, tab.train_y).to_csv(outdir / "train.csv")
@@ -152,7 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", required=True)
     p.add_argument("--features", required=True, help="comma-separated feature columns")
     p.add_argument("--target", required=True, help="target column")
-    p.add_argument("--split", type=float, default=0.75)
+    p.add_argument("--split", type=float, default=None,
+                   help="train share (default: the config's split, 0.75)")
     p.set_defaults(fn=cmd_ingest)
     return parser
 

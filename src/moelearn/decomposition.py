@@ -89,7 +89,8 @@ def power_method(t3: np.ndarray, n_components: int, restarts: int = 30,
     For each component the best of ``restarts`` random starts (by eigenvalue
     after ``iterations`` fixed-point steps v <- T(I,v,v)/||.||) is polished
     with another round of iterations, then deflated. Restarts iterate as one
-    batched matrix, so the per-seed result is deterministic. Each component's
+    batched matrix, one einsum call per step, so the per-seed result is
+    deterministic. Each component's
     fixed-point residual ||T(I,v,v) - lambda v|| is taken on the tensor it
     was found in: near zero when the iteration converged to an eigenpair.
     """
@@ -102,35 +103,24 @@ def power_method(t3: np.ndarray, n_components: int, restarts: int = 30,
     eigenvalues = np.zeros(n_components)
     residuals, weak_flags, deflation_norms = [], [], []
     floor = None
-    # Every contraction below is the one numpy's optimize=True einsum makes,
-    # with its bits. The greedy order depends only on the operand shapes, so
-    # it is searched once per call. When it is a single contraction (every
-    # restarts > m >= 2), the batched steps call einsum directly with the
-    # operands in the planner's order, which skips einsum's re-planning.
-    batch, vec = np.empty((restarts, m)), np.empty(m)
-    path_batch = np.einsum_path("abc,lb,lc->la", t, batch, batch, optimize=True)[0]
-    path_batch_lam = np.einsum_path("abc,la,lb,lc->l", t, batch, batch, batch,
-                                    optimize=True)[0]
+    # The restart step and the restart eigenvalues call einsum directly, with
+    # the operands in the order numpy's optimize=True planner puts them when
+    # restarts > m >= 2 (then its plan is one contraction), so neither searches
+    # a path. The polished vector's eigenvalue takes the planner's path,
+    # searched once per call, as its order depends only on the shapes.
+    vec = np.empty(m)
     path_vec_lam = np.einsum_path("abc,a,b,c->", t, vec, vec, vec, optimize=True)[0]
-    direct = len(path_batch) == 2 and len(path_batch_lam) == 2
 
     for comp in range(n_components):
         theta = rng.standard_normal((restarts, m))
         theta /= np.linalg.norm(theta, axis=1, keepdims=True)
         for _ in range(iterations):
-            if direct:
-                theta = np.einsum("lc,lb,abc->la", theta, theta, t)
-            else:
-                theta = np.einsum("abc,lb,lc->la", t, theta, theta, optimize=path_batch)
+            theta = np.einsum("lc,lb,abc->la", theta, theta, t)
             # np.linalg.norm(theta, axis=1, keepdims=True), as it computes it
             nrm = np.sqrt((theta * theta).sum(axis=1, keepdims=True))
             nrm[nrm == 0] = 1.0
             theta /= nrm
-        if direct:
-            lam = np.einsum("lc,lb,la,abc->l", theta, theta, theta, t)
-        else:
-            lam = np.einsum("abc,la,lb,lc->l", t, theta, theta, theta,
-                            optimize=path_batch_lam)
+        lam = np.einsum("lc,lb,la,abc->l", theta, theta, theta, t)
         best = int(np.argmax(lam))
         v = theta[best]
         unfolded = t.transpose(1, 0, 2).reshape(m, m * m)

@@ -68,6 +68,8 @@ class ExperimentConfig(PipelineOptions):
             raise ConfigError("radius must be positive")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not 0.0 < self.split < 1.0:
             raise ConfigError("split must lie strictly between 0 and 1")
         Activation.by_name(self.activation)   # validate the name early

@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .activations import Activation
+from .activations import Activation, _sigmoid_d1, _sigmoid_d3
 from .errors import ConfigError, NumericalError
 from .model import ExpPass, exp_pass, logsumexp_rows, make_rng
 from .cqt import gauss_hermite
@@ -74,10 +74,6 @@ def e_step(x: np.ndarray, y: np.ndarray, regressors: np.ndarray, w: np.ndarray,
     x = np.atleast_2d(x)
     n, k = x.shape[0], regressors.shape[0]
     res = y - activation(regressors @ x.T)   # the bits of x @ regressors.T; see _logits
-    if k == 1:
-        return EStepResult(np.ones((n, 1)), float(np.mean(
-            -0.5 * res[0] ** 2 / max(sigma**2, SIGMA2_FLOOR)
-            - 0.5 * math.log(2 * math.pi * max(sigma**2, SIGMA2_FLOOR)))), sigma == 0.0)
     if sigma == 0.0:
         # degenerate noise: hard assignment by residual magnitude
         z = np.argmin(np.abs(res), axis=0)
@@ -104,23 +100,18 @@ def e_step(x: np.ndarray, y: np.ndarray, regressors: np.ndarray, w: np.ndarray,
 
 
 def _linear_term(posteriors: np.ndarray, logits: np.ndarray) -> np.ndarray:
-    """sum_j posteriors[:, j] * logits[:, j] per row, with the bits of einsum
-    on C-ordered (n, c) logits.
+    """sum_j posteriors[:, j] * logits[:, j] per row, the products added left
+    to right; zeros when there are no gating rows.
 
-    Up to two columns that is the products' left-to-right sum, but for the
-    sign of a zero: einsum's sum starts from +0.0, so it never gives -0.0.
-    q_value's ``.sum()`` starts from +0.0 too, so Q does not see the sign.
-    From three columns on einsum sums in another order, and on the
-    transposed view of gating logits in yet another, so it gets a C-ordered
-    copy.
+    A row whose products are all zeros may sum to -0.0; q_value's ``.sum()``
+    starts from +0.0, so Q does not see the sign.
     """
-    c = logits.shape[1]
-    if c not in (1, 2):
-        return np.einsum("ni,ni->n", posteriors[:, :c], np.ascontiguousarray(logits))
     rows = logits.T
+    if len(rows) == 0:
+        return np.zeros(len(logits))
     linear = posteriors[:, 0] * rows[0]
-    if c == 2:
-        linear += posteriors[:, 1] * rows[1]
+    for j in range(1, len(rows)):
+        linear += posteriors[:, j] * rows[j]
     return linear
 
 
@@ -144,13 +135,12 @@ def q_gradient(x: np.ndarray, posteriors: np.ndarray, w: np.ndarray,
     """(k-1, d) gradient of Q at w; ``exps`` as for q_value."""
     if exps is None:
         exps = exp_pass(_logits(x, w).T, zero_column=True)
-    s = exps.softmax_sum()
     # posteriors[:, :c] minus the softmax probabilities e_j / s, one column
     # at a time: numpy runs arithmetic on strided (n, c) arrays this narrow
     # one row at a time; the zero column's probability is not needed
     diff = np.empty((x.shape[0], len(exps.e) - 1))
     for j, col in enumerate(diff.T):
-        np.divide(exps.e[j], s, out=col)
+        np.divide(exps.e[j], exps.s, out=col)
         np.subtract(posteriors[:, j], col, out=col)
     return diff.T @ x / x.shape[0]
 
@@ -352,10 +342,8 @@ def em_curvature_constants(grid: int = 4001, order: int = 120) -> tuple[float, f
     z, wq = gauss_hermite(order)
     a = np.linspace(0.0, 1.0, grid)
     t = np.outer(a, z)
-    s = 1.0 / (1.0 + np.exp(-t))
-    sp = s * (1 - s)
-    f1 = sp @ wq
-    f3 = (sp * (1 - 2 * s) ** 2 - 2 * sp**2) @ wq
+    f1 = _sigmoid_d1(t) @ wq
+    f3 = _sigmoid_d3(t) @ wq
     low = np.minimum(f1, f1 + a**2 * f3)
     high = np.maximum(f1, f1 + a**2 * f3)
     return float(low.min()), float(high.max())

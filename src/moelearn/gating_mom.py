@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from .activations import _sigmoid_d1
 from .errors import NumericalError
 from .model import MoeModel
 
@@ -48,11 +49,6 @@ def compute_ratio(x: np.ndarray, y: np.ndarray, a1: np.ndarray, a2: np.ndarray,
     keep = np.abs(denom) >= floor
     values = (y[keep] - x[keep] @ a2) / denom[keep]
     return RatioStatistic(values, keep, int((~keep).sum()))
-
-
-def _sigmoid_d1(t: np.ndarray) -> np.ndarray:
-    s = 1.0 / (1.0 + np.exp(-np.abs(t)))
-    return s * (1.0 - s)   # f' is even, so |t| is safe and stable
 
 
 @dataclass
@@ -85,12 +81,14 @@ def mom_gating(x: np.ndarray, y: np.ndarray, a1: np.ndarray, a2: np.ndarray,
         return MomResult(u, 0.0, norm, stat.degenerate_count, True)
     u = moment / norm
     # sign pass: alpha = E[f'(u.x) (1 - 2 Phi(|delta_x| / 2 sigma))]; f' is even
-    # in the sign of u, so the plug-in direction suffices.
+    # in the sign of u, so the plug-in direction suffices, and f' is taken at
+    # |u.x|, where the sigmoid is 1 / (1 + exp(-|t|)).
     delta = np.abs(xs @ (np.asarray(a1, dtype=float) - np.asarray(a2, dtype=float)))
     if sigma <= 0:
         alpha = -1.0   # Phi(inf) = 1 so the population scale is -E[f'] < 0
     else:
-        alpha = float(np.mean(_sigmoid_d1(xs @ u) * (1.0 - 2.0 * ndtr(delta / (2.0 * sigma)))))
+        alpha = float(np.mean(_sigmoid_d1(np.abs(xs @ u))
+                              * (1.0 - 2.0 * ndtr(delta / (2.0 * sigma)))))
     w_hat = math.copysign(1.0, alpha) * u
     return MomResult(w_hat, alpha, norm, stat.degenerate_count, False)
 

@@ -34,32 +34,13 @@ def make_rng(seed) -> np.random.Generator:
 # costs far more per call than a loop over columns, so exp_pass loops over
 # the rows of ``logits.T`` (contiguous for gating_em's logits). Max and
 # subtraction are exact in any layout; ``exp`` runs on one new contiguous
-# array. numpy adds fewer than _PAIRWISE_WIDTH elements left to right, so the
-# row loop below that width gives the bits of ``.sum(axis=1)`` over the (n, c)
-# array; from it on that call's pairwise order is kept by making it on a
-# C-contiguous (n, c) copy (a strided reduction is not pairwise).
-_PAIRWISE_WIDTH = 8
-
-
-def _column_sum(rows: np.ndarray) -> np.ndarray:
-    """Bitwise ``rows.T.sum(axis=1)`` on a C-contiguous copy; one row as is."""
-    if len(rows) >= _PAIRWISE_WIDTH:
-        return np.ascontiguousarray(rows.T).sum(axis=1)
-    s = rows[0] if len(rows) == 1 else rows[0] + rows[1]
-    for row in rows[2:]:
-        s += row
-    return s
-
-
+# array, whose rows are then added left to right. numpy's ``.sum(axis=1)``
+# adds fewer than 8 columns in that order too, so up to 7 columns, the zero
+# column included, the results have the bits of the axis-1 formulas.
 class ExpPass(NamedTuple):
     m: np.ndarray     # (n,) row max of the logits, at least 0 with the zero column
     e: np.ndarray     # (c [+ 1], n) exp(logits - m), the zero column's exp(-m) last
-    s: np.ndarray     # (n,) e's sum for the log-sum-exp m + log(s), exp(-m) added last
-    wide: bool        # a zero column and c + 1 >= _PAIRWISE_WIDTH: then the
-                      # softmax's pairwise sum over all of e is another sum
-
-    def softmax_sum(self) -> np.ndarray:
-        return _column_sum(self.e) if self.wide else self.s
+    s: np.ndarray     # (n,) e's rows summed left to right, the zero column last
 
 
 def exp_pass(rows: np.ndarray, zero_column: bool = False) -> ExpPass:
@@ -76,8 +57,10 @@ def exp_pass(rows: np.ndarray, zero_column: bool = False) -> ExpPass:
     if zero_column:
         np.negative(m, out=e[c])
     np.exp(e, out=e)
-    wide = zero_column and c + 1 >= _PAIRWISE_WIDTH
-    return ExpPass(m, e, _column_sum(e[:c]) + e[c] if wide else _column_sum(e), wide)
+    s = e[0] if len(e) == 1 else e[0] + e[1]
+    for row in e[2:]:
+        s += row
+    return ExpPass(m, e, s)
 
 
 def logsumexp_rows(logits: np.ndarray, zero_column: bool = False) -> np.ndarray:
@@ -92,10 +75,9 @@ def softmax_rows(logits: np.ndarray, zero_column: bool = False) -> np.ndarray:
     """Row-wise softmax, stable, as a C-contiguous (n, c) array; ``zero_column``
     adds a last logit 0, and the result a column for it."""
     t = exp_pass(logits.T, zero_column)
-    s = t.softmax_sum()
     probs = np.empty((logits.shape[0], len(t.e)))
     for j, row in enumerate(t.e):   # divides and transposes in one pass
-        np.divide(row, s, out=probs[:, j])
+        np.divide(row, t.s, out=probs[:, j])
     return probs
 
 

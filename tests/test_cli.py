@@ -155,7 +155,7 @@ def _exit_and_stderr(capsys, argv):
 
 @pytest.mark.parametrize("key, value", [
     ("restarts", 0), ("power_iterations", 0), ("outlier_cap", 0), ("em_radius", -1),
-    ("radius", -1), ("threads", -2), ("split", 1.5)])
+    ("radius", -1), ("threads", -2), ("split", 1.5), ("seed", -1)])
 def test_invalid_setting_is_configuration_error(generated, tmp_path, capsys, key, value):
     cfg, run = generated
     bad = _write_config(tmp_path / "bad.json", out=str(tmp_path / "out"), **{key: value})
@@ -163,6 +163,15 @@ def test_invalid_setting_is_configuration_error(generated, tmp_path, capsys, key
                                         "--data", str(run / "dataset.csv")])
     assert rc == 1
     assert err.startswith("configuration error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [["generate"], ["experiment", "--suite", "table1"]])
+def test_negative_seed_flag_is_configuration_error(tmp_path, capsys, command):
+    """A negative --seed is refused before numpy's seeding can raise."""
+    cfg = _write_config(tmp_path / "cfg.json", out=str(tmp_path / "out"))
+    rc, err = _exit_and_stderr(capsys, [*command, "--config", str(cfg), "--seed", "-1"])
+    assert rc == 1
+    assert err == "configuration error: seed must be >= 0\n"
 
 
 @pytest.mark.parametrize("text", ['{"k": 2,', '{"k": "two"}', '[2]'])
@@ -426,15 +435,43 @@ def test_realdata_suite_structural(tmp_path):
     assert joint <= variance
 
 
-def test_ingest_cli(tmp_path, capsys):
+def _ingest_set(path, n):
     rng = np.random.default_rng(1)
-    path = tmp_path / "t.csv"
     with path.open("w") as fh:
         fh.write("a,b,y\n")
-        for i in range(100):
+        for i in range(n):
             fh.write(f"{rng.normal()},{rng.normal()},{rng.normal()}\n")
+    return path
+
+
+def test_ingest_cli(tmp_path, capsys):
+    path = _ingest_set(tmp_path / "t.csv", 100)
     rc = main(["ingest", "--csv", str(path), "--features", "a,b", "--target", "y",
                "--out", str(tmp_path / "ing")])
     assert rc == 0
     assert (tmp_path / "ing" / "train.csv").exists()
     assert (tmp_path / "ing" / "preprocess.json").exists()
+
+
+def _data_rows(path):
+    return len(path.read_text().splitlines()) - 1
+
+
+def test_ingest_takes_split_from_config(tmp_path):
+    csv = _ingest_set(tmp_path / "t.csv", 2000)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"split": 0.5}))
+    rc = main(["ingest", "--config", str(cfg), "--csv", str(csv), "--features", "a,b",
+               "--target", "y", "--out", str(tmp_path / "ing")])
+    assert rc == 0
+    assert _data_rows(tmp_path / "ing" / "train.csv") == 1000
+    assert _data_rows(tmp_path / "ing" / "test.csv") == 1000
+
+
+def test_ingest_split_out_of_range_is_configuration_error(tmp_path, capsys):
+    csv = _ingest_set(tmp_path / "t.csv", 100)
+    rc, err = _exit_and_stderr(capsys, ["ingest", "--csv", str(csv), "--features", "a,b",
+                                        "--target", "y", "--split", "1.5",
+                                        "--out", str(tmp_path / "ing")])
+    assert rc == 1
+    assert err == "configuration error: split must lie strictly between 0 and 1\n"

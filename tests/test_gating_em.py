@@ -133,8 +133,24 @@ def test_m_step_is_ascent():
 
 # The M-step before it shared each point's logits between Q and the gradient,
 # with the package softmax/log-sum-exp written as the axis-1 numpy formulas
-# it is bitwise equal to and np.linalg.norm/np.mean/np.sum in place of their
-# direct forms: the bitwise reference for m_step.
+# and np.linalg.norm/np.mean/np.sum in place of their direct forms: the
+# reference for m_step. It is bitwise where the benchmark runs, with at most
+# two gating rows (the linear term) and seven softmax columns (the softmax
+# sum). Elsewhere the package adds those terms in another order, and Q and
+# its gradient agree with the reference within these tolerances: each is a
+# sum of at most ten terms, which a reordering moves by a few ulp of the
+# largest.
+_Q_TOL = {"rel": 1e-12, "abs": 1e-12}
+_GRADIENT_TOL = {"rtol": 1e-12, "atol": 1e-12}
+
+
+def _assert_gradient_matches(grad, ref, bitwise):
+    if bitwise:
+        assert np.array_equal(grad, ref)
+    else:
+        np.testing.assert_allclose(grad, ref, **_GRADIENT_TOL)
+
+
 def _ref_q_value(x, posteriors, w):
     logits = x @ w.T
     linear = np.einsum("ni,ni->n", posteriors[:, :-1], logits)
@@ -163,6 +179,14 @@ def _ref_projected_gradient_norm(w, grad, radius):
         if radial > 0:
             pg[i] = grad[i] - (radial / max(norms[i] ** 2, 1e-300)) * w[i]
     return float(np.linalg.norm(pg))
+
+
+def _optimality_gap_bound(x, posteriors, w, radius):
+    """An upper bound on max Q - Q(w) over the row balls: by concavity it is
+    at most <grad, w* - w>, so at most the projected gradient's norm times
+    the diameter 2R sqrt(k - 1) of the product of balls."""
+    grad = _ref_q_gradient(x, posteriors, w)
+    return _ref_projected_gradient_norm(w, grad, radius) * 2 * radius * math.sqrt(len(w))
 
 
 def _ref_m_step(x, posteriors, w_init, radius, grad_tol=1e-7, max_inner=500,
@@ -197,10 +221,15 @@ def _ref_m_step(x, posteriors, w_init, radius, grad_tol=1e-7, max_inner=500,
 @example(k=8, d=5, n=2000, starts=["inside"] * 8, radius=2.5, frac_zero=0.0, seed=8)
 @example(k=9, d=5, n=2000, starts=["on"] * 8, radius=2.5, frac_zero=0.3, seed=9)
 def test_m_step_bitwise_matches_reference(k, d, n, starts, radius, frac_zero, seed):
-    """Same iterates, same bits: starts inside, on and outside the row ball,
-    posteriors with exact zeros (all but one in a row when frac_zero is 1),
-    two to nine experts, so the softmax's c + 1 columns cross numpy's
-    pairwise-sum width of 8."""
+    """Starts inside, on and outside the row ball, posteriors with exact
+    zeros (all but one in a row when frac_zero is 1), two to nine experts.
+
+    Up to three experts, the benchmark's shapes, m_step takes the
+    reference's iterates bit for bit. From four on, Q and its gradient are
+    rounded otherwise (see _Q_TOL), which can flip a backtracking test and
+    so the path; where m_step stops short of the maximum, the end points
+    then differ. Both are near-maximisers of one concave Q, so there their
+    Q values must agree within the larger of their optimality-gap bounds."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d)) * rng.choice([0.5, 1.0, 3.0])
     posteriors = rng.dirichlet(np.ones(k), size=n)
@@ -214,17 +243,24 @@ def test_m_step_bitwise_matches_reference(k, d, n, starts, radius, frac_zero, se
     w0 *= np.array([scale[starts[i]] for i in range(k - 1)])[:, None]
 
     got = m_step(x, posteriors, w0, radius)
-    assert np.array_equal(got, _ref_m_step(x, posteriors, w0, radius))
+    ref = _ref_m_step(x, posteriors, w0, radius)
+    if k <= 3:
+        assert np.array_equal(got, ref)
+    else:
+        gap = max(_optimality_gap_bound(x, posteriors, w, radius) for w in (got, ref))
+        q_ref = _ref_q_value(x, posteriors, ref)
+        assert abs(_ref_q_value(x, posteriors, got) - q_ref) <= gap + 1e-12 * max(1.0, abs(q_ref))
     for w in (w0, got):
         logits = x @ w.T
         exps = exp_pass(logits.T, zero_column=True)
         q = q_value(x, posteriors, w)
         assert q == q_value(x, posteriors, w, logits=logits)
         assert q == q_value(x, posteriors, w, logits=logits, exps=exps)
-        assert q == _ref_q_value(x, posteriors, w)
+        want = _ref_q_value(x, posteriors, w)
+        assert q == want if k <= 3 else q == pytest.approx(want, **_Q_TOL)
         grad = q_gradient(x, posteriors, w)
         assert np.array_equal(grad, q_gradient(x, posteriors, w, exps=exps))
-        assert np.array_equal(grad, _ref_q_gradient(x, posteriors, w))
+        _assert_gradient_matches(grad, _ref_q_gradient(x, posteriors, w), bitwise=k <= 7)
 
 
 @pytest.mark.parametrize("c", [1, 2])
@@ -244,39 +280,37 @@ def test_q_value_of_all_zero_terms_is_positive_zero(c):
 @pytest.mark.parametrize("c", [6, 7, 8])
 def test_q_gradient_from_q_values_exp_pass_at_the_pairwise_width(c):
     """The gradient m_step takes from the exp pass of its point's Q equals
-    the one computed afresh and the axis-1 reference bit for bit where the
-    softmax's c + 1 columns reach numpy's pairwise-sum width: below it the
-    log-sum-exp's sum is the softmax's, from it on (c = 7, 8) it is not."""
+    the one computed afresh bit for bit, on either side of numpy's
+    pairwise-sum width of 8 columns. Against the axis-1 reference it is
+    bitwise up to c + 1 = 7 softmax columns and within _GRADIENT_TOL from 8
+    on; Q, with three or more gating rows, within _Q_TOL."""
     rng = np.random.default_rng(c)
     x = rng.standard_normal((2000, 6)) * 2.0
     posteriors = rng.dirichlet(np.ones(c + 1), size=2000)
     w = rng.standard_normal((c, 6))
     logits = gating_em._logits(x, w)
     exps = exp_pass(logits.T, zero_column=True)
-    assert q_value(x, posteriors, w, logits=logits, exps=exps) == _ref_q_value(x, posteriors, w)
+    assert (q_value(x, posteriors, w, logits=logits, exps=exps)
+            == pytest.approx(_ref_q_value(x, posteriors, w), **_Q_TOL))
     shared = q_gradient(x, posteriors, w, exps=exps)
     assert np.array_equal(shared, q_gradient(x, posteriors, w))
-    assert np.array_equal(shared, _ref_q_gradient(x, posteriors, w))
+    _assert_gradient_matches(shared, _ref_q_gradient(x, posteriors, w), bitwise=c + 1 <= 7)
 
 
 # The E-step before its (k, n) layout, with the package log-sum-exp written as
-# the axis-1 numpy formulas it is bitwise equal to: the bitwise reference for
-# e_step.
+# the axis-1 numpy formulas: the reference for e_step, bitwise up to seven
+# experts (softmax columns).
 def _ref_e_step(x, y, regressors, w, sigma, activation):
     k = regressors.shape[0]
     res = y[:, None] - activation(x @ regressors.T)
     logits = x @ w.T if k > 1 else np.zeros((x.shape[0], 0))
-    if k == 1:
-        return np.ones((x.shape[0], 1)), float(np.mean(
-            -0.5 * res[:, 0] ** 2 / max(sigma**2, 1e-12)
-            - 0.5 * math.log(2 * math.pi * max(sigma**2, 1e-12))))
     if sigma == 0.0:
         z = np.argmin(np.abs(res), axis=1)
         post = np.zeros((x.shape[0], k))
         post[np.arange(x.shape[0]), z] = 1.0
         return post, float("nan")
     s2 = max(sigma**2, 1e-12)
-    m = np.maximum(logits.max(axis=1), 0.0)
+    m = np.maximum(logits.max(axis=1, initial=-np.inf), 0.0)
     lse_prior = m + np.log(np.exp(-m) + np.exp(logits - m[:, None]).sum(axis=1))
     full_logits = np.hstack([logits, np.zeros((x.shape[0], 1))])
     log_joint = (full_logits - lse_prior[:, None] - 0.5 * res**2 / s2
@@ -292,8 +326,13 @@ def _ref_e_step(x, y, regressors, w, sigma, activation):
        st.sampled_from([0.0, 0.05, 0.3, 1.0]), st.sampled_from(["linear", "relu", "sigmoid"]),
        st.sampled_from([0.3, 1.0, 5.0]), st.integers(min_value=0, max_value=2**31 - 1))
 def test_e_step_bitwise_matches_reference(k, d, n, sigma, activation, scale, seed):
-    """Same posteriors and log-likelihood bit for bit, as a C-contiguous
-    (n, k) array, for one to nine experts and sigma = 0 included."""
+    """Posteriors as a C-contiguous (n, k) array and the log-likelihood, for
+    one to nine experts and sigma = 0 included (a NaN log-likelihood, one
+    expert too). Bit for bit up to seven experts. From eight on, the
+    log-sum-exp sums in another order than numpy's pairwise one and moves by
+    a few ulp of the largest log-joint entry, so the posteriors agree within
+    1e-10 relative (plus 1e-300 for subnormals) and the log-likelihood
+    within 1e-12."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
     regressors = unit_rows(rng, k, d)
@@ -303,23 +342,28 @@ def test_e_step_bitwise_matches_reference(k, d, n, sigma, activation, scale, see
     got = e_step(x, y, regressors, w, sigma, act)
     post, loglik = _ref_e_step(x, y, regressors, w, sigma, act)
     assert got.posteriors.flags.c_contiguous
-    assert np.array_equal(got.posteriors, post)
-    assert got.loglik == loglik or (math.isnan(got.loglik) and math.isnan(loglik))
+    if k <= 7:
+        assert np.array_equal(got.posteriors, post)
+        assert got.loglik == loglik or (math.isnan(got.loglik) and math.isnan(loglik))
+    else:
+        np.testing.assert_allclose(got.posteriors, post, rtol=1e-10, atol=1e-300)
+        assert got.loglik == pytest.approx(loglik, rel=1e-12, abs=1e-12, nan_ok=True)
     assert got.hard_assignment == (sigma == 0.0)
 
 
 @pytest.mark.parametrize("k", [4, 6, 10])
 def test_q_value_bitwise_matches_reference_with_three_or_more_gating_rows(k):
-    """From three gating rows on, einsum sums each point's linear term in
-    another order unless the logits reach it C-ordered, while q_value gets
-    them as a transposed view. A changed linear term changes Q's last bit
-    only now and then, so many draws are compared."""
+    """From three gating rows on, q_value adds each point's linear term left
+    to right and einsum, in the reference, in another order: Q agrees
+    within _Q_TOL. A changed linear term changes Q's last bit only now and
+    then, so many draws are compared."""
     rng = np.random.default_rng(k)
     for _ in range(30):
         x = rng.standard_normal((300, 7))
         posteriors = rng.dirichlet(np.ones(k), size=300)
         w = rng.standard_normal((k - 1, 7))
-        assert q_value(x, posteriors, w) == _ref_q_value(x, posteriors, w)
+        assert q_value(x, posteriors, w) == pytest.approx(_ref_q_value(x, posteriors, w),
+                                                          **_Q_TOL)
 
 
 def _criterion5_instance(sigma=0.05, n=100000, seed=5):

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from moelearn import (Activation, InputDistribution, MoeModel, compute_ratio,
                       mom_gating, naive_ratio_mean, ratio_cdf_oracle,
                       sample_dataset)
+from moelearn.activations import _sigmoid_d1
 from moelearn.errors import NumericalError
 
 from conftest import make_model, unit_rows
@@ -23,6 +27,37 @@ def test_mom_recovers_direction():
     assert res.w_hat @ model.w[0] > 0         # sign fixed, not only |cos|
     assert res.alpha_scale < 0
     assert not res.below_noise_floor
+
+
+def _one_sided_sigmoid_d1(t):
+    """f'(t) by the one-sided formula on |t|, as mom_gating once had it."""
+    s = 1.0 / (1.0 + np.exp(-np.abs(t)))
+    return s * (1.0 - s)
+
+
+def test_sigmoid_d1_on_abs_matches_one_sided_formula():
+    """On |t| the two-sided sigmoid takes its 1 / (1 + exp(-|t|)) branch, so
+    mom_gating's f'(|t|) keeps the one-sided formula's bits, at the edges
+    (signed zeros, subnormals, +-1e308, +-inf, NaN) too."""
+    rng = np.random.default_rng(11)
+    t = np.concatenate([scale * rng.standard_normal(20000)
+                        for scale in (0.5, 3.0, 40.0, 800.0)]
+                       + [[0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf,
+                           np.nan]])
+    assert np.array_equal(_sigmoid_d1(np.abs(t)), _one_sided_sigmoid_d1(t), equal_nan=True)
+
+
+def test_mom_alpha_matches_one_sided_formula():
+    model, data = _k2_instance(7000, n=20000)
+    a1, a2 = model.a
+    res = mom_gating(data.x, data.y, a1, a2, 0.1)
+    stat = compute_ratio(data.x, data.y, a1, a2)
+    xs = data.x[stat.keep]
+    u = math.copysign(1.0, res.alpha_scale) * res.w_hat
+    delta = np.abs(xs @ (a1 - a2))
+    alpha = float(np.mean(_one_sided_sigmoid_d1(xs @ u)
+                          * (1.0 - 2.0 * ndtr(delta / (2.0 * 0.1)))))
+    assert res.alpha_scale == alpha
 
 
 def test_mom_zero_gating_below_noise_floor():
