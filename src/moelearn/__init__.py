@@ -24,7 +24,7 @@ from .moments import MomentAccumulator, accumulate, finalize, raw_third_moment
 from .experiments import ExperimentConfig, draw_instance, run_suite
 from .pipeline import (PipelineOptions, PipelineResult, evaluate, fit_pipeline,
                        fit_report, predict_moe)
-from .scores import Sym2, Sym3
+from .scores import Sym3
 from .tabular import TabularDataset, ingest_csv
 
 __version__ = "0.1.0"

@@ -76,8 +76,7 @@ def cmd_fit(args) -> int:
     result = fit_pipeline(data, dist, cfg.k, cfg.sigma, Activation.by_name(cfg.activation),
                           radius=cfg.radius, seed=cfg.seed, opts=cfg)
     if result.em_state is not None:
-        write_trace_csv(outdir / "trace.csv", result.em_state.trace,
-                        include_loglik=result.algo == "joint-em")
+        write_trace_csv(outdir / "trace.csv", result.em_state.trace)
     report = (evaluate(result, truth, cfg.to_dict()) if truth is not None
               else fit_report(result, cfg.to_dict()))
     np.savetxt(outdir / "regressors.csv", result.a_est, delimiter=",", fmt="%.17g")

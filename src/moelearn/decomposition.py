@@ -19,7 +19,7 @@ import numpy as np
 from .cqt import CqtCoefficients
 from .errors import NumericalError
 from .model import make_rng
-from .scores import Sym2, Sym3
+from .scores import Sym3
 
 # Eigenvalues of T2 at or below this share of the largest make it rank deficient.
 RANK_RTOL = 1e-6
@@ -35,7 +35,7 @@ class WhiteningMap:
     eigenvalues: np.ndarray              # (k,) eigenvalues of sign-corrected T2, descending
 
 
-def whiten(t2: Sym2, k: int, c2_sign: float = 1.0) -> WhiteningMap:
+def whiten(t2: np.ndarray, k: int, c2_sign: float = 1.0) -> WhiteningMap:
     """Whitening map from the top-k eigenpairs of sign-corrected T2.
 
     Raises NumericalError when fewer than k eigenvalues clear the rank
@@ -44,8 +44,7 @@ def whiten(t2: Sym2, k: int, c2_sign: float = 1.0) -> WhiteningMap:
     if k < 1:
         raise NumericalError("need at least one component")
     sign = 1.0 if c2_sign >= 0 else -1.0
-    m = sign * t2.to_dense()
-    evals, evecs = np.linalg.eigh(m)
+    evals, evecs = np.linalg.eigh(sign * t2)
     order = np.argsort(-np.abs(evals), kind="stable")
     evals, evecs = evals[order], evecs[:, order]
     lam_max = abs(evals[0]) if evals.size else 0.0
@@ -173,7 +172,7 @@ class DecompositionResult:
         }
 
 
-def recover_regressors(t2: Sym2, t3: Sym3, k: int, cqt: CqtCoefficients, *,
+def recover_regressors(t2: np.ndarray, t3: Sym3, k: int, cqt: CqtCoefficients, *,
                        restarts: int, iterations: int, seed) -> DecompositionResult:
     """Whiten, decompose, back-project: unit-norm regressor estimates from (T2, T3).
 
@@ -181,14 +180,15 @@ def recover_regressors(t2: Sym2, t3: Sym3, k: int, cqt: CqtCoefficients, *,
     tensor has positive eigenvalues |c3| E[p_i] / (|c2| E[p_i])^{3/2}; each
     back-projected component then aligns with +a_i rather than -a_i.
     """
-    if k > t2.d:
-        raise NumericalError(f"cannot recover k={k} components in dimension {t2.d}")
+    d = t2.shape[0]
+    if k > d:
+        raise NumericalError(f"cannot recover k={k} components in dimension {d}")
     wm = whiten(t2, k, c2_sign=np.sign(cqt.c2))
     t3w = t3.contract_all_modes(wm.w_map) * np.sign(cqt.c3)
     pm = power_method(t3w, k, restarts=restarts, iterations=iterations, seed=seed)
 
     back = wm.pseudo_inverse_transpose
-    vectors = np.zeros((k, t2.d))
+    vectors = np.zeros((k, d))
     weights = np.zeros(k)
     for i in range(k):
         b = back @ pm.vectors[i]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -26,6 +27,9 @@ from .model import (INPUT_KINDS, Dataset, InputDistribution, MoeModel, make_rng,
                     sample_dataset)
 from .pipeline import PipelineOptions, evaluate, fit_pipeline, predict_moe
 from .tabular import ingest_csv
+
+# the keys of an ExperimentConfig's dist object
+DIST_KEYS = ("kind", "p", "means", "weights")
 
 
 @dataclass
@@ -56,10 +60,7 @@ class ExperimentConfig(PipelineOptions):
         super().__post_init__()
         require_numbers(self, ints=("k", "d", "n", "trials", "seed", "threads"),
                         reals=("sigma", "radius", "split"))
-        if (not isinstance(self.dist, dict)
-                or self.dist.get("kind", "gaussian") not in INPUT_KINDS):
-            raise ConfigError(f"dist must be an object with kind in {INPUT_KINDS}, "
-                              f"got {self.dist!r}")
+        _check_dist(self.dist)
         if self.k < 1 or self.d < 1 or self.n < 1 or self.trials < 1:
             raise ConfigError("k, d, n, trials must be positive")
         if self.sigma < 0:
@@ -94,6 +95,26 @@ class ExperimentConfig(PipelineOptions):
         return config_hash(self.to_dict())
 
 
+def _check_dist(dist) -> None:
+    """ConfigError unless ``dist`` is an input-law object draw_instance can
+    read: kind in INPUT_KINDS, p a number in [0, 1], means and weights
+    numeric, and no other key."""
+    if not isinstance(dist, dict) or dist.get("kind", "gaussian") not in INPUT_KINDS:
+        raise ConfigError(f"dist must be an object with kind in {INPUT_KINDS}, got {dist!r}")
+    unknown = sorted(set(dist) - set(DIST_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown dist keys {unknown}; allowed: {list(DIST_KEYS)}")
+    p = dist.get("p", 0.5)
+    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
+        raise ConfigError(f"dist p must be a number in [0, 1], got {p!r}")
+    for key in ("means", "weights"):
+        if key in dist:
+            try:
+                np.asarray(dist[key], dtype=float)
+            except (TypeError, ValueError):
+                raise ConfigError(f"dist {key} must be numbers, got {dist[key]!r}") from None
+
+
 def draw_instance(config: ExperimentConfig, seed) -> tuple[MoeModel, InputDistribution]:
     """Draw a model per the synthetic protocol: regressor rows uniform on the
     sphere; gating rows uniform on the sphere, optionally orthogonalized
@@ -104,6 +125,9 @@ def draw_instance(config: ExperimentConfig, seed) -> tuple[MoeModel, InputDistri
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     w = rng.standard_normal((k - 1, d))
     if config.orthogonal and k > 1:
+        if k >= d:
+            raise ConfigError(f"orthogonal gating needs k < d (k = {k}, d = {d}): the "
+                              "regressors span the whole input space")
         if 2 * k - 1 >= d:
             import warnings
             warnings.warn(f"2k-1 = {2 * k - 1} >= d = {d}: outside the regime "

@@ -14,7 +14,7 @@ import csv
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -22,6 +22,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigError
+from .model import RNG_NAME
 
 BRUTE_FORCE_LIMIT = 8
 
@@ -51,7 +52,7 @@ def regressor_fit(est: np.ndarray, truth: np.ndarray) -> tuple[float, tuple, boo
     rows, cols = linear_sum_assignment(-cos)   # max-sum approximation, flagged
     pi = [0] * k
     for p, i in zip(rows, cols):
-        pi[i] = p
+        pi[i] = int(p)
     return float(min(cos[pi[i], i] for i in range(k))), tuple(pi), False
 
 
@@ -110,7 +111,7 @@ def param_error(a_est: np.ndarray, w_est: np.ndarray,
     rows, cols = linear_sum_assignment(cost)
     pi = [0] * k
     for r, c in zip(rows, cols):
-        pi[r] = c
+        pi[r] = int(c)
     return float(error_for(pi)), tuple(pi)
 
 
@@ -152,11 +153,12 @@ def param_error_min_gauge(a_est: np.ndarray, w_est_padded: np.ndarray,
 
 def gating_fit_rows(w_est_padded: np.ndarray, w_true_padded: np.ndarray,
                     permutation: tuple) -> float:
-    """Min-over-rows gating fit for k > 2, after the regressor-matched permutation.
+    """Min-over-rows gating fit, after the regressor-matched permutation.
 
     The estimate is re-gauged so the row matched to the truth's zero row is
     zero, then each remaining row is scored by absolute cosine. Convention for
-    reporting only; the two-expert case reduces to gating_fit.
+    reporting only. At k = 2 the one scored row is +-(w_0 - w_1), so this is
+    gating_fit of the estimate's row difference, to the bit.
     """
     w_est = np.atleast_2d(np.asarray(w_est_padded, dtype=float))
     w_true = np.atleast_2d(np.asarray(w_true_padded, dtype=float))
@@ -196,25 +198,11 @@ class FitReport:
     decomposition: Optional[dict] = None
     traces: dict = field(default_factory=dict)
     flags: list = field(default_factory=list)
-    rng_name: str = "philox4x64"
+    rng: str = RNG_NAME
     schema: int = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "config": self.config,
-            "config_hash": config_hash(self.config),
-            "regressor_fit": self.regressor_fit,
-            "gating_fit": self.gating_fit,
-            "param_error": self.param_error,
-            "matched_permutation": list(self.matched_permutation) if self.matched_permutation else None,
-            "permutation_exact": self.permutation_exact,
-            "cqt": self.cqt,
-            "decomposition": self.decomposition,
-            "traces": self.traces,
-            "flags": self.flags,
-            "rng": self.rng_name,
-        }
+        return {**asdict(self), "config_hash": config_hash(self.config)}
 
     def to_json(self, path: Optional[str | Path] = None) -> str:
         text = json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=True)
@@ -233,17 +221,11 @@ def write_aggregate_csv(path: str | Path, rows: list[dict]) -> None:
                              for k, v in row.items()})
 
 
-def write_trace_csv(path: str | Path, trace: list, include_loglik: bool = False) -> None:
-    """Per-iteration trace: iter, step_norm, q_value, dist_to_truth [, loglik]."""
-    fields = ["iter", "step_norm", "q_value", "dist_to_truth"]
-    if include_loglik:
-        fields.append("loglik")
+def write_trace_csv(path: str | Path, trace: list) -> None:
+    """Per-iteration trace: iter, step_norm, q_value, loglik."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(fields)
+        writer.writerow(["iter", "step_norm", "q_value", "loglik"])
         for row in trace:
-            vals = [row.iteration, f"{row.step_norm:.10g}", f"{row.q_value:.10g}",
-                    "" if np.isnan(row.dist_to_truth) else f"{row.dist_to_truth:.10g}"]
-            if include_loglik:
-                vals.append(f"{row.loglik:.10g}")
-            writer.writerow(vals)
+            writer.writerow([row.iteration, f"{row.step_norm:.10g}", f"{row.q_value:.10g}",
+                             f"{row.loglik:.10g}"])

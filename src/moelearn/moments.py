@@ -23,7 +23,7 @@ import numpy as np
 from .cqt import CqtCoefficients, apply_p2, apply_p3
 from .errors import ConfigError, NumericalError
 from .model import Dataset, InputDistribution
-from .scores import Sym2, Sym3, packed_size, score_moment
+from .scores import Sym3, packed_indices, packed_size, score_moment
 
 CHUNK = 4096
 
@@ -111,12 +111,16 @@ def accumulate(acc: MomentAccumulator, batch) -> MomentAccumulator:
     return acc
 
 
-def finalize(acc: MomentAccumulator) -> tuple[Sym2, Sym3]:
-    """Mean tensors over kept samples."""
+def finalize(acc: MomentAccumulator) -> tuple[np.ndarray, Sym3]:
+    """Mean tensors over kept samples: T2 as a dense symmetric d x d matrix
+    (its one reader, whitening, eigendecomposes it), T3 packed."""
     n = acc.n_seen
     if n < 1:
         raise NumericalError("empty accumulator: no samples survived")
-    return Sym2(acc.d, acc.t2 / n), Sym3(acc.d, acc.t3 / n)
+    (i, j), _ = packed_indices(acc.d, 2)
+    t2 = np.zeros((acc.d, acc.d))
+    t2[i, j] = t2[j, i] = acc.t2 / n
+    return t2, Sym3(acc.d, acc.t3 / n)
 
 
 def raw_third_moment(batch: Dataset, dist: InputDistribution) -> Sym3:

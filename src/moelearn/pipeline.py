@@ -23,9 +23,9 @@ from .errors import ConfigError, NumericalError, require_numbers
 from .gating_em import EmState, run_em, run_gradient_em
 from .gating_mom import mom_gating
 from .joint_em import run_joint_em
-from .metrics import (FitReport, canonical_gauge, gating_fit, gating_fit_rows,
+from .metrics import (FitReport, canonical_gauge, gating_fit_rows,
                       param_error_min_gauge, regressor_fit)
-from .model import Dataset, InputDistribution, MoeModel, RNG_NAME, softmax_rows
+from .model import Dataset, InputDistribution, MoeModel, softmax_rows
 from .moments import MomentAccumulator, accumulate, finalize
 
 ALGORITHMS = ("spectral+em", "spectral+gradient-em", "spectral+mom", "joint-em")
@@ -149,7 +149,7 @@ def fit_pipeline(data: Dataset, dist: InputDistribution, k: int, sigma: float,
 def fit_report(result: PipelineResult, config: dict) -> FitReport:
     """The report parts that need no generating model: flags, CQT,
     decomposition and the EM trace."""
-    report = FitReport(config=config, flags=list(result.flags), rng_name=RNG_NAME)
+    report = FitReport(config=config, flags=list(result.flags))
     if result.cqt is not None:
         report.cqt = result.cqt.to_dict()
     if result.decomposition is not None:
@@ -157,7 +157,7 @@ def fit_report(result: PipelineResult, config: dict) -> FitReport:
     if result.em_state is not None:
         report.traces["iterations"] = [
             {"iter": r.iteration, "step_norm": r.step_norm, "q_value": r.q_value,
-             "loglik": r.loglik, "dist_to_truth": r.dist_to_truth}
+             "loglik": r.loglik}
             for r in result.em_state.trace
         ]
     return report
@@ -166,11 +166,7 @@ def fit_report(result: PipelineResult, config: dict) -> FitReport:
 def evaluate(result: PipelineResult, truth: MoeModel, config: dict) -> FitReport:
     """Score a pipeline result against the generating model."""
     rfit, perm, exact = regressor_fit(result.a_est, truth.a)
-    if truth.k == 2:
-        est_dir = result.w_padded[0] - result.w_padded[1]
-        gfit = gating_fit(est_dir, truth.w[0]) if truth.w.size else float("nan")
-    else:
-        gfit = gating_fit_rows(result.w_padded, truth.w_padded(), perm)
+    gfit = gating_fit_rows(result.w_padded, truth.w_padded(), perm)
     perr, _ = param_error_min_gauge(result.a_est, result.w_padded, truth.a,
                                     truth.w_padded())
     return replace(fit_report(result, config), regressor_fit=rfit, gating_fit=gfit,

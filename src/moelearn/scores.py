@@ -48,37 +48,6 @@ def packed_size(d: int, order: int) -> int:
 
 
 @dataclass(frozen=True)
-class Sym2:
-    """Dense symmetric d x d tensor in packed upper-triangular storage."""
-
-    d: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", np.asarray(self.data, dtype=float).ravel())
-        if self.data.shape[0] != packed_size(self.d, 2):
-            raise ConfigError("packed Sym2 buffer has the wrong length")
-
-    @classmethod
-    def from_dense(cls, m: np.ndarray) -> "Sym2":
-        m = np.asarray(m, dtype=float)
-        d = m.shape[0]
-        (i, j), _ = packed_indices(d, 2)
-        return cls(d, m[i, j])
-
-    def to_dense(self) -> np.ndarray:
-        (i, j), _ = packed_indices(self.d, 2)
-        m = np.zeros((self.d, self.d))
-        m[i, j] = self.data
-        m[j, i] = self.data
-        return m
-
-    def frobenius(self) -> float:
-        _, mult = packed_indices(self.d, 2)
-        return float(np.sqrt(np.sum(mult * self.data**2)))
-
-
-@dataclass(frozen=True)
 class Sym3:
     """Fully symmetric d x d x d tensor in packed sorted-index storage."""
 

@@ -57,7 +57,7 @@ def test_fit_end_to_end_with_truth(tmp_path):
     assert report["regressor_fit"] > 0.8
     assert "config_hash" in report
     trace = (tmp_path / "run" / "trace.csv").read_text().splitlines()
-    assert trace[0] == "iter,step_norm,q_value,dist_to_truth"
+    assert trace[0] == "iter,step_norm,q_value,loglik"
 
 
 def test_fit_joint_em_trace_has_loglik(tmp_path):
@@ -68,7 +68,7 @@ def test_fit_joint_em_trace_has_loglik(tmp_path):
                "--model", str(tmp_path / "run" / "model.json")])
     assert rc == 0
     trace = (tmp_path / "run" / "trace.csv").read_text().splitlines()
-    assert trace[0] == "iter,step_norm,q_value,dist_to_truth,loglik"
+    assert trace[0] == "iter,step_norm,q_value,loglik"
 
 
 def test_fit_without_truth_model(tmp_path):
@@ -155,7 +155,9 @@ def _exit_and_stderr(capsys, argv):
 
 @pytest.mark.parametrize("key, value", [
     ("restarts", 0), ("power_iterations", 0), ("outlier_cap", 0), ("em_radius", -1),
-    ("radius", -1), ("threads", -2), ("split", 1.5), ("seed", -1)])
+    ("radius", -1), ("threads", -2), ("split", 1.5), ("seed", -1),
+    ("dist", {"kind": "gmm", "p": 1.5}), ("dist", {"kind": "gmm", "p": -0.1}),
+    ("dist", {"kind": "gmm", "mean": [0]})])
 def test_invalid_setting_is_configuration_error(generated, tmp_path, capsys, key, value):
     cfg, run = generated
     bad = _write_config(tmp_path / "bad.json", out=str(tmp_path / "out"), **{key: value})
@@ -185,7 +187,9 @@ def test_malformed_config_is_configuration_error(tmp_path, capsys, text):
 
 @pytest.mark.parametrize("key, value", [
     ("dist", "gmm"), ("k", 2.5), ("n", True), ("em_max_iters", 10.5), ("sigma", "0.1"),
-    ("dist", {"kind": "uniform"})])
+    ("dist", {"kind": "uniform"}), ("dist", {"kind": "gmm", "p": "abc"}),
+    ("dist", {"kind": "gmm", "p": True}), ("dist", {"kind": "gmm", "weights": "x"}),
+    ("dist", {"kind": "gmm", "means": [[0.0], [1.0, 2.0]]})])
 def test_mistyped_setting_is_configuration_error(tmp_path, capsys, key, value):
     """Values of the wrong type that no range check trips: a string for the
     input law, a float or bool for a count, a string for a number."""
@@ -194,6 +198,21 @@ def test_mistyped_setting_is_configuration_error(tmp_path, capsys, key, value):
     assert rc == 1
     assert err.startswith("configuration error: ") and len(err.splitlines()) == 1
     assert key in err
+
+
+@pytest.mark.parametrize("k, d", [(3, 3), (2, 1)])
+def test_orthogonal_gating_without_complement_is_configuration_error(tmp_path, capsys,
+                                                                     k, d):
+    """With k >= d the regressors span the input space, so no gating row is
+    orthogonal to them: one message, no warning, and no model drawn."""
+    cfg = _write_config(tmp_path / "cfg.json", out=str(tmp_path / "out"), k=k, d=d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, err = _exit_and_stderr(capsys, ["generate", "--config", str(cfg)])
+    assert rc == 1
+    assert err.startswith("configuration error: orthogonal gating needs k < d")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out" / "model.json").exists()
 
 
 def _non_numeric_cell(lines):

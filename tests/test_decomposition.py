@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moelearn import (Activation, CqtCoefficients, Sym2, Sym3, power_method,
+from moelearn import (Activation, CqtCoefficients, Sym3, power_method,
                       recover_regressors, regressor_fit, solve_cqt, whiten)
 from moelearn.errors import NumericalError
 from moelearn.model import make_rng
@@ -19,14 +19,14 @@ def _rank1(v):
 
 
 def test_whiten_identity_and_diagonal():
-    wm = whiten(Sym2.from_dense(np.eye(3)), 3)
+    wm = whiten(np.eye(3), 3)
     assert np.allclose(wm.w_map.T @ np.eye(3) @ wm.w_map, np.eye(3), atol=1e-12)
-    t2 = Sym2.from_dense(np.diag([2.0, 1.0, 0.0]))
+    t2 = np.diag([2.0, 1.0, 0.0])
     wm = whiten(t2, 2)
     # columns are e1/sqrt(2) and e2 up to sign
     assert abs(abs(wm.w_map[0, 0]) - 1 / np.sqrt(2)) < 1e-12
     assert abs(abs(wm.w_map[1, 1]) - 1.0) < 1e-12
-    assert np.allclose(wm.w_map.T @ t2.to_dense() @ wm.w_map, np.eye(2), atol=1e-12)
+    assert np.allclose(wm.w_map.T @ t2 @ wm.w_map, np.eye(2), atol=1e-12)
 
 
 def test_whiten_orthonormalizes_scaled_regressors():
@@ -34,17 +34,17 @@ def test_whiten_orthonormalizes_scaled_regressors():
     d, k = 6, 3
     a = unit_rows(rng, k, d)
     s = np.array([1.5, 0.9, 0.4])
-    t2 = Sym2.from_dense(sum(s[i] * np.outer(a[i], a[i]) for i in range(k)))
+    t2 = sum(s[i] * np.outer(a[i], a[i]) for i in range(k))
     wm = whiten(t2, k)
     tilde = (wm.w_map.T @ a.T) * np.sqrt(s)   # columns sqrt(s_i) W^T a_i
     assert np.allclose(tilde.T @ tilde, np.eye(k), atol=1e-8)
-    assert np.linalg.norm(wm.w_map.T @ t2.to_dense() @ wm.w_map - np.eye(k)) <= 1e-8
+    assert np.linalg.norm(wm.w_map.T @ t2 @ wm.w_map - np.eye(k)) <= 1e-8
     # back projection inverts the whitening on the signal subspace
     assert np.allclose(wm.pseudo_inverse_transpose @ wm.w_map.T @ a[0], a[0], atol=1e-10)
 
 
 def test_whiten_rank_deficiency_error():
-    t2 = Sym2.from_dense(np.outer(np.ones(4), np.ones(4)))
+    t2 = np.outer(np.ones(4), np.ones(4))
     with pytest.raises(NumericalError, match="rank deficient"):
         whiten(t2, 2)
 
@@ -52,7 +52,7 @@ def test_whiten_rank_deficiency_error():
 def test_whiten_eigenvalue_ordering():
     rng = np.random.default_rng(1)
     a = unit_rows(rng, 3, 5)
-    t2 = Sym2.from_dense(sum(s * np.outer(v, v) for s, v in zip([0.3, 2.0, 1.1], a)))
+    t2 = sum(s * np.outer(v, v) for s, v in zip([0.3, 2.0, 1.1], a))
     wm = whiten(t2, 3)
     assert np.all(np.diff(wm.eigenvalues) <= 1e-12)   # descending
 
@@ -120,7 +120,7 @@ def test_recover_exact_population_tensors():
     d, k = 10, 3
     a = unit_rows(rng, k, d)
     pbar = np.array([0.2, 0.3, 0.5])
-    t2 = Sym2.from_dense(2 * sum(pbar[i] * np.outer(a[i], a[i]) for i in range(k)))
+    t2 = 2 * sum(pbar[i] * np.outer(a[i], a[i]) for i in range(k))
     t3 = Sym3.from_dense(6 * sum(pbar[i] * _rank1(a[i]) for i in range(k)))
     cqt = solve_cqt(Activation.linear(), 0.0)
     dec = recover_regressors(t2, t3, k, cqt, restarts=30, iterations=50, seed=2)
@@ -143,7 +143,7 @@ def test_recover_handles_negative_tensor_scale():
     pbar = np.array([0.4, 0.6])
     cqt = CqtCoefficients(alpha=0.0, beta=0.0, gamma=0.0, sigma=0.0,
                           activation=Activation.linear(), c3=-6.0, c2=2.0)
-    t2 = Sym2.from_dense(2 * sum(pbar[i] * np.outer(a[i], a[i]) for i in range(k)))
+    t2 = 2 * sum(pbar[i] * np.outer(a[i], a[i]) for i in range(k))
     t3 = Sym3.from_dense(-6 * sum(pbar[i] * _rank1(a[i]) for i in range(k)))
     dec = recover_regressors(t2, t3, k, cqt, restarts=30, iterations=50, seed=3)
     _, perm, _ = regressor_fit(dec.vectors, a)
@@ -157,7 +157,7 @@ def test_restart_seed_invariance_for_separated_eigenvalues():
     d, k = 8, 3
     a = unit_rows(rng, k, d)
     pbar = np.array([0.5, 0.3, 0.2])
-    t2 = Sym2.from_dense(2 * sum(pbar[i] * np.outer(a[i], a[i]) for i in range(k)))
+    t2 = 2 * sum(pbar[i] * np.outer(a[i], a[i]) for i in range(k))
     t3 = Sym3.from_dense(6 * sum(pbar[i] * _rank1(a[i]) for i in range(k)))
     cqt = solve_cqt(Activation.linear(), 0.0)
     d1 = recover_regressors(t2, t3, k, cqt, restarts=30, iterations=50, seed=100)
@@ -168,7 +168,7 @@ def test_restart_seed_invariance_for_separated_eigenvalues():
 
 def test_recover_rejects_k_above_dimension():
     cqt = solve_cqt(Activation.linear(), 0.0)
-    t2 = Sym2.from_dense(np.eye(3))
+    t2 = np.eye(3)
     t3 = Sym3(3, np.zeros(10))
     with pytest.raises(NumericalError):
         recover_regressors(t2, t3, 4, cqt, restarts=30, iterations=50, seed=0)

@@ -181,6 +181,49 @@ def test_gating_fit_rows_matched_permutation():
     assert fit == pytest.approx(1.0, abs=1e-10)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31 - 1),
+       st.sampled_from(["random", "zero truth", "equal rows"]))
+def test_gating_fit_rows_at_two_experts_is_gating_fit_of_the_difference(d, seed, case):
+    """At k = 2 the one row gating_fit_rows scores is +-(w_0 - w_1). IEEE
+    negation is exact, so under either permutation it returns the bits of
+    gating_fit(w_0 - w_1, truth), and NaN for a zero truth."""
+    rng = np.random.default_rng(seed)
+    w_est = rng.standard_normal((2, d)) * 10.0 ** rng.uniform(-3, 3, (2, d))
+    if case == "equal rows":
+        w_est[1] = w_est[0]
+    truth = np.zeros(d) if case == "zero truth" else rng.standard_normal(d)
+    want = gating_fit(w_est[0] - w_est[1], truth)
+    for perm in ((0, 1), (1, 0)):
+        got = gating_fit_rows(w_est, np.vstack([truth, np.zeros(d)]), perm)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert np.isnan(want) == (case == "zero truth")
+
+
+def test_hungarian_permutation_is_plain_ints_and_serializes():
+    """Above BRUTE_FORCE_LIMIT the matching comes from linear_sum_assignment;
+    its numpy integers must not reach the report, whose JSON would fail."""
+    rng = np.random.default_rng(9)
+    k, d = 9, 20
+    truth = unit_rows(rng, k, d)
+    est = truth[::-1] + 0.01 * rng.standard_normal((k, d))
+    _, perm, exact = regressor_fit(est, truth)
+    assert not exact and perm == tuple(range(k - 1, -1, -1))
+    _, perm_e = param_error(est, np.zeros((k - 1, d)), truth, np.zeros((k - 1, d)))
+    assert all(type(p) is int for p in perm + perm_e)
+    text = FitReport(config={"k": k}, matched_permutation=perm).to_json()
+    assert json.loads(text)["matched_permutation"] == list(perm)
+
+
+def test_fit_report_has_the_schema_one_keys():
+    """Pins the schema: to_dict derives its keys from the dataclass fields,
+    so a new field would otherwise change the report silently."""
+    assert set(FitReport(config={}).to_dict()) == {
+        "schema", "config", "config_hash", "regressor_fit", "gating_fit",
+        "param_error", "matched_permutation", "permutation_exact", "cqt",
+        "decomposition", "traces", "flags", "rng"}
+
+
 def test_fit_report_roundtrip(tmp_path):
     report = FitReport(config={"k": 2, "seed": 1}, regressor_fit=0.95,
                        gating_fit=0.9, param_error=0.3,
@@ -208,8 +251,8 @@ def test_aggregate_and_trace_csv(tmp_path):
     tpath = tmp_path / "trace.csv"
     write_trace_csv(tpath, trace)
     tl = tpath.read_text().strip().splitlines()
-    assert tl[0] == "iter,step_norm,q_value,dist_to_truth"
-    assert tl[1] == "1,0.5,-1.2,"
+    assert tl[0] == "iter,step_norm,q_value,loglik"
+    assert tl[1] == "1,0.5,-1.2,-3.4"
 
 
 def test_config_hash_deterministic_and_order_free():

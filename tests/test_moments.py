@@ -35,7 +35,7 @@ def test_single_sample_at_origin():
     t2, t3 = finalize(acc)
     assert t3.frobenius() == 0.0                      # S3(0) = 0
     p2 = y**2                                          # gamma = 0 for linear
-    assert np.allclose(t2.to_dense(), -p2 * np.eye(2))
+    assert np.allclose(t2, -p2 * np.eye(2))
 
 
 def test_equal_batches_either_order_identical():
@@ -172,7 +172,7 @@ def test_general_k_second_moment_population():
     probs = model.gating_probs(dist.sample(400000, np.random.default_rng(1)))
     pbar = probs.mean(axis=0)
     pop = 2 * sum(pbar[i] * np.outer(model.a[i], model.a[i]) for i in range(k))
-    assert np.max(np.abs(t2.to_dense() - pop)) <= 0.05
+    assert np.max(np.abs(t2 - pop)) <= 0.05
 
 
 def test_outlier_rejection_and_tally():

@@ -8,24 +8,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moelearn import InputDistribution, Sym2, Sym3, scores
+from moelearn import InputDistribution, Sym3, scores
 from moelearn.scores import (packed_indices, packed_size, score2_packed, score3_packed,
                              score_moment)
 
 
 def _score(x, order, dist=None):
     """Score tensor at one point, from the batched packed kernel on a one-row
-    batch; standard Gaussian inputs unless ``dist`` is given."""
+    batch: a dense matrix for order 2, a Sym3 for order 3; standard Gaussian
+    inputs unless ``dist`` is given."""
     x = np.asarray(x, dtype=float)
-    dist = dist or InputDistribution.standard_gaussian(x.shape[0])
-    packed = (score2_packed if order == 2 else score3_packed)(x[None, :], dist)[0]
-    return (Sym2 if order == 2 else Sym3)(x.shape[0], packed)
+    d = x.shape[0]
+    dist = dist or InputDistribution.standard_gaussian(d)
+    if order == 3:
+        return Sym3(d, score3_packed(x[None, :], dist)[0])
+    (i, j), _ = packed_indices(d, 2)
+    dense = np.zeros((d, d))
+    dense[i, j] = dense[j, i] = score2_packed(x[None, :], dist)[0]
+    return dense
 
 
 def test_score2_examples():
-    assert np.allclose(_score(np.zeros(3), 2).to_dense(), -np.eye(3))
-    assert _score(np.array([2.0]), 2).to_dense()[0, 0] == pytest.approx(3.0)
-    got = _score(np.array([1.0, 1.0]), 2).to_dense()
+    assert np.allclose(_score(np.zeros(3), 2), -np.eye(3))
+    assert _score(np.array([2.0]), 2)[0, 0] == pytest.approx(3.0)
+    got = _score(np.array([1.0, 1.0]), 2)
     assert np.allclose(got, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
@@ -82,7 +88,7 @@ def test_gmm_score_degenerate_single_component():
 def test_gmm_score_two_component_symmetry_point():
     mu = np.array([0.7, -0.2, 0.4])
     dist = InputDistribution.gaussian_mixture([0.5, 0.5], np.vstack([mu, -mu]))
-    got = _score(np.zeros(3), 2, dist).to_dense()
+    got = _score(np.zeros(3), 2, dist)
     assert np.allclose(got, np.outer(mu, mu) - np.eye(3), atol=1e-12)
 
 
@@ -109,7 +115,7 @@ def test_gmm_score_matches_numeric_density_derivatives():
             xx[k] += sk * h
             return density(xx)
         hess[j, k] = (shift(1, 1) - shift(1, -1) - shift(-1, 1) + shift(-1, -1)) / (4 * h**2)
-    assert np.allclose(_score(x, 2, dist).to_dense(), hess / density(x), atol=1e-5)
+    assert np.allclose(_score(x, 2, dist), hess / density(x), atol=1e-5)
 
 
 def test_gmm_score_finite_in_far_tails():
@@ -154,9 +160,6 @@ def test_packed_roundtrip_is_lossless(d, seed):
     back = Sym3.from_dense(t).to_dense()
     assert np.array_equal(back, back.transpose(1, 0, 2))
     assert np.allclose(back, t, atol=0)
-    m = rng.standard_normal((d, d))
-    m = (m + m.T) / 2
-    assert np.allclose(Sym2.from_dense(m).to_dense(), m, atol=0)
 
 
 def test_packed_sizes_and_multiplicities():
