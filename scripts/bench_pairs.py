@@ -23,8 +23,17 @@ the trials whose ``run_trial`` output differs as canonical JSON are counted.
 Per workload it also records, over the fields the benchmark's reference
 check reads (``perfbench/reference.py``'s ``checked_fields``), the largest
 |change - parent| of each score and the number of trials whose
-``iterations`` or ``converged`` differ. Last, the Tier-1 verify command
-(``TIER1``) runs once in each tree, BLAS on one thread, and its wall time
+``iterations`` or ``converged`` differ. Each workload also records, per
+seed and side, the wall time of the first pass against the median of the
+later passes of its sweep, so a cost paid once per process (a module
+first imported by a trial) shows where it lands. ``setup_s`` is split by
+layer: ``python -X importtime -c "import moelearn"`` runs three times in
+each tree, and each module's self time goes to ``numpy`` or ``scipy`` when it,
+or the outermost module that imported it, belongs to that package, else to
+``moelearn`` for the package's own modules, else to ``other`` (interpreter
+start-up and the standard library moelearn imports itself); the medians and
+the count of ``scipy`` modules loaded are recorded. Last, the Tier-1 verify
+command (``TIER1``) runs once in each tree, BLAS on one thread, and its wall time
 and pytest summary line are recorded. The line count of each tree's
 ``src/moelearn/*.py`` is recorded too, so a change that deletes code shows
 its deletion beside the metrics.
@@ -49,6 +58,8 @@ from reference import COUNTS, SCORES  # noqa: E402
 from sweep import quartiles  # noqa: E402
 
 CLAIM_WINS = 9
+IMPORT_PROBES = 3
+LIBRARY_LAYERS = ("numpy", "scipy")
 
 # Prints {trial key: {"sha256": of the canonical JSON of its run_trial output,
 # "checked": the fields the reference check reads}}.
@@ -105,17 +116,80 @@ def score_delta(parent, change) -> float:
     return math.inf if math.isnan(delta) else delta
 
 
+def _src_env() -> dict:
+    """The environment, BLAS on one thread, with a tree's src/ first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **_ONE_THREAD, "PYTHONPATH": path}
+
+
 def tier1(tree: Path) -> dict:
     """One Tier-1 run in ``tree``: wall time, exit code and pytest's summary line."""
-    path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, *TIER1], cwd=tree, text=True,
-                          env={**os.environ, **_ONE_THREAD, "PYTHONPATH": path},
+    done = subprocess.run([sys.executable, *TIER1], cwd=tree, text=True, env=_src_env(),
                           stdout=subprocess.PIPE, stderr=subprocess.STDOUT, timeout=3600)
     wall = time.perf_counter() - start
     lines = done.stdout.strip().splitlines()
     return {"wall_s": wall, "returncode": done.returncode,
             "summary": lines[-1] if lines else ""}
+
+
+def import_layers(log: str) -> dict:
+    """Seconds of import time per layer, and the count of scipy modules, from
+    one ``-X importtime`` log. The log lists a module after the modules it
+    imported, indented two spaces deeper."""
+    pending = []   # (level, name, self seconds, children) not yet claimed
+    scipy_modules = 0
+    for line in log.splitlines():
+        if not line.startswith("import time:") or line.endswith("imported package"):
+            continue
+        self_us, _, name = line.split("|")
+        name = name[1:]
+        level = (len(name) - len(name.lstrip())) // 2
+        name = name.strip()
+        scipy_modules += name.split(".")[0] == "scipy"
+        children = []
+        while pending and pending[-1][0] > level:
+            children.append(pending.pop())
+        pending.append((level, name, int(self_us.split(":")[1]) / 1e6, children))
+
+    layers = dict.fromkeys(("numpy", "scipy", "moelearn", "other"), 0.0)
+
+    def charge(node, library):
+        _, name, self_s, children = node
+        top = name.split(".")[0]
+        library = library or (top if top in LIBRARY_LAYERS else None)
+        layers[library or ("moelearn" if top == "moelearn" else "other")] += self_s
+        for child in children:
+            charge(child, library)
+
+    for root in pending:
+        charge(root, None)
+    return {**layers, "total": sum(layers.values()), "scipy_modules": scipy_modules}
+
+
+def setup_layers(trees: dict) -> dict:
+    """Median of IMPORT_PROBES import_layers per tree, the trees alternating."""
+    logs = {side: [] for side in trees}
+    for _ in range(IMPORT_PROBES):
+        for side, tree in trees.items():
+            done = subprocess.run([sys.executable, "-X", "importtime", "-c", "import moelearn"],
+                                  cwd=tree, env=_src_env(), check=True, text=True,
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                  timeout=120)
+            logs[side].append(import_layers(done.stderr))
+    return {side: {name: statistics.median(run[name] for run in runs) for name in runs[0]}
+            for side, runs in logs.items()}
+
+
+def first_pass(runs: list) -> dict:
+    """Per seed, the first pass's wall time and the median of the later passes."""
+    walls = [r["record"]["pass_wall_s"] for r in runs]
+    first = [w[0] for w in walls]
+    later = [statistics.median(w[1:]) if len(w) > 1 else None for w in walls]
+    excess = [f - m for f, m in zip(first, later) if m is not None]
+    return {"first_pass_wall_s": first, "median_later_pass_wall_s": later,
+            "passes": [len(w) for w in walls],
+            "median_first_minus_later_s": statistics.median(excess) if excess else None}
 
 
 def compare(parent: list, change: list, better: str) -> dict:
@@ -217,6 +291,7 @@ def main() -> int:
                 "failed_of_attempted": {side: [sum(r["failed"] for r in runs[side]),
                                                sum(r["attempted"] for r in runs[side])]
                                         for side in runs},
+                "first_pass": {side: first_pass(runs[side]) for side in runs},
             }
 
         if args.claim:
@@ -274,6 +349,16 @@ def main() -> int:
                   "largest |change - parent| of each score and the count of trials "
                   "whose iterations or converged differ",
         "trials": total, "differ": differ, "checked_fields": checked}
+
+    report["setup_layers"] = {
+        "command": "PYTHONPATH=src python -X importtime -c 'import moelearn'",
+        "method": f"median of {IMPORT_PROBES} runs per tree, the trees alternating; a "
+                  f"module's self time counts to numpy or scipy when it, or the outermost "
+                  f"module that imported it, belongs to that package, else to moelearn "
+                  f"for its own modules, else to other; total is their sum; "
+                  f"scipy_modules counts the scipy modules the log lists",
+        **setup_layers(trees)}
+    print(f"setup layers: {report['setup_layers']}", flush=True)
 
     report["tier1"] = {"command": "PYTHONPATH=src python " + " ".join(TIER1),
                        "threads": _ONE_THREAD}

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -98,7 +97,7 @@ class ExperimentConfig(PipelineOptions):
 def _check_dist(dist) -> None:
     """ConfigError unless ``dist`` is an input-law object draw_instance can
     read: kind in INPUT_KINDS, p a number in [0, 1], means and weights
-    numeric, and no other key."""
+    numeric, p and weights not both given, and no other key."""
     if not isinstance(dist, dict) or dist.get("kind", "gaussian") not in INPUT_KINDS:
         raise ConfigError(f"dist must be an object with kind in {INPUT_KINDS}, got {dist!r}")
     unknown = sorted(set(dist) - set(DIST_KEYS))
@@ -107,6 +106,9 @@ def _check_dist(dist) -> None:
     p = dist.get("p", 0.5)
     if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 0.0 <= p <= 1.0:
         raise ConfigError(f"dist p must be a number in [0, 1], got {p!r}")
+    if "p" in dist and "weights" in dist:
+        raise ConfigError("dist sets both p and weights; p is the first of two weights, "
+                          "so give one of them")
     for key in ("means", "weights"):
         if key in dist:
             try:
@@ -206,6 +208,8 @@ def _cell(manifest: dict, label: str, cfg: ExperimentConfig):
 
 def _run_trials(config: ExperimentConfig) -> list[dict]:
     if config.threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
             futures = [pool.submit(run_trial, config, t) for t in range(config.trials)]
             return [f.result() for f in futures]

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .activations import _sigmoid_d1
 from .errors import NumericalError
@@ -87,6 +86,8 @@ def mom_gating(x: np.ndarray, y: np.ndarray, a1: np.ndarray, a2: np.ndarray,
     if sigma <= 0:
         alpha = -1.0   # Phi(inf) = 1 so the population scale is -E[f'] < 0
     else:
+        from scipy.special import ndtr
+
         alpha = float(np.mean(_sigmoid_d1(np.abs(xs @ u))
                               * (1.0 - 2.0 * ndtr(delta / (2.0 * sigma)))))
     w_hat = math.copysign(1.0, alpha) * u
@@ -105,6 +106,8 @@ def ratio_cdf_oracle(x: np.ndarray, z: float, model: MoeModel) -> float:
     delta = float((model.a[0] - model.a[1]) @ x)
     if delta == 0.0:
         raise NumericalError("ratio undefined: <a1 - a2, x> = 0")
+    from scipy.special import ndtr
+
     f = 1.0 / (1.0 + math.exp(-float(model.w[0] @ x)))
     scale = abs(delta) / model.sigma
     return float(f * ndtr((z - 1.0) * scale) + (1.0 - f) * ndtr(z * scale))

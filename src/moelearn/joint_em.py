@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .activations import Activation
 from .errors import ConfigError
@@ -62,6 +61,8 @@ def _sphere_weighted_ls(h: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]
         tau = np.sqrt(max(0.0, 1.0 - float(np.sum(core**2))))
         a = evecs @ core + tau * evecs[:, 0]
         return a / np.linalg.norm(a), ridge_flag
+    from scipy.optimize import brentq
+
     nu = brentq(lambda t: phi(t) - 1.0, lo, hi, xtol=1e-14, rtol=1e-14)
     a = evecs @ (beta / (evals + nu))
     return a / np.linalg.norm(a), ridge_flag

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigError
 from .model import RNG_NAME
@@ -49,6 +48,8 @@ def regressor_fit(est: np.ndarray, truth: np.ndarray) -> tuple[float, tuple, boo
             if val > best:
                 best, best_pi = val, pi
         return float(best), tuple(best_pi), True
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(-cos)   # max-sum approximation, flagged
     pi = [0] * k
     for p, i in zip(rows, cols):
@@ -105,6 +106,8 @@ def param_error(a_est: np.ndarray, w_est: np.ndarray,
             if val < best:
                 best, best_pi = val, pi
         return float(best), tuple(best_pi)
+    from scipy.optimize import linear_sum_assignment
+
     # Hungarian on summed squared costs approximates the coupled objective
     cost = (np.linalg.norm(a_est[:, None, :] - a_true[None, :, :], axis=2) ** 2
             + np.linalg.norm(w_est[:, None, :] - w_true[None, :, :], axis=2) ** 2)

@@ -184,7 +184,10 @@ class InputDistribution:
             m = np.atleast_2d(np.asarray(self.means, dtype=float))
             if w.ndim != 1 or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
                 raise ConfigError("mixture weights must be nonnegative and sum to 1")
-            if m.shape != (w.shape[0], self.d):
+            if m.shape[0] != w.shape[0]:
+                raise ConfigError(f"a mixture needs one mean per weight, got {m.shape[0]} "
+                                  f"means and {w.shape[0]} weights")
+            if m.shape[1:] != (self.d,):
                 raise ConfigError("each mixture mean must have the input dimension")
             object.__setattr__(self, "weights", w)
             object.__setattr__(self, "means", m)

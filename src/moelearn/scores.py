@@ -25,7 +25,7 @@ from .model import InputDistribution, softmax_rows
 
 @lru_cache(maxsize=None)
 def packed_indices(d: int, order: int):
-    """Sorted index tuples, their multiplicities, and S3 correction bookkeeping.
+    """Sorted index tuples of a packed symmetric tensor and their multiplicities.
 
     Returns (idx, mult) where idx is an (order, P) int array of sorted tuples
     in lexicographic order and mult[p] is the number of distinct permutations.

@@ -1,0 +1,42 @@
+"""scripts/bench_pairs.py's split of import time into layers."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+BENCH_PAIRS = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _log(entries):
+    """An ``-X importtime`` log: each module after the modules it imported."""
+    lines = ["import time: self [us] | cumulative | imported package"]
+    lines += [f"import time: {self_us:9d} | {0:10d} | {'  ' * level}{name}"
+              for level, self_us, name in entries]
+    return "\n".join(lines) + "\n"
+
+
+def test_import_layers_charge_each_module_to_its_outermost_library(bench_pairs):
+    log = _log([
+        (1, 100, "_io"), (0, 200, "encodings"),
+        (3, 1000, "numpy._core"), (3, 500, "unittest"), (2, 300, "numpy"), (2, 30, "json"),
+        (1, 2000, "moelearn.activations"),
+        (4, 400, "numpy.linalg"), (4, 600, "inspect"), (3, 700, "scipy.optimize"),
+        (2, 50, "scipy"), (1, 40, "moelearn.gating_mom"),
+        (0, 10, "moelearn"),
+    ])
+    layers = bench_pairs.import_layers(log)
+    assert layers["numpy"] == pytest.approx(1800e-6)    # numpy and what it imported
+    assert layers["scipy"] == pytest.approx(1750e-6)    # with numpy.linalg and inspect
+    assert layers["moelearn"] == pytest.approx(2050e-6)
+    assert layers["other"] == pytest.approx(330e-6)     # start-up and moelearn's json
+    assert layers["total"] == pytest.approx(5930e-6)
+    assert layers["scipy_modules"] == 2

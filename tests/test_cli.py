@@ -200,6 +200,18 @@ def test_mistyped_setting_is_configuration_error(tmp_path, capsys, key, value):
     assert key in err
 
 
+def test_gmm_dist_with_p_and_weights_is_configuration_error(tmp_path, capsys):
+    """p is the first of two default weights, so a dist giving both would
+    lose one of them: refused, and no model drawn."""
+    cfg = _write_config(tmp_path / "cfg.json", out=str(tmp_path / "out"),
+                        dist={"kind": "gmm", "p": 0.3, "weights": [0.5, 0.5]})
+    rc, err = _exit_and_stderr(capsys, ["generate", "--config", str(cfg)])
+    assert rc == 1
+    assert err == ("configuration error: dist sets both p and weights; p is the first "
+                   "of two weights, so give one of them\n")
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
 @pytest.mark.parametrize("k, d", [(3, 3), (2, 1)])
 def test_orthogonal_gating_without_complement_is_configuration_error(tmp_path, capsys,
                                                                      k, d):

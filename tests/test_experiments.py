@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import moelearn
 from moelearn import ExperimentConfig, draw_instance, run_suite
 from moelearn.errors import ConfigError
 from moelearn.experiments import run_trial, trial_seeds
@@ -39,6 +44,34 @@ def test_run_trial_returns_metrics_and_curves():
     assert len(out["gating_fit_curve"]) == len(out["error_curve"])
     out1 = run_trial(cfg, 1)
     assert out1["regressor_fit"] != out["regressor_fit"]   # independent draws
+
+
+# Modules only the side paths load: joint EM's sphere solve (scipy.optimize),
+# method-of-moments gating (scipy.special), the ReLU quadrature oracle
+# (scipy.integrate), k > 8 matching (scipy.optimize) and threaded suites.
+_SIDE_PATH_MODULES = ("scipy.optimize", "scipy.special", "scipy.integrate",
+                      "concurrent.futures.process")
+
+_IMPORT_PROBE = """
+import sys
+import moelearn, moelearn.cli
+from moelearn.experiments import ExperimentConfig, run_trial
+run_trial(ExperimentConfig(k=2, d=4, n=400, trials=1), 0)
+print("\\n".join(sorted(sys.modules)))
+"""
+
+
+def test_spectral_em_fit_loads_no_side_path_modules():
+    """Importing moelearn and its CLI and running one spectral+em trial, in a
+    fresh interpreter, loads none of the modules of the side paths."""
+    src = str(Path(moelearn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], check=True, text=True,
+                          stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+                          timeout=120)
+    loaded = done.stdout.split()
+    assert "moelearn.cli" in loaded
+    assert [m for m in loaded if m.startswith(_SIDE_PATH_MODULES)] == []
 
 
 @settings(max_examples=60, deadline=None)

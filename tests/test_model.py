@@ -100,6 +100,20 @@ def test_gmm_sampling_and_validation():
         InputDistribution.gaussian_mixture([0.5, 0.5], np.ones((3, 2)))
 
 
+def test_mixture_mean_count_mismatch_names_both_counts():
+    """Three means of the right length for two weights: the message gives
+    the counts, not the dimension."""
+    with pytest.raises(ConfigError,
+                       match=r"^a mixture needs one mean per weight, got 3 means and 2 weights$"):
+        InputDistribution.gaussian_mixture([0.5, 0.5], np.ones((3, 6)))
+
+
+def test_mixture_mean_of_wrong_length_names_the_dimension():
+    with pytest.raises(ConfigError,
+                       match=r"^each mixture mean must have the input dimension$"):
+        InputDistribution("gmm", 6, np.array([0.5, 0.5]), np.ones((2, 5)))
+
+
 def test_dimension_mismatch_is_config_error():
     model = make_model(4, k=2, d=5, sigma=0.1)
     with pytest.raises(ConfigError):
