@@ -35,8 +35,9 @@ start-up and the standard library moelearn imports itself); the medians and
 the count of ``scipy`` modules loaded are recorded. Last, the Tier-1 verify
 command (``TIER1``) runs once in each tree, BLAS on one thread, and its wall time
 and pytest summary line are recorded. The line count of each tree's
-``src/moelearn/*.py`` is recorded too, so a change that deletes code shows
-its deletion beside the metrics.
+``src/moelearn/*.py`` and the field count of its ``ExperimentConfig`` (the
+settable values of a fit and its experiment) are recorded too, so a change
+that deletes code or settings shows it beside the metrics.
 """
 
 from __future__ import annotations
@@ -75,6 +76,14 @@ for t in build_trials(sys.argv[1], int(sys.argv[2])):
     outputs[t.key] = {"sha256": hashlib.sha256(json.dumps(out, sort_keys=True).encode())
                       .hexdigest(), "checked": checked_fields(out)}
 print(json.dumps(outputs))
+"""
+
+# Prints the field count of the ExperimentConfig in the current tree's src/.
+_COUNT_FIELDS = """
+import dataclasses, sys
+sys.path.insert(0, "src")
+from moelearn.experiments import ExperimentConfig
+print(len(dataclasses.fields(ExperimentConfig)))
 """
 
 _ONE_THREAD = {name: "1" for name in
@@ -223,6 +232,14 @@ def source_lines(tree: Path) -> int:
                for path in (tree / "src" / "moelearn").glob("*.py"))
 
 
+def config_fields(tree: Path) -> int:
+    """``len(dataclasses.fields(ExperimentConfig))``, read in a subprocess
+    that imports ``tree``'s own src/."""
+    done = subprocess.run([sys.executable, "-c", _COUNT_FIELDS], cwd=tree, check=True,
+                          stdout=subprocess.PIPE, text=True, timeout=120)
+    return int(done.stdout)
+
+
 def source_sha256(tree: Path) -> str:
     digest = hashlib.sha256()
     for path in sorted((tree / "src" / "moelearn").glob("*.py")):
@@ -256,6 +273,7 @@ def main() -> int:
         "parent_commit": args.parent_commit,
         "source_sha256": {side: source_sha256(tree) for side, tree in trees.items()},
         "source_lines": {side: source_lines(tree) for side, tree in trees.items()},
+        "config_fields": {side: config_fields(tree) for side, tree in trees.items()},
         "environment": None,
         "method": (f"Each (workload, seed) ran as `python3 perfbench/sweep.py --workloads W "
                    f"--seeds S --trace 0` in the parent tree and in the change tree, one "

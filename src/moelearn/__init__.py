@@ -22,8 +22,8 @@ from .model import (Dataset, InputDistribution, MoeModel, make_rng,
                     sample_dataset)
 from .moments import MomentAccumulator, accumulate, finalize, raw_third_moment
 from .experiments import ExperimentConfig, draw_instance, run_suite
-from .pipeline import (PipelineOptions, PipelineResult, evaluate, fit_pipeline,
-                       fit_report, predict_moe)
+from .pipeline import (PipelineResult, evaluate, fit_pipeline, fit_report,
+                       predict_moe)
 from .scores import Sym3
 from .tabular import TabularDataset, ingest_csv
 

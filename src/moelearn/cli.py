@@ -74,7 +74,7 @@ def cmd_fit(args) -> int:
     truth = MoeModel.from_json(Path(args.model)) if args.model else None
 
     result = fit_pipeline(data, dist, cfg.k, cfg.sigma, Activation.by_name(cfg.activation),
-                          radius=cfg.radius, seed=cfg.seed, opts=cfg)
+                          radius=cfg.radius, seed=cfg.seed, algo=cfg.algo)
     if result.em_state is not None:
         write_trace_csv(outdir / "trace.csv", result.em_state.trace)
     report = (evaluate(result, truth, cfg.to_dict()) if truth is not None

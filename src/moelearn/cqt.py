@@ -47,8 +47,6 @@ def gaussian_expectation(fn, order: int = DEFAULT_QUADRATURE_ORDER) -> float:
     return float(np.sum(w * fn(z)))
 
 
-_MOMENT_KEYS = ("g1", "gg1", "pair", "g2", "g2g1", "g2gpp", "gg1sq")
-
 # ReLU closed forms under the a.e. derivative convention (g''=g'''=0, g'=1{z>0}):
 #   E[g'] = 1/2, E[g g'] = E[Z+] = 1/sqrt(2 pi), E[g'^2 + g g''] = 1/2,
 #   E[g''] = 0, E[g^2 g'] = 1/2, E[g'' g^2] = 0, E[g g'^2] = 1/sqrt(2 pi).

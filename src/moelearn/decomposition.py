@@ -172,8 +172,8 @@ class DecompositionResult:
         }
 
 
-def recover_regressors(t2: np.ndarray, t3: Sym3, k: int, cqt: CqtCoefficients, *,
-                       restarts: int, iterations: int, seed) -> DecompositionResult:
+def recover_regressors(t2: np.ndarray, t3: Sym3, k: int, cqt: CqtCoefficients,
+                       seed=0) -> DecompositionResult:
     """Whiten, decompose, back-project: unit-norm regressor estimates from (T2, T3).
 
     Signs: both tensors are corrected by the signs of c2 and c3 so the whitened
@@ -185,7 +185,7 @@ def recover_regressors(t2: np.ndarray, t3: Sym3, k: int, cqt: CqtCoefficients, *
         raise NumericalError(f"cannot recover k={k} components in dimension {d}")
     wm = whiten(t2, k, c2_sign=np.sign(cqt.c2))
     t3w = t3.contract_all_modes(wm.w_map) * np.sign(cqt.c3)
-    pm = power_method(t3w, k, restarts=restarts, iterations=iterations, seed=seed)
+    pm = power_method(t3w, k, seed=seed)
 
     back = wm.pseudo_inverse_transpose
     vectors = np.zeros((k, d))
@@ -199,5 +199,5 @@ def recover_regressors(t2: np.ndarray, t3: Sym3, k: int, cqt: CqtCoefficients, *
         weights[i] = pm.eigenvalues[i] * nrm**3
     return DecompositionResult(vectors, weights,
                                residual=pm.deflation_norms[-1] if pm.deflation_norms else 0.0,
-                               restarts=restarts, residuals=pm.residuals,
+                               restarts=pm.restarts, residuals=pm.residuals,
                                weak_flags=pm.weak_flags, deflation_norms=pm.deflation_norms)

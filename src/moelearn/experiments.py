@@ -24,7 +24,7 @@ from .metrics import (canonical_gauge, config_hash, gating_fit,
                       param_error_min_gauge, write_aggregate_csv)
 from .model import (INPUT_KINDS, Dataset, InputDistribution, MoeModel, make_rng,
                     sample_dataset)
-from .pipeline import PipelineOptions, evaluate, fit_pipeline, predict_moe
+from .pipeline import ALGORITHMS, evaluate, fit_pipeline, predict_moe
 from .tabular import ingest_csv
 
 # the keys of an ExperimentConfig's dist object
@@ -32,10 +32,10 @@ DIST_KEYS = ("kind", "p", "means", "weights")
 
 
 @dataclass
-class ExperimentConfig(PipelineOptions):
-    """A single experiment cell, which is also its fit's ``PipelineOptions``;
-    all defaults are explicit after loading."""
+class ExperimentConfig:
+    """A single experiment cell; all defaults are explicit after loading."""
 
+    algo: str = "spectral+em"
     experiment: str = "custom"
     k: int = 2
     d: int = 10
@@ -52,14 +52,16 @@ class ExperimentConfig(PipelineOptions):
     # real-data fields
     csv_path: Optional[str] = None
     feature_cols: Optional[list] = None
-    target_col: Optional[str] = None
+    target_col: Optional[str | int] = None
     split: float = 0.75
 
     def __post_init__(self):
-        super().__post_init__()
         require_numbers(self, ints=("k", "d", "n", "trials", "seed", "threads"),
                         reals=("sigma", "radius", "split"))
+        _check_types(self)
         _check_dist(self.dist)
+        if self.algo not in ALGORITHMS:
+            raise ConfigError(f"unknown algorithm {self.algo!r}; choose from {ALGORITHMS}")
         if self.k < 1 or self.d < 1 or self.n < 1 or self.trials < 1:
             raise ConfigError("k, d, n, trials must be positive")
         if self.sigma < 0:
@@ -92,6 +94,31 @@ class ExperimentConfig(PipelineOptions):
 
     def hash(self) -> str:
         return config_hash(self.to_dict())
+
+
+def _is_column(value) -> bool:
+    """A CSV column name or index; a bool is neither."""
+    return isinstance(value, (str, int)) and not isinstance(value, bool)
+
+
+def _check_types(config: ExperimentConfig) -> None:
+    """ConfigError unless each setting that is not a number has its type. A
+    JSON config can give 5 for a path, "no" for a flag or "ab" for a column
+    list, and each would be used as it stands or fail later with a traceback."""
+    cols = config.feature_cols
+    for name, what, ok in (
+            ("experiment", "a string", isinstance(config.experiment, str)),
+            ("activation", "a string", isinstance(config.activation, str)),
+            ("out", "a string", isinstance(config.out, str)),
+            ("orthogonal", "true or false", isinstance(config.orthogonal, bool)),
+            ("csv_path", "a string or null", config.csv_path is None
+             or isinstance(config.csv_path, str)),
+            ("feature_cols", "a list of column names or indices, or null", cols is None
+             or (isinstance(cols, list) and all(map(_is_column, cols)))),
+            ("target_col", "a column name or index, or null", config.target_col is None
+             or _is_column(config.target_col))):
+        if not ok:
+            raise ConfigError(f"{name} must be {what}, got {getattr(config, name)!r}")
 
 
 def _check_dist(dist) -> None:
@@ -173,7 +200,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
     model, dist = draw_instance(config, model_seed)
     data = sample_dataset(model, dist, config.n, data_seed)
     result = fit_pipeline(data, dist, config.k, config.sigma, model.activation,
-                          radius=config.radius, seed=algo_seed, opts=config)
+                          radius=config.radius, seed=algo_seed, algo=config.algo)
     report = evaluate(result, model, config.to_dict())
 
     out = {"trial": trial, "regressor_fit": report.regressor_fit,
@@ -381,10 +408,9 @@ def suite_realdata(base: ExperimentConfig, outdir: Path, manifest: dict) -> list
     rows = []
     h = base.hash()
     for algo in ("spectral+em", "joint-em"):
-        cfg = replace(base, algo=algo, d=d)
         try:
-            res = fit_pipeline(data, dist, cfg.k, cfg.sigma, act, radius=cfg.radius,
-                               seed=cfg.seed, opts=cfg)
+            res = fit_pipeline(data, dist, base.k, base.sigma, act, radius=base.radius,
+                               seed=base.seed, algo=algo)
             pred_tr = predict_moe(res.a_est, res.w_padded, act, tab.train_x)
             pred_te = predict_moe(res.a_est, res.w_padded, act, tab.test_x)
             var_tr = float(np.var(pred_tr))

@@ -28,9 +28,9 @@ from .scores import Sym3, packed_indices, packed_size, score_moment
 CHUNK = 4096
 
 # A single corrupted record can dominate the cubed labels; samples with
-# |P3(y)| above cap_multiplier times the chunk's median finite |P3(y)|, and
+# |P3(y)| above CAP_MULTIPLIER times the chunk's median finite |P3(y)|, and
 # samples whose P3(y) is not finite, are rejected.
-DEFAULT_CAP_MULTIPLIER = 50.0
+CAP_MULTIPLIER = 50.0
 
 
 @dataclass
@@ -44,7 +44,6 @@ class MomentAccumulator:
     d: int
     cqt: CqtCoefficients
     dist: InputDistribution
-    cap_multiplier: float = DEFAULT_CAP_MULTIPLIER
     chunks: list = field(default_factory=list)   # one _ChunkTally per chunk
     # running packed sums of P2(y) S2(x) and P3(y) S3(x). The first chunk's
     # sums start them (not zeros, which would turn its -0.0 entries into 0.0).
@@ -93,7 +92,7 @@ def accumulate(acc: MomentAccumulator, batch) -> MomentAccumulator:
         finite = np.isfinite(p3c)
         # one NaN would make the median, and so the cap, NaN for the whole chunk
         scale = np.median(np.abs(p3c[finite])) if finite.any() else 0.0
-        cap = acc.cap_multiplier * max(scale, 1e-12)
+        cap = CAP_MULTIPLIER * max(scale, 1e-12)
         sel = finite & (np.abs(p3c) <= cap)
         xs = x[start:stop][sel]
         if xs.shape[0]:

@@ -19,7 +19,7 @@ import numpy as np
 from .activations import Activation
 from .cqt import CqtCoefficients, solve_cqt
 from .decomposition import DecompositionResult, recover_regressors
-from .errors import ConfigError, NumericalError, require_numbers
+from .errors import ConfigError, NumericalError
 from .gating_em import EmState, run_em, run_gradient_em
 from .gating_mom import mom_gating
 from .joint_em import run_joint_em
@@ -29,33 +29,6 @@ from .model import Dataset, InputDistribution, MoeModel, softmax_rows
 from .moments import MomentAccumulator, accumulate, finalize
 
 ALGORITHMS = ("spectral+em", "spectral+gradient-em", "spectral+mom", "joint-em")
-
-
-@dataclass
-class PipelineOptions:
-    algo: str = "spectral+em"
-    restarts: int = 30
-    power_iterations: int = 50
-    em_eps: float = 1e-4
-    em_max_iters: int = 100
-    em_radius: Optional[float] = None   # default: 2R, so any expert-order gauge fits
-    outlier_cap: float = 50.0
-    force_gaussian_score: bool = False  # ablation: ignore known GMM input law
-
-    def __post_init__(self):
-        require_numbers(self, ints=("restarts", "power_iterations", "em_max_iters"),
-                        reals=("em_eps", "outlier_cap")
-                        + (("em_radius",) if self.em_radius is not None else ()))
-        if self.algo not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algo!r}; choose from {ALGORITHMS}")
-        if self.restarts < 1 or self.power_iterations < 1 or self.em_max_iters < 1:
-            raise ConfigError("restarts, power_iterations and em_max_iters must be >= 1")
-        if self.em_eps < 0:
-            raise ConfigError("em_eps must be nonnegative")
-        if self.em_radius is not None and self.em_radius <= 0:
-            raise ConfigError("em_radius must be positive when set")
-        if self.outlier_cap <= 0:
-            raise ConfigError("outlier_cap must be positive")
 
 
 @dataclass
@@ -85,43 +58,40 @@ def predict_moe(a: np.ndarray, w_padded: np.ndarray, activation: Activation,
 
 
 def spectral_regressors(data: Dataset, dist: InputDistribution, k: int, sigma: float,
-                        activation: Activation, opts: PipelineOptions, seed=0,
+                        activation: Activation, seed=0,
                         ) -> tuple[DecompositionResult, CqtCoefficients]:
     """Algorithm-1 stage: moment tensors and their rank-k decomposition."""
     cqt = _stage("cqt", solve_cqt, activation, sigma)
-    score_dist = dist
-    if opts.force_gaussian_score and dist.kind == "gmm":
-        score_dist = InputDistribution.standard_gaussian(dist.d)
-    acc = MomentAccumulator(data.d, cqt, score_dist, cap_multiplier=opts.outlier_cap)
+    acc = MomentAccumulator(data.d, cqt, dist)
     accumulate(acc, data)
     t2, t3 = finalize(acc)
-    dec = _stage("decomposition", recover_regressors, t2, t3, k, cqt,
-                 restarts=opts.restarts, iterations=opts.power_iterations, seed=seed)
+    dec = _stage("decomposition", recover_regressors, t2, t3, k, cqt, seed=seed)
     return dec, cqt
 
 
 def fit_pipeline(data: Dataset, dist: InputDistribution, k: int, sigma: float,
                  activation: Activation, radius: float = 1.0, seed=0,
-                 opts: PipelineOptions = PipelineOptions()) -> PipelineResult:
-    """Run the selected algorithm end to end on one dataset."""
+                 algo: str = "spectral+em") -> PipelineResult:
+    """Run the algorithm ``algo`` (one of ALGORITHMS) end to end on one dataset."""
+    if algo not in ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
     if data.d != dist.d:
         raise ConfigError("dataset and input distribution dimensions differ")
 
-    if opts.algo == "joint-em":
+    if algo == "joint-em":
         state = _stage("joint-em", run_joint_em, data.x, data.y, k, sigma, activation,
-                       radius=radius, seed=seed, eps=opts.em_eps,
-                       max_iters=opts.em_max_iters)
+                       radius=radius, seed=seed)
         w_pad = canonical_gauge(np.vstack([state.w, np.zeros((1, data.d))]))
-        return PipelineResult(opts.algo, state.a, w_pad, em_state=state)
+        return PipelineResult(algo, state.a, w_pad, em_state=state)
 
-    dec, cqt = spectral_regressors(data, dist, k, sigma, activation, opts, seed=seed)
+    dec, cqt = spectral_regressors(data, dist, k, sigma, activation, seed=seed)
     a_est = dec.vectors
-    result = PipelineResult(opts.algo, a_est, np.zeros((k, data.d)), cqt=cqt,
+    result = PipelineResult(algo, a_est, np.zeros((k, data.d)), cqt=cqt,
                             decomposition=dec)
     if dec.weak_flags:
         result.flags.append(f"weak power-method components: {dec.weak_flags}")
 
-    if opts.algo == "spectral+mom":
+    if algo == "spectral+mom":
         if k != 2:
             raise ConfigError("the method-of-moments gating estimator requires k = 2")
         if activation.name != "linear":
@@ -134,11 +104,10 @@ def fit_pipeline(data: Dataset, dist: InputDistribution, k: int, sigma: float,
                                                      np.zeros((1, data.d))]))
         return result
 
-    em_radius = opts.em_radius if opts.em_radius is not None else 2.0 * radius
-    runner = run_em if opts.algo == "spectral+em" else run_gradient_em
+    runner = run_em if algo == "spectral+em" else run_gradient_em
+    # a gating radius of 2R, so any expert-order gauge of the truth fits
     state = _stage("gating-em", runner, data.x, data.y, a_est, sigma, activation,
-                   radius=em_radius, eps=opts.em_eps, max_iters=opts.em_max_iters,
-                   seed=seed, truth=None)
+                   radius=2.0 * radius, seed=seed, truth=None)
     if not state.converged:
         result.flags.append("gating EM hit the iteration cap without converging")
     result.em_state = state

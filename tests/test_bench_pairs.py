@@ -1,9 +1,13 @@
-"""scripts/bench_pairs.py's split of import time into layers."""
+"""scripts/bench_pairs.py's split of import time into layers and its count of
+config fields."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+from moelearn import ExperimentConfig
 
 BENCH_PAIRS = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 
@@ -40,3 +44,15 @@ def test_import_layers_charge_each_module_to_its_outermost_library(bench_pairs):
     assert layers["other"] == pytest.approx(330e-6)     # start-up and moelearn's json
     assert layers["total"] == pytest.approx(5930e-6)
     assert layers["scipy_modules"] == 2
+
+
+def test_config_fields_counts_the_tree_own_experiment_config(bench_pairs, tmp_path):
+    package = tmp_path / "src" / "moelearn"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "experiments.py").write_text(
+        "from dataclasses import dataclass\n\n\n@dataclass\nclass ExperimentConfig:\n"
+        "    algo: str = 'spectral+em'\n    k: int = 2\n    d: int = 10\n")
+    assert bench_pairs.config_fields(tmp_path) == 3
+    assert (bench_pairs.config_fields(BENCH_PAIRS.parents[1])
+            == len(dataclasses.fields(ExperimentConfig)))

@@ -154,7 +154,7 @@ def _exit_and_stderr(capsys, argv):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("restarts", 0), ("power_iterations", 0), ("outlier_cap", 0), ("em_radius", -1),
+    ("k", 0), ("n", 0), ("trials", 0), ("sigma", -0.1),
     ("radius", -1), ("threads", -2), ("split", 1.5), ("seed", -1),
     ("dist", {"kind": "gmm", "p": 1.5}), ("dist", {"kind": "gmm", "p": -0.1}),
     ("dist", {"kind": "gmm", "mean": [0]})])
@@ -165,6 +165,21 @@ def test_invalid_setting_is_configuration_error(generated, tmp_path, capsys, key
                                         "--data", str(run / "dataset.csv")])
     assert rc == 1
     assert err.startswith("configuration error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("key, value", [
+    ("restarts", 30), ("power_iterations", 50), ("em_eps", 1e-4), ("em_max_iters", 100),
+    ("em_radius", None), ("outlier_cap", 50.0), ("force_gaussian_score", True)])
+def test_removed_setting_is_unknown_key(generated, tmp_path, capsys, key, value):
+    """The power-method, EM and outlier-cap settings are fixed values, not
+    config keys (README, "Fixed fit settings"): a config that sets one, even
+    to its fixed value, is refused by name."""
+    cfg, run = generated
+    bad = _write_config(tmp_path / "bad.json", out=str(tmp_path / "out"), **{key: value})
+    rc, err = _exit_and_stderr(capsys, ["fit", "--config", str(bad),
+                                        "--data", str(run / "dataset.csv")])
+    assert rc == 1
+    assert err == f"configuration error: unknown config keys: ['{key}']\n"
 
 
 @pytest.mark.parametrize("command", [["generate"], ["experiment", "--suite", "table1"]])
@@ -186,14 +201,17 @@ def test_malformed_config_is_configuration_error(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("dist", "gmm"), ("k", 2.5), ("n", True), ("em_max_iters", 10.5), ("sigma", "0.1"),
+    ("dist", "gmm"), ("k", 2.5), ("n", True), ("out", 5), ("sigma", "0.1"),
     ("dist", {"kind": "uniform"}), ("dist", {"kind": "gmm", "p": "abc"}),
     ("dist", {"kind": "gmm", "p": True}), ("dist", {"kind": "gmm", "weights": "x"}),
-    ("dist", {"kind": "gmm", "means": [[0.0], [1.0, 2.0]]})])
+    ("dist", {"kind": "gmm", "means": [[0.0], [1.0, 2.0]]}),
+    ("orthogonal", "no"), ("feature_cols", "ab"), ("feature_cols", [True]),
+    ("csv_path", 5), ("experiment", 3), ("activation", ["linear"]), ("target_col", True)])
 def test_mistyped_setting_is_configuration_error(tmp_path, capsys, key, value):
     """Values of the wrong type that no range check trips: a string for the
-    input law, a float or bool for a count, a string for a number."""
-    bad = _write_config(tmp_path / "bad.json", out=str(tmp_path / "out"), **{key: value})
+    input law, a float or bool for a count, a string for a number, a number
+    for a path or name, a string for a flag or a column list."""
+    bad = _write_config(tmp_path / "bad.json", **{"out": str(tmp_path / "out"), key: value})
     rc, err = _exit_and_stderr(capsys, ["generate", "--config", str(bad)])
     assert rc == 1
     assert err.startswith("configuration error: ") and len(err.splitlines()) == 1

@@ -123,7 +123,7 @@ def test_recover_exact_population_tensors():
     t2 = 2 * sum(pbar[i] * np.outer(a[i], a[i]) for i in range(k))
     t3 = Sym3.from_dense(6 * sum(pbar[i] * _rank1(a[i]) for i in range(k)))
     cqt = solve_cqt(Activation.linear(), 0.0)
-    dec = recover_regressors(t2, t3, k, cqt, restarts=30, iterations=50, seed=2)
+    dec = recover_regressors(t2, t3, k, cqt, seed=2)
     fit, perm, _ = regressor_fit(dec.vectors, a)
     assert fit >= 1 - 1e-6
     for i in range(k):
@@ -145,7 +145,7 @@ def test_recover_handles_negative_tensor_scale():
                           activation=Activation.linear(), c3=-6.0, c2=2.0)
     t2 = 2 * sum(pbar[i] * np.outer(a[i], a[i]) for i in range(k))
     t3 = Sym3.from_dense(-6 * sum(pbar[i] * _rank1(a[i]) for i in range(k)))
-    dec = recover_regressors(t2, t3, k, cqt, restarts=30, iterations=50, seed=3)
+    dec = recover_regressors(t2, t3, k, cqt, seed=3)
     _, perm, _ = regressor_fit(dec.vectors, a)
     for i in range(k):
         assert np.linalg.norm(dec.vectors[perm[i]] - a[i]) <= 1e-8
@@ -160,8 +160,8 @@ def test_restart_seed_invariance_for_separated_eigenvalues():
     t2 = 2 * sum(pbar[i] * np.outer(a[i], a[i]) for i in range(k))
     t3 = Sym3.from_dense(6 * sum(pbar[i] * _rank1(a[i]) for i in range(k)))
     cqt = solve_cqt(Activation.linear(), 0.0)
-    d1 = recover_regressors(t2, t3, k, cqt, restarts=30, iterations=50, seed=100)
-    d2 = recover_regressors(t2, t3, k, cqt, restarts=30, iterations=50, seed=200)
+    d1 = recover_regressors(t2, t3, k, cqt, seed=100)
+    d2 = recover_regressors(t2, t3, k, cqt, seed=200)
     assert np.allclose(d1.vectors, d2.vectors, atol=1e-8)
     assert np.allclose(d1.weights, d2.weights, atol=1e-8)
 
@@ -171,7 +171,7 @@ def test_recover_rejects_k_above_dimension():
     t2 = np.eye(3)
     t3 = Sym3(3, np.zeros(10))
     with pytest.raises(NumericalError):
-        recover_regressors(t2, t3, 4, cqt, restarts=30, iterations=50, seed=0)
+        recover_regressors(t2, t3, 4, cqt, seed=0)
 
 
 def test_power_method_weak_component_flag():

@@ -101,8 +101,8 @@ def test_config_validation_and_json(tmp_path):
 
 def test_config_hash_pinned():
     """Suite CSVs carry this hash in their config_hash column."""
-    assert ExperimentConfig().hash() == "21b3bbee180b7c5c"
-    assert ExperimentConfig(k=3, d=7, n=500, sigma=0.2).hash() == "899d4bf0021d5dad"
+    assert ExperimentConfig().hash() == "68c2f84ad29592dc"
+    assert ExperimentConfig(k=3, d=7, n=500, sigma=0.2).hash() == "42d78022b859a789"
 
 
 def test_small_suites_run_clean(tmp_path):

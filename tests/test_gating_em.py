@@ -409,12 +409,12 @@ def test_contraction_ratios_below_one_before_plateau():
 
 def test_estimated_regressors_gating_fit_within_five_iterations():
     # the table-2 instance: spectral regressors then EM; fit >= 0.9 by iter 5
-    from moelearn import PipelineOptions, fit_pipeline
+    from moelearn import fit_pipeline
     model = make_model(100, k=2, d=10, sigma=0.1)
     dist = InputDistribution.standard_gaussian(10)
     data = sample_dataset(model, dist, 2000, seed=200)
     res = fit_pipeline(data, dist, 2, 0.1, model.activation, seed=300,
-                       opts=PipelineOptions(algo="spectral+em"))
+                       algo="spectral+em")
     fits = []
     for _, w_t in res.em_state.iterates[:5]:
         fits.append(gating_fit(w_t[0], model.w[0]))

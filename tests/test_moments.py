@@ -284,7 +284,7 @@ def test_rank_k_component_dominates_transformed_tensor():
         acc = _acc(10, Activation.linear(), 0.1)
         accumulate(acc, data)
         t2, t3 = finalize(acc)
-        dec = recover_regressors(t2, t3, k, acc.cqt, restarts=30, iterations=50, seed=1)
+        dec = recover_regressors(t2, t3, k, acc.cqt, seed=1)
         dense = t3.to_dense()
         approx = sum(wt * np.einsum("a,b,c->abc", v, v, v)
                      for wt, v in zip(dec.weights, dec.vectors))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from moelearn import (InputDistribution, PipelineOptions, evaluate,
+from moelearn import (ExperimentConfig, InputDistribution, evaluate,
                       fit_pipeline, predict_moe, sample_dataset)
 from moelearn.errors import ConfigError
 
@@ -26,10 +26,9 @@ def test_gradient_em_variant_close_to_em(gaussian10):
     model = make_model(62, k=2, d=10, sigma=0.1)
     data = sample_dataset(model, gaussian10, 4000, seed=63)
     r1 = fit_pipeline(data, gaussian10, 2, 0.1, model.activation, seed=2,
-                      opts=PipelineOptions(algo="spectral+em"))
+                      algo="spectral+em")
     r2 = fit_pipeline(data, gaussian10, 2, 0.1, model.activation, seed=2,
-                      opts=PipelineOptions(algo="spectral+gradient-em",
-                                           em_max_iters=400))
+                      algo="spectral+gradient-em")
     assert np.allclose(r1.a_est, r2.a_est)   # same spectral stage
     f1 = evaluate(r1, model, {}).gating_fit
     f2 = evaluate(r2, model, {}).gating_fit
@@ -40,19 +39,19 @@ def test_mom_variant_restrictions_and_recovery(gaussian10):
     model = make_model(64, k=2, d=10, sigma=0.1)
     data = sample_dataset(model, gaussian10, 50000, seed=65)
     res = fit_pipeline(data, gaussian10, 2, 0.1, model.activation, seed=3,
-                       opts=PipelineOptions(algo="spectral+mom"))
+                       algo="spectral+mom")
     rep = evaluate(res, model, {})
     assert rep.gating_fit > 0.9
     model3 = make_model(66, k=3, d=10, sigma=0.1)
     data3 = sample_dataset(model3, gaussian10, 3000, seed=67)
     with pytest.raises(ConfigError):
         fit_pipeline(data3, gaussian10, 3, 0.1, model3.activation, seed=3,
-                     opts=PipelineOptions(algo="spectral+mom"))
+                     algo="spectral+mom")
     sig = make_model(68, k=2, d=10, sigma=0.1, activation="sigmoid")
     dsig = sample_dataset(sig, gaussian10, 3000, seed=69)
     with pytest.raises(ConfigError):
         fit_pipeline(dsig, gaussian10, 2, 0.1, sig.activation, seed=3,
-                     opts=PipelineOptions(algo="spectral+mom"))
+                     algo="spectral+mom")
 
 
 def test_force_gaussian_score_ablation():
@@ -64,25 +63,21 @@ def test_force_gaussian_score_ablation():
     dist = InputDistribution.gaussian_mixture([0.5, 0.5], np.vstack([mu, -mu]))
     data = sample_dataset(model, dist, 4000, seed=71)
     right = fit_pipeline(data, dist, 2, 0.1, model.activation, seed=4)
-    wrong = fit_pipeline(data, dist, 2, 0.1, model.activation, seed=4,
-                         opts=PipelineOptions(force_gaussian_score=True))
+    wrong = fit_pipeline(data, InputDistribution.standard_gaussian(8), 2, 0.1,
+                         model.activation, seed=4)
     f_right = evaluate(right, model, {}).regressor_fit
     f_wrong = evaluate(wrong, model, {}).regressor_fit
     assert f_right > 0.85
     assert f_right >= f_wrong - 0.05   # the matched score is not worse
 
 
-def test_unknown_algorithm_rejected():
-    with pytest.raises(ConfigError):
-        PipelineOptions(algo="alchemy")
-
-
-@pytest.mark.parametrize("key, value", [
-    ("restarts", 0), ("power_iterations", 0), ("em_eps", -1e-4), ("em_max_iters", 0),
-    ("em_radius", 0.0), ("em_radius", -1.0), ("outlier_cap", 0.0)])
-def test_invalid_setting_rejected(key, value):
-    with pytest.raises(ConfigError, match=key):
-        PipelineOptions(**{key: value})
+def test_unknown_algorithm_rejected(gaussian10):
+    with pytest.raises(ConfigError, match="alchemy"):
+        ExperimentConfig(algo="alchemy")
+    model = make_model(74, k=2, d=10, sigma=0.1)
+    data = sample_dataset(model, gaussian10, 100, seed=1)
+    with pytest.raises(ConfigError, match="alchemy"):
+        fit_pipeline(data, gaussian10, 2, 0.1, model.activation, algo="alchemy")
 
 
 def test_predict_moe_matches_model(gaussian10):
