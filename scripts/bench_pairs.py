@@ -37,12 +37,17 @@ command (``TIER1``) runs once in each tree, BLAS on one thread, and its wall tim
 and pytest summary line are recorded. The line count of each tree's
 ``src/moelearn/*.py`` and the field count of its ``ExperimentConfig`` (the
 settable values of a fit and its experiment) are recorded too, so a change
-that deletes code or settings shows it beside the metrics.
+that deletes code or settings shows it beside the metrics. Each tree also runs
+every suite once at ``trials=2, seed=3, n=800`` (BLAS on one thread), realdata
+on a stand-in CSV written once at a fixed path in the work directory; the
+sha256 of every file the suites write is recorded per tree, with the list of
+files that differ between the trees and a unified diff of each.
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import json
 import math
@@ -86,6 +91,22 @@ from moelearn.experiments import ExperimentConfig
 print(len(dataclasses.fields(ExperimentConfig)))
 """
 
+# Runs every suite into sys.argv[1] at trials=2, seed=3, n=800, realdata on the
+# stand-in CSV sys.argv[2], and prints {file name: text} of every file written.
+_SUITE_OUTPUTS = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, "src")
+from moelearn import ExperimentConfig, run_suite
+from moelearn.experiments import SUITES
+out = Path(sys.argv[1])
+config = ExperimentConfig(trials=2, seed=3, n=800, csv_path=sys.argv[2],
+                          feature_cols=["c1", "c2", "c3", "c4"], target_col="target")
+for name in SUITES:
+    run_suite(name, config, out)
+print(json.dumps({p.name: p.read_bytes().decode() for p in sorted(out.iterdir())}))
+"""
+
 _ONE_THREAD = {name: "1" for name in
                ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -112,6 +133,46 @@ def trial_outputs(tree: Path, workload: str, seed: int) -> dict:
                           cwd=tree, check=True, stdout=subprocess.PIPE, text=True,
                           env={**os.environ, **_ONE_THREAD}, timeout=1800)
     return json.loads(done.stdout)
+
+
+def write_standin_csv(path: Path) -> None:
+    """The synthetic stand-in for a real-data CSV that tests/test_cli.py's
+    realdata tests fit: 1,030 rows of c1..c4 and a two-expert target."""
+    import numpy as np
+
+    rng = np.random.default_rng(12)
+    n = 1030
+    x = rng.standard_normal((n, 4)) * [3.0, 1.0, 0.5, 2.0] + [1.0, 0.0, -1.0, 2.0]
+    choose = 1 / (1 + np.exp(-(x - x.mean(0)) @ np.array([0.0, 0.0, 1.0, 0.0])))
+    z = rng.random(n) < choose
+    y = np.where(z, x @ [1.0, -0.5, 0.0, 0.2], x @ [-0.3, 0.8, 0.1, -0.4])
+    y += 0.05 * rng.standard_normal(n)
+    with path.open("w") as fh:
+        fh.write("c1,c2,c3,c4,target\n")
+        for i in range(n):
+            fh.write(",".join(f"{v:.8f}" for v in x[i]) + f",{y[i]:.8f}\n")
+
+
+def suite_outputs(tree: Path, out: Path, standin: Path) -> dict:
+    """{file name: text} of every file the suites write in ``tree``."""
+    done = subprocess.run([sys.executable, "-c", _SUITE_OUTPUTS, str(out), str(standin)],
+                          cwd=tree, check=True, stdout=subprocess.PIPE, text=True,
+                          env={**os.environ, **_ONE_THREAD}, timeout=3600)
+    return json.loads(done.stdout)
+
+
+def compare_suite_outputs(outputs: dict) -> dict:
+    """Per side, the sha256 of each file; the files whose bytes differ between
+    the sides or that one side alone wrote; and a unified diff of each."""
+    digests = {side: {name: hashlib.sha256(text.encode()).hexdigest()
+                      for name, text in files.items()} for side, files in outputs.items()}
+    names = sorted(digests["parent"].keys() | digests["change"].keys())
+    differ = [name for name in names
+              if digests["parent"].get(name) != digests["change"].get(name)]
+    diffs = {name: list(difflib.unified_diff(
+        outputs["parent"].get(name, "").splitlines(), outputs["change"].get(name, "").splitlines(),
+        f"parent/{name}", f"change/{name}", lineterm="")) for name in differ}
+    return {**digests, "differ": differ, "diffs": diffs}
 
 
 def score_delta(parent, change) -> float:
@@ -341,6 +402,16 @@ def main() -> int:
             "command": f"python3 perfbench/run.py --workload W --seed {trace_seed} "
                        f"--trace 1 (through sweep.py)",
             "seed": trace_seed, "workloads": traced}
+
+        standin = work / "realdata_standin.csv"
+        write_standin_csv(standin)
+        report["suite_digests"] = {
+            "method": "every suite run once per tree by run_suite at ExperimentConfig("
+                      "trials=2, seed=3, n=800), realdata on a stand-in CSV at one path "
+                      "for both trees, BLAS on one thread; sha256 of each file's bytes",
+            **compare_suite_outputs({side: suite_outputs(tree, work / f"suites-{side}", standin)
+                                     for side, tree in trees.items()})}
+        print(f"suite files differ: {report['suite_digests']['differ']}", flush=True)
 
     differ, checked, total = {}, {}, 0
     for workload in workloads:

@@ -1,8 +1,8 @@
 """Scalar expert activations with derivatives up to order 3.
 
 ReLU convention: g'(0) = 0 and g'' = g''' = 0 pointwise. The Dirac parts of
-the ReLU derivatives never appear here; Gaussian expectations that need them
-are handled analytically by the label-transform solver.
+the ReLU derivatives never appear here, and ``cqt`` drops them too, so its
+ReLU transform leaves E[S3''] = 0.327, not 0 (see its module docstring).
 """
 
 from __future__ import annotations

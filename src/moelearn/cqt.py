@@ -12,9 +12,10 @@ The nonzero scales c3 = E[S3'''(Z)] and c2 = E[S2''(Z)] multiply the rank-one
 terms of the population moment tensors.
 
 Moments are computed by Gauss-Hermite quadrature (order 80 by default). ReLU
-moments use half-line closed forms: quadrature of kinked integrands converges
-too slowly, and the a.e. convention g'' = 0 (no Dirac mass) is the one under
-which the solved coefficients also annihilate the distributional parts.
+moments use half-line closed forms under the a.e. convention g'' = g''' = 0,
+as quadrature of kinked integrands converges too slowly. That convention does
+not annihilate the distributional parts: g' jumps at 0, so by Stein's lemma
+E[S3''(Z)] = (beta + 3 sigma^2) phi(0) = 0.327, not 0 (ROADMAP.md, ReLU item).
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import json
 import numbers
 from dataclasses import asdict, dataclass, field, replace
@@ -20,8 +19,8 @@ import numpy as np
 
 from .activations import Activation
 from .errors import ConfigError, MoeError, require_numbers
-from .metrics import (canonical_gauge, config_hash, gating_fit,
-                      param_error_min_gauge, write_aggregate_csv)
+from .metrics import (canonical_gauge, config_hash, gating_fit, param_error_min_gauge,
+                      write_csv)
 from .model import (INPUT_KINDS, Dataset, InputDistribution, MoeModel, make_rng,
                     sample_dataset)
 from .pipeline import ALGORITHMS, evaluate, fit_pipeline, predict_moe
@@ -224,15 +223,6 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
     return out
 
 
-def _cell(manifest: dict, label: str, cfg: ExperimentConfig):
-    """Run one suite cell; on failure record it and keep the completed rows."""
-    try:
-        return _run_trials(cfg)
-    except MoeError as exc:
-        manifest["failures"].append(f"{label}: {exc}")
-        return None
-
-
 def _run_trials(config: ExperimentConfig) -> list[dict]:
     if config.threads > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -243,150 +233,141 @@ def _run_trials(config: ExperimentConfig) -> list[dict]:
     return [run_trial(config, t) for t in range(config.trials)]
 
 
+def _cells(base: ExperimentConfig, manifest: dict, fixed: dict,
+           cells: list[tuple[str, dict]]) -> list[tuple]:
+    """(label, config, trial results) of each cell ``replace(base, **fixed, **overrides)``;
+    a failed cell's results are None and the manifest lists it."""
+    out = []
+    for label, overrides in cells:
+        cfg = replace(base, **fixed, **overrides)
+        try:
+            results = _run_trials(cfg)
+        except MoeError as exc:
+            manifest["failures"].append(f"{label}: {exc}")
+            results = None
+        out.append((label, cfg, results))
+    return out
+
+
 def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _write_rows(path: Path, header: list[str], rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _mean_std(results: list[dict], metric: str) -> tuple[float, float]:
+    vals = np.array([r[metric] for r in results])
+    return float(vals.mean()), float(vals.std())
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: each returns {file name: (header, rows)} and run_suite writes them
 # ---------------------------------------------------------------------------
 
-def suite_table2(base: ExperimentConfig, outdir: Path, manifest: dict) -> list[Path]:
+_COMPARED = ("spectral+em", "joint-em")
+_AGGREGATE_HEADER = ["config_hash", "metric", "mean", "std", "trials"]
+
+
+def suite_table2(base: ExperimentConfig, manifest: dict) -> dict:
     """Orthogonal vs non-orthogonal fit table (k=2, d=10, sigma=0.1, n=2000)."""
+    fixed = dict(experiment="table2", k=2, d=10, sigma=0.1, algo="spectral+em",
+                 dist={"kind": "gaussian"})
+    cells = [("orthogonal", {"orthogonal": True}), ("non-orthogonal", {"orthogonal": False})]
     rows, agg = [], []
-    for label, orth in (("orthogonal", True), ("non-orthogonal", False)):
-        cfg = replace(base, experiment="table2", k=2, d=10, sigma=0.1, n=base.n,
-                      orthogonal=orth, algo="spectral+em",
-                      dist={"kind": "gaussian"})
-        results = _cell(manifest, label, cfg)
+    for label, cfg, results in _cells(base, manifest, fixed, cells):
         if results is None:
             continue
         for metric in ("regressor_fit", "gating_fit"):
-            vals = np.array([r[metric] for r in results])
-            rows.append([label, metric, _fmt(float(vals.mean())),
-                         _fmt(float(vals.std())), len(vals), cfg.hash()])
-            agg.append({"config_hash": cfg.hash(), "metric": f"{label}:{metric}",
-                        "mean": float(vals.mean()), "std": float(vals.std()),
-                        "trials": len(vals)})
-    path = outdir / "table2.csv"
-    _write_rows(path, ["setting", "metric", "mean", "std", "trials", "config_hash"], rows)
-    agg_path = outdir / "table2_aggregate.csv"
-    write_aggregate_csv(agg_path, agg)
-    return [path, agg_path]
+            mean, std = _mean_std(results, metric)
+            rows.append([label, metric, _fmt(mean), _fmt(std), len(results), cfg.hash()])
+            agg.append([cfg.hash(), f"{label}:{metric}", _fmt(mean), _fmt(std), len(results)])
+    return {"table2.csv": (["setting", "metric", "mean", "std", "trials", "config_hash"], rows),
+            "table2_aggregate.csv": (_AGGREGATE_HEADER, agg)}
 
 
-def suite_table1(base: ExperimentConfig, outdir: Path, manifest: dict) -> list[Path]:
+def suite_table1(base: ExperimentConfig, manifest: dict) -> dict:
     """Gaussian-mixture-input fit table over mixing probabilities."""
-    ps = (0.1, 0.3, 0.5, 0.7, 0.9)
-    cells = {}
-    hashes = []
+    fixed = dict(experiment="table1", k=2, d=10, sigma=0.1, orthogonal=False,
+                 algo="spectral+em")
+    cells = _cells(base, manifest, fixed, [(f"p={p}", {"dist": {"kind": "gmm", "p": p}})
+                                           for p in (0.1, 0.3, 0.5, 0.7, 0.9)])
+    table = {"regressor_fit": ["regressor_fit"], "gating_fit": ["gating_fit"]}
     agg = []
-    for p in ps:
-        cfg = replace(base, experiment="table1", k=2, d=10, sigma=0.1, n=base.n,
-                      orthogonal=False, algo="spectral+em",
-                      dist={"kind": "gmm", "p": p})
-        results = _cell(manifest, f"p={p}", cfg)
-        hashes.append(cfg.hash())
-        if results is None:
-            for metric in ("regressor_fit", "gating_fit"):
-                cells[(metric, p)] = "failed"
-            continue
-        for metric in ("regressor_fit", "gating_fit"):
-            vals = np.array([r[metric] for r in results])
-            cells[(metric, p)] = f"{vals.mean():.3f} +/- {vals.std():.3f}"
-            agg.append({"config_hash": cfg.hash(), "metric": f"p={p}:{metric}",
-                        "mean": float(vals.mean()), "std": float(vals.std()),
-                        "trials": len(vals)})
-    rows = [[metric] + [cells[(metric, p)] for p in ps] + [config_hash({"cells": hashes})]
-            for metric in ("regressor_fit", "gating_fit")]
-    path = outdir / "table1.csv"
-    _write_rows(path, ["metric"] + [f"p={p}" for p in ps] + ["config_hash"], rows)
-    agg_path = outdir / "table1_aggregate.csv"
-    write_aggregate_csv(agg_path, agg)
-    return [path, agg_path]
+    for label, cfg, results in cells:
+        for metric, row in table.items():
+            if results is None:
+                row.append("failed")
+                continue
+            mean, std = _mean_std(results, metric)
+            row.append(f"{mean:.3f} +/- {std:.3f}")
+            agg.append([cfg.hash(), f"{label}:{metric}", _fmt(mean), _fmt(std), len(results)])
+    h = config_hash({"cells": [cfg.hash() for _, cfg, _ in cells]})
+    header = ["metric"] + [label for label, _, _ in cells] + ["config_hash"]
+    return {"table1.csv": (header, [row + [h] for row in table.values()]),
+            "table1_aggregate.csv": (_AGGREGATE_HEADER, agg)}
 
 
-def _suite_fig_k(base: ExperimentConfig, outdir: Path, manifest: dict, k: int) -> list[Path]:
+def _suite_fig_k(base: ExperimentConfig, manifest: dict, k: int) -> dict:
     """Per-iteration E(A, W) curves: spectral pipeline vs joint EM."""
+    fixed = dict(experiment=f"fig_k{k}", k=k, d=10, sigma=0.5, n=8000, orthogonal=False,
+                 dist={"kind": "gaussian"})
     rows = []
-    for algo in ("spectral+em", "joint-em"):
-        cfg = replace(base, experiment=f"fig_k{k}", k=k, d=10, sigma=0.5, n=8000,
-                      orthogonal=False, algo=algo, dist={"kind": "gaussian"})
-        results = _cell(manifest, algo, cfg)
-        if results is None:
-            continue
+    for algo, cfg, results in _cells(base, manifest, fixed,
+                                     [(algo, {"algo": algo}) for algo in _COMPARED]):
         h = cfg.hash()
-        for r in results:
+        for r in results or []:
             for it, err in enumerate(r.get("error_curve", []), start=1):
                 rows.append([algo, r["trial"], it, _fmt(err), h])
-    path = outdir / f"fig_k{k}.csv"
-    _write_rows(path, ["algo", "trial", "iter", "param_error", "config_hash"], rows)
-    return [path]
+    return {f"fig_k{k}.csv": (["algo", "trial", "iter", "param_error", "config_hash"], rows)}
 
 
-def suite_fig_nonorth(base: ExperimentConfig, outdir: Path, manifest: dict) -> list[Path]:
+def suite_fig_nonorth(base: ExperimentConfig, manifest: dict) -> dict:
     """GatingFit vs EM iteration under the non-orthogonal draw (k=2)."""
-    cfg = replace(base, experiment="fig_nonorth", k=2, d=10, sigma=0.1, n=2000,
-                  orthogonal=False, algo="spectral+em", dist={"kind": "gaussian"})
-    results = _cell(manifest, "fig_nonorth", cfg) or []
+    fixed = dict(experiment="fig_nonorth", k=2, d=10, sigma=0.1, n=2000, orthogonal=False,
+                 algo="spectral+em", dist={"kind": "gaussian"})
+    [(_, cfg, results)] = _cells(base, manifest, fixed, [("fig_nonorth", {})])
     rows = []
     h = cfg.hash()
-    for r in results:
+    for r in results or []:
         for it, fit in enumerate(r.get("gating_fit_curve", []), start=1):
             rows.append([r["trial"], it, _fmt(fit), h])
-    path = outdir / "fig_nonorth.csv"
-    _write_rows(path, ["trial", "iter", "gating_fit", "config_hash"], rows)
-    return [path]
+    return {"fig_nonorth.csv": (["trial", "iter", "gating_fit", "config_hash"], rows)}
 
 
-def suite_varying_n(base: ExperimentConfig, outdir: Path, manifest: dict) -> list[Path]:
+def suite_varying_n(base: ExperimentConfig, manifest: dict) -> dict:
     """Final E(A, W) for both algorithms as the sample count grows."""
+    fixed = dict(experiment="varying_n", k=3, d=5, sigma=0.5, orthogonal=False,
+                 dist={"kind": "gaussian"})
+    cells = [(f"n={n}:{algo}", {"n": n, "algo": algo})
+             for n in (1000, 5000, 10000) for algo in _COMPARED]
     rows = []
-    for n in (1000, 5000, 10000):
-        for algo in ("spectral+em", "joint-em"):
-            cfg = replace(base, experiment="varying_n", k=3, d=5, sigma=0.5, n=n,
-                          orthogonal=False, algo=algo, dist={"kind": "gaussian"})
-            results = _cell(manifest, f"n={n}:{algo}", cfg)
-            if results is None:
-                continue
-            vals = np.array([r["param_error"] for r in results])
-            rows.append([n, algo, _fmt(float(np.median(vals))), _fmt(float(vals.mean())),
-                         _fmt(float(vals.std())), len(vals), cfg.hash()])
-    path = outdir / "varying_n.csv"
-    _write_rows(path, ["n", "algo", "median", "mean", "std", "trials", "config_hash"], rows)
-    return [path]
+    for _, cfg, results in _cells(base, manifest, fixed, cells):
+        if results is None:
+            continue
+        vals = np.array([r["param_error"] for r in results])
+        rows.append([cfg.n, cfg.algo, _fmt(float(np.median(vals))), _fmt(float(vals.mean())),
+                     _fmt(float(vals.std())), len(vals), cfg.hash()])
+    return {"varying_n.csv": (["n", "algo", "median", "mean", "std", "trials", "config_hash"],
+                              rows)}
 
 
-def suite_nonlinear(base: ExperimentConfig, outdir: Path, manifest: dict) -> list[Path]:
+def suite_nonlinear(base: ExperimentConfig, manifest: dict) -> dict:
     """Sigmoid and ReLU experts, spectral pipeline vs joint EM."""
+    fixed = dict(experiment="nonlinear", k=3, d=5, sigma=0.1, n=10000, orthogonal=False,
+                 dist={"kind": "gaussian"})
+    cells = [(f"{act}:{algo}", {"activation": act, "algo": algo})
+             for act in ("sigmoid", "relu") for algo in _COMPARED]
     rows = []
-    for act in ("sigmoid", "relu"):
-        for algo in ("spectral+em", "joint-em"):
-            cfg = replace(base, experiment="nonlinear", k=3, d=5, sigma=0.1,
-                          n=10000, activation=act, algo=algo,
-                          orthogonal=False, dist={"kind": "gaussian"})
-            results = _cell(manifest, f"{act}:{algo}", cfg)
-            if results is None:
-                continue
-            vals = np.array([r["param_error"] for r in results])
-            fits = np.array([r["regressor_fit"] for r in results])
-            rows.append([act, algo, _fmt(float(np.median(vals))),
-                         _fmt(float(fits.mean())), len(vals), cfg.hash()])
-    path = outdir / "nonlinear.csv"
-    _write_rows(path, ["activation", "algo", "median_param_error",
-                       "mean_regressor_fit", "trials", "config_hash"], rows)
-    return [path]
+    for _, cfg, results in _cells(base, manifest, fixed, cells):
+        if results is None:
+            continue
+        vals = np.array([r["param_error"] for r in results])
+        fits = np.array([r["regressor_fit"] for r in results])
+        rows.append([cfg.activation, cfg.algo, _fmt(float(np.median(vals))),
+                     _fmt(float(fits.mean())), len(vals), cfg.hash()])
+    return {"nonlinear.csv": (["activation", "algo", "median_param_error",
+                               "mean_regressor_fit", "trials", "config_hash"], rows)}
 
 
-def suite_realdata(base: ExperimentConfig, outdir: Path, manifest: dict) -> list[Path]:
+def suite_realdata(base: ExperimentConfig, manifest: dict) -> dict:
     """Prediction error on a user-supplied CSV: spectral vs joint EM vs the
     test-set variance baseline. Inputs are whitened and the target scaled to
     [-1, 1]; errors are reported in the scaled units.
@@ -406,8 +387,8 @@ def suite_realdata(base: ExperimentConfig, outdir: Path, manifest: dict) -> list
     dist = InputDistribution.standard_gaussian(d)
     act = Activation.by_name(base.activation)
     rows = []
-    h = base.hash()
-    for algo in ("spectral+em", "joint-em"):
+    for algo in _COMPARED:
+        h = replace(base, experiment="realdata", algo=algo, d=d).hash()   # the fitted config
         try:
             res = fit_pipeline(data, dist, base.k, base.sigma, act, radius=base.radius,
                                seed=base.seed, algo=algo)
@@ -425,18 +406,16 @@ def suite_realdata(base: ExperimentConfig, outdir: Path, manifest: dict) -> list
         except MoeError as exc:
             rows.append([algo, f"failed: {exc}", "", h])
     baseline = float(np.var(tab.test_y))
-    rows.append(["test_variance", _fmt(baseline), _fmt(baseline), h])
-    path = outdir / "realdata.csv"
-    _write_rows(path, ["method", "prediction_error", "prediction_error_uncalibrated",
-                       "config_hash"], rows)
-    return [path]
+    rows.append(["test_variance", _fmt(baseline), _fmt(baseline), base.hash()])
+    return {"realdata.csv": (["method", "prediction_error", "prediction_error_uncalibrated",
+                              "config_hash"], rows)}
 
 
 _SUITE_FNS = {
     "table1": suite_table1,
     "table2": suite_table2,
-    "fig_k3": lambda cfg, out, man: _suite_fig_k(cfg, out, man, 3),
-    "fig_k4": lambda cfg, out, man: _suite_fig_k(cfg, out, man, 4),
+    "fig_k3": lambda cfg, man: _suite_fig_k(cfg, man, 3),
+    "fig_k4": lambda cfg, man: _suite_fig_k(cfg, man, 4),
     "fig_nonorth": suite_fig_nonorth,
     "varying_n": suite_varying_n,
     "nonlinear": suite_nonlinear,
@@ -446,18 +425,21 @@ SUITES = tuple(_SUITE_FNS)
 
 
 def run_suite(name: str, config: ExperimentConfig, outdir: str | Path) -> dict:
-    """Run one suite; completed outputs are kept and failures listed in the
-    manifest."""
+    """Run one suite and write its tables; completed outputs are kept and
+    failures listed in the manifest."""
     if name not in _SUITE_FNS:
         raise ConfigError(f"unknown suite {name!r}; choose from {SUITES}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = {"suite": name, "config_hash": config.hash(), "outputs": [], "failures": []}
     try:
-        paths = _SUITE_FNS[name](config, outdir, manifest)
-        manifest["outputs"] = [p.name for p in paths]
+        tables = _SUITE_FNS[name](config, manifest)
     except MoeError as exc:
         manifest["failures"].append(str(exc))
+        tables = {}
+    for file_name, (header, rows) in tables.items():
+        write_csv(outdir / file_name, header, rows)
+        manifest["outputs"].append(file_name)
     (outdir / f"{name}.manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest

@@ -214,21 +214,16 @@ class FitReport:
         return text
 
 
-def write_aggregate_csv(path: str | Path, rows: list[dict]) -> None:
-    """Aggregate table: config_hash, metric, mean, std, trials."""
+def write_csv(path: str | Path, header: list, rows: list[list]) -> None:
+    """A header row, then ``rows``, as the csv module quotes them."""
     with Path(path).open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["config_hash", "metric", "mean", "std", "trials"])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (f"{v:.10g}" if isinstance(v, float) else v)
-                             for k, v in row.items()})
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_trace_csv(path: str | Path, trace: list) -> None:
     """Per-iteration trace: iter, step_norm, q_value, loglik."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "step_norm", "q_value", "loglik"])
-        for row in trace:
-            writer.writerow([row.iteration, f"{row.step_norm:.10g}", f"{row.q_value:.10g}",
-                             f"{row.loglik:.10g}"])
+    write_csv(path, ["iter", "step_norm", "q_value", "loglik"],
+              [[row.iteration, f"{row.step_norm:.10g}", f"{row.q_value:.10g}",
+                f"{row.loglik:.10g}"] for row in trace])

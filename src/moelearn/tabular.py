@@ -65,7 +65,7 @@ def _read_numeric_csv(path: Path, columns) -> tuple[np.ndarray, list, int]:
         header = [h.strip() for h in header]
 
         def col_index(col):
-            if isinstance(col, int):
+            if isinstance(col, int) and not isinstance(col, bool):   # a bool is no index
                 if col < 0 or col >= len(header):
                     raise DataError(f"column index {col} out of range")
                 return col

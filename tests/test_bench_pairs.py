@@ -1,5 +1,5 @@
-"""scripts/bench_pairs.py's split of import time into layers and its count of
-config fields."""
+"""scripts/bench_pairs.py's split of import time into layers, its count of
+config fields and its comparison of suite outputs."""
 
 import dataclasses
 import importlib.util
@@ -56,3 +56,16 @@ def test_config_fields_counts_the_tree_own_experiment_config(bench_pairs, tmp_pa
     assert bench_pairs.config_fields(tmp_path) == 3
     assert (bench_pairs.config_fields(BENCH_PAIRS.parents[1])
             == len(dataclasses.fields(ExperimentConfig)))
+
+
+def test_compare_suite_outputs_lists_changed_and_one_sided_files(bench_pairs):
+    same = "a,b\r\n1,2\r\n"
+    outputs = {"parent": {"same.csv": same, "moved.csv": "h\r\nx\r\n", "gone.csv": "g\r\n"},
+               "change": {"same.csv": same, "moved.csv": "h\r\ny\r\n", "new.csv": "n\r\n"}}
+    result = bench_pairs.compare_suite_outputs(outputs)
+    assert result["differ"] == ["gone.csv", "moved.csv", "new.csv"]
+    assert result["parent"]["same.csv"] == result["change"]["same.csv"]
+    assert result["parent"]["moved.csv"] != result["change"]["moved.csv"]
+    assert "new.csv" not in result["parent"] and "gone.csv" not in result["change"]
+    assert result["diffs"]["moved.csv"][2:] == ["@@ -1,2 +1,2 @@", " h", "-x", "+y"]
+    assert set(result["diffs"]) == set(result["differ"])

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -455,8 +456,8 @@ def test_experiment_cli_unknown_suite(tmp_path):
     assert main(["experiment", "--suite", "bogus"]) == 1
 
 
-def test_realdata_suite_structural(tmp_path):
-    # synthetic stand-in CSV; prediction error must beat the variance baseline
+def _realdata_config(tmp_path):
+    """A config for the realdata suite on a synthetic stand-in CSV."""
     rng = np.random.default_rng(12)
     n = 1030
     x = rng.standard_normal((n, 4)) * [3.0, 1.0, 0.5, 2.0] + [1.0, 0.0, -1.0, 2.0]
@@ -470,10 +471,14 @@ def test_realdata_suite_structural(tmp_path):
         fh.write("c1,c2,c3,c4,target\n")
         for i in range(n):
             fh.write(",".join(f"{v:.8f}" for v in x[i]) + f",{y[i]:.8f}\n")
-    cfg = ExperimentConfig(experiment="realdata", k=2, sigma=0.1, seed=2,
-                           csv_path=str(path), feature_cols=["c1", "c2", "c3", "c4"],
-                           target_col="target")
-    manifest = run_suite("realdata", cfg, tmp_path / "rd")
+    return ExperimentConfig(experiment="realdata", k=2, sigma=0.1, seed=2,
+                            csv_path=str(path), feature_cols=["c1", "c2", "c3", "c4"],
+                            target_col="target")
+
+
+def test_realdata_suite_structural(tmp_path):
+    # prediction error must beat the variance baseline
+    manifest = run_suite("realdata", _realdata_config(tmp_path), tmp_path / "rd")
     assert not manifest["failures"]
     rows = (tmp_path / "rd" / "realdata.csv").read_text().strip().splitlines()[1:]
     table = {line.split(",")[0]: line.split(",")[1] for line in rows}
@@ -482,6 +487,19 @@ def test_realdata_suite_structural(tmp_path):
     variance = float(table["test_variance"])
     assert spectral <= variance
     assert joint <= variance
+
+
+def test_realdata_rows_hash_each_method_config(tmp_path):
+    """Each method row carries the hash of the config it was fitted with (its
+    algo, d = the fitted feature count); the baseline row the suite's own."""
+    cfg = _realdata_config(tmp_path)
+    run_suite("realdata", cfg, tmp_path / "rd")
+    rows = (tmp_path / "rd" / "realdata.csv").read_text().strip().splitlines()[1:]
+    hashes = {line.split(",")[0]: line.split(",")[-1] for line in rows}
+    for algo in ("spectral+em", "joint-em"):
+        assert hashes[algo] == replace(cfg, experiment="realdata", algo=algo, d=4).hash()
+    assert hashes["spectral+em"] != hashes["joint-em"]
+    assert hashes["test_variance"] == cfg.hash()
 
 
 def _ingest_set(path, n):

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moelearn
-from moelearn import ExperimentConfig, draw_instance, run_suite
-from moelearn.errors import ConfigError
+from moelearn import ExperimentConfig, draw_instance, experiments, run_suite
+from moelearn.errors import ConfigError, NumericalError
 from moelearn.experiments import run_trial, trial_seeds
 
 
@@ -151,3 +151,127 @@ def test_fig_k3_suite_small(tmp_path):
 def test_unknown_suite_rejected(tmp_path):
     with pytest.raises(ConfigError):
         run_suite("bogus", ExperimentConfig(), tmp_path)
+
+
+# The cells _stub_trial fails: one per suite.
+_FAILING = {
+    "table1": lambda cfg: cfg.dist.get("p") == 0.5,
+    "table2": lambda cfg: not cfg.orthogonal,
+    "fig_k3": lambda cfg: cfg.algo == "joint-em",
+    "fig_nonorth": lambda cfg: True,
+    "varying_n": lambda cfg: cfg.n == 5000 and cfg.algo == "joint-em",
+    "nonlinear": lambda cfg: cfg.activation == "relu" and cfg.algo == "spectral+em",
+}
+
+
+def _stub_trial(config, trial):
+    """run_trial's keys, from numbers that tell the cells apart, without a fit."""
+    if _FAILING[config.experiment](config):
+        raise NumericalError(f"stub failure in {config.experiment}")
+    x = (trial / 4 + config.k / 8 + config.n / 3e4 + (config.algo == "joint-em") / 16
+         + config.dist.get("p", 0) / 10 + (config.activation == "relu") / 32
+         + config.orthogonal / 64)
+    return {"trial": trial, "regressor_fit": 1 - x / 2, "gating_fit": x / 3,
+            "param_error": x, "error_curve": [x, x / 2],
+            "gating_fit_curve": [1 - x, 1 - x / 5]}
+
+
+def _crlf(*lines):
+    return "".join(line + "\r\n" for line in lines)
+
+
+_STUB_OUTPUTS = {
+    "table1": {
+        "table1.csv": (
+            "metric,p=0.1,p=0.3,p=0.5,p=0.7,p=0.9,config_hash",
+            "regressor_fit,0.794 +/- 0.062,0.784 +/- 0.062,failed,0.764 +/- 0.062,"
+            "0.754 +/- 0.062,bf12858733b5b09e",
+            "gating_fit,0.137 +/- 0.042,0.144 +/- 0.042,failed,0.157 +/- 0.042,"
+            "0.164 +/- 0.042,bf12858733b5b09e",
+        ),
+        "table1_aggregate.csv": (
+            "config_hash,metric,mean,std,trials",
+            "a1d363bdef57fb0d,p=0.1:regressor_fit,0.7941666667,0.0625,2",
+            "a1d363bdef57fb0d,p=0.1:gating_fit,0.1372222222,0.04166666667,2",
+            "c96f1945e6b1adb2,p=0.3:regressor_fit,0.7841666667,0.0625,2",
+            "c96f1945e6b1adb2,p=0.3:gating_fit,0.1438888889,0.04166666667,2",
+            "84223fe8df720bdc,p=0.7:regressor_fit,0.7641666667,0.0625,2",
+            "84223fe8df720bdc,p=0.7:gating_fit,0.1572222222,0.04166666667,2",
+            "d4428ac433de81e6,p=0.9:regressor_fit,0.7541666667,0.0625,2",
+            "d4428ac433de81e6,p=0.9:gating_fit,0.1638888889,0.04166666667,2",
+        ),
+    },
+    "table2": {
+        "table2.csv": (
+            "setting,metric,mean,std,trials,config_hash",
+            "orthogonal,regressor_fit,0.7913541667,0.0625,2,e9417d72c0161e28",
+            "orthogonal,gating_fit,0.1390972222,0.04166666667,2,e9417d72c0161e28",
+        ),
+        "table2_aggregate.csv": (
+            "config_hash,metric,mean,std,trials",
+            "e9417d72c0161e28,orthogonal:regressor_fit,0.7913541667,0.0625,2",
+            "e9417d72c0161e28,orthogonal:gating_fit,0.1390972222,0.04166666667,2",
+        ),
+    },
+    "fig_k3": {
+        "fig_k3.csv": (
+            "algo,trial,iter,param_error,config_hash",
+            "spectral+em,0,1,0.6416666667,410ee270c20e1cb7",
+            "spectral+em,0,2,0.3208333333,410ee270c20e1cb7",
+            "spectral+em,1,1,0.8916666667,410ee270c20e1cb7",
+            "spectral+em,1,2,0.4458333333,410ee270c20e1cb7",
+        ),
+    },
+    "fig_nonorth": {
+        "fig_nonorth.csv": (
+            "trial,iter,gating_fit,config_hash",
+        ),
+    },
+    "varying_n": {
+        "varying_n.csv": (
+            "n,algo,median,mean,std,trials,config_hash",
+            "1000,spectral+em,0.5333333333,0.5333333333,0.125,2,6d5fe2de1cf06039",
+            "1000,joint-em,0.5958333333,0.5958333333,0.125,2,2ed66cff49734cff",
+            "5000,spectral+em,0.6666666667,0.6666666667,0.125,2,8844e1d33735a938",
+            "10000,spectral+em,0.8333333333,0.8333333333,0.125,2,8bcb2996f2fee837",
+            "10000,joint-em,0.8958333333,0.8958333333,0.125,2,f836733162ccec53",
+        ),
+    },
+    "nonlinear": {
+        "nonlinear.csv": (
+            "activation,algo,median_param_error,mean_regressor_fit,trials,config_hash",
+            "sigmoid,spectral+em,0.8333333333,0.5833333333,2,75cb02e485e93a78",
+            "sigmoid,joint-em,0.8958333333,0.5520833333,2,121429ac8af14e3d",
+            "relu,joint-em,0.9270833333,0.5364583333,2,91d102d960368ef3",
+        ),
+    },
+}
+_STUB_FAILURES = {
+    "table1": "p=0.5: stub failure in table1",
+    "table2": "non-orthogonal: stub failure in table2",
+    "fig_k3": "joint-em: stub failure in fig_k3",
+    "fig_nonorth": "fig_nonorth: stub failure in fig_nonorth",
+    "varying_n": "n=5000:joint-em: stub failure in varying_n",
+    "nonlinear": "relu:spectral+em: stub failure in nonlinear",
+}
+
+
+def test_suite_layouts_with_a_failed_cell(tmp_path, monkeypatch):
+    """Each suite's exact CSV text when one of its cells fails: table1 writes
+    `failed`, the other suites leave the cell's rows out, and the manifest
+    lists the cell as "<label>: <message>"."""
+    monkeypatch.setattr(experiments, "run_trial", _stub_trial)
+    base = ExperimentConfig(trials=2, seed=3, n=800)
+    for suite, outputs in _STUB_OUTPUTS.items():
+        manifest = run_suite(suite, base, tmp_path / suite)
+        assert manifest == {"suite": suite, "config_hash": base.hash(),
+                            "outputs": list(outputs), "failures": [_STUB_FAILURES[suite]]}
+        for name, lines in outputs.items():
+            assert (tmp_path / suite / name).read_bytes().decode() == _crlf(*lines), name
+
+    monkeypatch.setitem(_FAILING, "fig_nonorth", lambda cfg: False)
+    assert run_suite("fig_nonorth", base, tmp_path / "clean")["failures"] == []
+    assert (tmp_path / "clean" / "fig_nonorth.csv").read_bytes().decode() == _crlf(
+        "trial,iter,gating_fit,config_hash",
+        "0,1,0.6833333333,d2752cd89c5a97c9", "0,2,0.9366666667,d2752cd89c5a97c9",
+        "1,1,0.4333333333,d2752cd89c5a97c9", "1,2,0.8866666667,d2752cd89c5a97c9")

@@ -9,8 +9,7 @@ from moelearn import canonical_gauge, gating_fit, param_error, regressor_fit
 from moelearn import metrics
 from moelearn.errors import ConfigError
 from moelearn.metrics import (FitReport, config_hash, gating_fit_rows,
-                              param_error_min_gauge, write_aggregate_csv,
-                              write_trace_csv)
+                              param_error_min_gauge, write_trace_csv)
 
 from conftest import unit_rows
 
@@ -237,15 +236,7 @@ def test_fit_report_roundtrip(tmp_path):
     assert payload["rng"] == "philox4x64"
 
 
-def test_aggregate_and_trace_csv(tmp_path):
-    rows = [{"config_hash": "abc", "metric": "regressor_fit", "mean": 0.9,
-             "std": 0.05, "trials": 10}]
-    path = tmp_path / "agg.csv"
-    write_aggregate_csv(path, rows)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "config_hash,metric,mean,std,trials"
-    assert lines[1].startswith("abc,regressor_fit,0.9,")
-
+def test_trace_csv(tmp_path):
     from moelearn.gating_em import TraceRow
     trace = [TraceRow(1, 0.5, -1.2, -3.4, float("nan"))]
     tpath = tmp_path / "trace.csv"

@@ -125,6 +125,16 @@ def test_missing_column_and_file_errors(tmp_path):
         ingest_csv(path, ["a"], "y", split=1.5)
 
 
+def test_bool_is_not_a_column_index(tmp_path):
+    # True == 1, but a bool names no column
+    path = tmp_path / "f.csv"
+    _write_csv(path, ["a", "b", "y"], [[1.0, 2.0, 0.5], [2.0, 3.0, 0.1], [3.0, 1.0, 0.7]])
+    with pytest.raises(DataError, match="True"):
+        ingest_csv(path, [True, "b"], "y")
+    with pytest.raises(DataError, match="False"):
+        ingest_csv(path, ["a"], False)
+
+
 def test_split_determinism(toy_csv):
     t1 = ingest_csv(toy_csv, ["f1", "f2", "f3"], "y", seed=7)
     t2 = ingest_csv(toy_csv, ["f1", "f2", "f3"], "y", seed=7)
