@@ -33,8 +33,9 @@ or the outermost module that imported it, belongs to that package, else to
 ``moelearn`` for the package's own modules, else to ``other`` (interpreter
 start-up and the standard library moelearn imports itself); the medians and
 the count of ``scipy`` modules loaded are recorded. Last, the Tier-1 verify
-command (``TIER1``) runs once in each tree, BLAS on one thread, and its wall time
-and pytest summary line are recorded. The line count of each tree's
+command (``TIER1``) runs once in each tree, BLAS on one thread, and its wall time,
+pytest summary line and ten slowest tests (``--durations=10``, as ``{test id:
+seconds}``) are recorded. The line count of each tree's
 ``src/moelearn/*.py`` and the field count of its ``ExperimentConfig`` (the
 settable values of a fit and its experiment) are recorded too, so a change
 that deletes code or settings shows it beside the metrics. Each tree also runs
@@ -52,6 +53,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -113,6 +115,7 @@ _ONE_THREAD = {name: "1" for name in
 # ROADMAP.md's Tier-1 verify command, run by this interpreter with src/ first
 # on PYTHONPATH.
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+SLOWEST = "--durations=10"
 
 
 def sweep(tree: Path, workload: str, seed: int, trace: int, work: Path) -> dict:
@@ -193,14 +196,28 @@ def _src_env() -> dict:
 
 
 def tier1(tree: Path) -> dict:
-    """One Tier-1 run in ``tree``: wall time, exit code and pytest's summary line."""
+    """One Tier-1 run in ``tree``: wall time, exit code, pytest's summary line
+    and its ten slowest tests."""
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, *TIER1], cwd=tree, text=True, env=_src_env(),
-                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT, timeout=3600)
+    done = subprocess.run([sys.executable, *TIER1, SLOWEST], cwd=tree, text=True,
+                          env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                          timeout=3600)
     wall = time.perf_counter() - start
     lines = done.stdout.strip().splitlines()
     return {"wall_s": wall, "returncode": done.returncode,
-            "summary": lines[-1] if lines else ""}
+            "summary": lines[-1] if lines else "", "slowest": slowest_tests(done.stdout)}
+
+
+def slowest_tests(output: str) -> dict:
+    """{test id: seconds} from the ``--durations`` section of pytest's output,
+    a test's setup, call and teardown summed when more than one is listed."""
+    header = re.search(r"^=+ slowest \d+ durations =+$", output, re.MULTILINE)
+    slowest = {}
+    for line in output[header.end():].splitlines() if header else []:
+        match = re.fullmatch(r"([\d.]+)s +(?:setup|call|teardown) +(\S+)", line)
+        if match:
+            slowest[match[2]] = slowest.get(match[2], 0.0) + float(match[1])
+    return slowest
 
 
 def import_layers(log: str) -> dict:
@@ -449,7 +466,7 @@ def main() -> int:
         **setup_layers(trees)}
     print(f"setup layers: {report['setup_layers']}", flush=True)
 
-    report["tier1"] = {"command": "PYTHONPATH=src python " + " ".join(TIER1),
+    report["tier1"] = {"command": "PYTHONPATH=src python " + " ".join([*TIER1, SLOWEST]),
                        "threads": _ONE_THREAD}
     for side, tree in trees.items():
         report["tier1"][side] = tier1(tree)

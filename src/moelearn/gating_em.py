@@ -6,7 +6,8 @@ M-step: maximize the empirical surrogate
     Q(w) = (1/n) sum_s [ sum_i p_s^(i) <w_i, x_s> - log(1 + sum_i e^{<w_i, x_s>}) ]
 over the product of row balls ||w_i|| <= R. Q is concave (a soft-label
 multinomial logistic regression), solved by projected gradient ascent with
-Armijo backtracking.
+Armijo backtracking (ascend; joint EM's nonlinear expert step runs it on the
+unit sphere, along the tangent gradient, with normalisation as the projection).
 
 The gradient-EM variant replaces the inner maximization with a single
 projected ascent step of size alpha <= 2 / (mu + lambda), where lambda and mu
@@ -168,36 +169,46 @@ def _projected_gradient_norm(w: np.ndarray, grad: np.ndarray, radius: float) -> 
     return float(np.linalg.norm(pg))
 
 
-def m_step(x: np.ndarray, posteriors: np.ndarray, w_init: np.ndarray, radius: float,
-           grad_tol: float = 1e-7, max_inner: int = 500,
-           armijo_c: float = 1e-4, shrink: float = 0.5) -> np.ndarray:
-    """Maximize Q over the row-ball domain by projected gradient ascent."""
-    w = project_rows(np.array(w_init, dtype=float), radius)
-    if w.size == 0:
-        return w
-    # each point's logits and exp pass are computed once, for its Q and gradient
-    logits = _logits(x, w)
-    exps = exp_pass(logits.T, zero_column=True)
-    q = q_value(x, posteriors, w, logits=logits, exps=exps)
+def ascend(point, evaluate, gradient, project, stationary, max_inner):
+    """Projected gradient ascent with Armijo backtracking (c = 1e-4): the step
+    is warm-started, doubled up to 1e6 and halved while above 1e-16.
+
+    ``evaluate(p)`` gives (value, state for ``gradient(p, state)``). Stops when
+    ``stationary(p, grad, value)``, when a search finds no ascent, or after
+    ``max_inner`` steps. An accepted candidate is the object passed to the
+    next ``gradient`` call, and returned."""
+    value, state = evaluate(point)
     step = 1.0
     for _ in range(max_inner):
-        grad = q_gradient(x, posteriors, w, exps=exps)
-        if _projected_gradient_norm(w, grad, radius) <= grad_tol:
+        grad = gradient(point, state)
+        if stationary(point, grad, value):
             break
-        step = min(step * 2.0, 1e6)   # warm-started, grown before backtracking
-        accepted = False
+        step = min(step * 2.0, 1e6)
         while step > 1e-16:
-            cand = project_rows(w + step * grad, radius)
-            cand_logits = _logits(x, cand)
-            cand_exps = exp_pass(cand_logits.T, zero_column=True)
-            q_cand = q_value(x, posteriors, cand, logits=cand_logits, exps=cand_exps)
-            if q_cand >= q + armijo_c * float((grad * (cand - w)).sum()):
-                w, q, exps, accepted = cand, q_cand, cand_exps, True
+            cand = project(point + step * grad)
+            cand_value, cand_state = evaluate(cand)
+            if cand_value >= value + 1e-4 * float((grad * (cand - point)).sum()):
+                point, value, state = cand, cand_value, cand_state
                 break
-            step *= shrink
-        if not accepted:
+            step *= 0.5
+        else:
             break
-    return w
+    return point
+
+
+def m_step(x: np.ndarray, posteriors: np.ndarray, w_init: np.ndarray,
+           radius: float) -> np.ndarray:
+    """Maximize Q over the row-ball domain by projected gradient ascent."""
+    def evaluate(w):
+        # each point's logits and exp pass are computed once, for its Q and gradient
+        logits = _logits(x, w)
+        exps = exp_pass(logits.T, zero_column=True)
+        return q_value(x, posteriors, w, logits=logits, exps=exps), exps
+
+    start = project_rows(np.array(w_init, dtype=float), radius)
+    return ascend(start, evaluate, lambda w, exps: q_gradient(x, posteriors, w, exps=exps),
+                  lambda w: project_rows(w, radius),
+                  lambda w, grad, q: _projected_gradient_norm(w, grad, radius) <= 1e-7, 500)
 
 
 @dataclass
@@ -316,8 +327,8 @@ def run_gradient_em(x: np.ndarray, y: np.ndarray, regressors: np.ndarray, sigma:
     x = np.atleast_2d(x)
     alpha_max = default_gradient_step()
     alpha = alpha_max if step_alpha is None else float(step_alpha)
-    if alpha < 0 or alpha > alpha_max * (1 + 1e-9):
-        raise ConfigError(f"step size must lie in (0, {alpha_max:.4f}], got {alpha}")
+    if not 0 <= alpha <= alpha_max * (1 + 1e-9):   # NaN fails too
+        raise ConfigError(f"step size must lie in [0, {alpha_max:.4f}], got {alpha}")
 
     def update(a, w, posteriors):
         return a, project_rows(w + alpha * q_gradient(x, posteriors, w), radius)

@@ -2,11 +2,11 @@
 
 This is the baseline that gets stuck in local optima. E-step as in the
 gating-only EM; M-step updates the experts (responsibility-weighted least
-squares constrained to the unit sphere for linear experts, normalized
-backtracking ascent for nonlinear ones) and then the gating rows with the same
-projected-gradient solver. The expert update maximizes its Q-term over the
-unit sphere, so the observed-data log-likelihood is nondecreasing. The outer
-loop is gating_em.em_loop.
+squares constrained to the unit sphere for linear experts; for nonlinear ones
+projected ascent on the sphere, along the tangent gradient, then normalised)
+and then the gating rows, both ascents run by gating_em.ascend. No expert
+update lowers its Q-term on the sphere, so the observed-data log-likelihood
+is nondecreasing. The outer loop is gating_em.em_loop.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ import numpy as np
 
 from .activations import Activation
 from .errors import ConfigError
-from .gating_em import EmState, em_loop, m_step, random_gating_init
+from .gating_em import EmState, ascend, em_loop, m_step, random_gating_init
 from .model import make_rng
 
 _RIDGE = 1e-8
+_TANGENT_TOL = 1e-6   # the expert step's stop, relative to max(1, |objective|)
 
 
 def _sphere_weighted_ls(h: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -68,39 +69,25 @@ def _sphere_weighted_ls(h: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]
     return a / np.linalg.norm(a), ridge_flag
 
 
-def _expert_objective(x, y, weights, a, activation, sigma2):
-    res = y - activation(x @ a)
-    return float(-0.5 * np.sum(weights * res**2) / sigma2)
-
-
-def _expert_step_nonlinear(x, y, weights, a_init, activation, sigma2,
-                           max_inner: int = 50) -> np.ndarray:
-    """Backtracking ascent on the weighted Gaussian log-likelihood, evaluated
-    at the normalized candidate so every accepted step improves the objective."""
-    a = np.array(a_init, dtype=float)
-    obj = _expert_objective(x, y, weights, a, activation, sigma2)
-    step = 1.0
-    for _ in range(max_inner):
+def _expert_step_nonlinear(x, y, weights, a_init, activation, sigma2) -> np.ndarray:
+    """Projected ascent of the weighted Gaussian log-likelihood
+    -sum_s weights_s (y_s - g(x_s.a))^2 / (2 sigma2) on the unit sphere: along
+    the tangent gradient g - (g.a)a, then normalised. Each point's x @ a and
+    residual are kept for its gradient."""
+    def evaluate(a):
         t = x @ a
-        grad = ((weights * (y - activation(t)) * activation(t, 1)) @ x) / sigma2
-        gnorm = np.linalg.norm(grad)
-        if gnorm <= 1e-9 * max(1.0, abs(obj)):
-            break
-        step = min(step * 2.0, 1e6)
-        accepted = False
-        while step > 1e-16:
-            cand = a + step * grad
-            nrm = np.linalg.norm(cand)
-            if nrm > 0:
-                cand = cand / nrm
-                cand_obj = _expert_objective(x, y, weights, cand, activation, sigma2)
-                if cand_obj > obj:
-                    a, obj, accepted = cand, cand_obj, True
-                    break
-            step *= 0.5
-        if not accepted:
-            break
-    return a
+        res = y - activation(t)
+        return float(-0.5 * np.sum(weights * res**2) / sigma2), (t, res)
+
+    def tangent_gradient(a, state):
+        t, res = state
+        grad = ((weights * res * activation(t, 1)) @ x) / sigma2
+        return grad - (grad @ a) * a
+
+    return ascend(np.array(a_init, dtype=float), evaluate, tangent_gradient,
+                  lambda a: a / np.linalg.norm(a),
+                  lambda a, grad, obj: np.linalg.norm(grad) <= _TANGENT_TOL * max(1.0, abs(obj)),
+                  50)
 
 
 def run_joint_em(x: np.ndarray, y: np.ndarray, k: int, sigma: float,

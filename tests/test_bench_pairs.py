@@ -69,3 +69,24 @@ def test_compare_suite_outputs_lists_changed_and_one_sided_files(bench_pairs):
     assert "new.csv" not in result["parent"] and "gone.csv" not in result["change"]
     assert result["diffs"]["moved.csv"][2:] == ["@@ -1,2 +1,2 @@", " h", "-x", "+y"]
     assert set(result["diffs"]) == set(result["differ"])
+
+
+def test_slowest_tests_reads_the_durations_section(bench_pairs):
+    output = "\n".join([
+        "..F.                                                                     [100%]",
+        "0.50s call     tests/test_x.py::not_a_duration_line",
+        "============================= slowest 10 durations =============================",
+        "6.41s call     tests/test_experiments.py::test_varying_n_and_nonlinear_suites_small",
+        "1.20s setup    tests/test_cli.py::test_fit[dist-value8]",
+        "0.30s call     tests/test_cli.py::test_fit[dist-value8]",
+        "0.01s teardown tests/test_model.py::test_softmax",
+        "",
+        "(1 durations < 0.005s hidden.  Use -vv to show these durations.)",
+        "1 failed, 3 passed in 9.81s",
+    ])
+    assert bench_pairs.slowest_tests(output) == {
+        "tests/test_experiments.py::test_varying_n_and_nonlinear_suites_small": 6.41,
+        "tests/test_cli.py::test_fit[dist-value8]": pytest.approx(1.5),
+        "tests/test_model.py::test_softmax": 0.01,
+    }
+    assert bench_pairs.slowest_tests("4 passed in 0.10s") == {}

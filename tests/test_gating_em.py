@@ -441,11 +441,13 @@ def test_gradient_em_matches_em_limit():
     assert len(gem.trace) >= len(em.trace)   # one ascent step per outer iteration
 
 
-def test_gradient_em_step_bound():
+@pytest.mark.parametrize("factor", [math.nan, math.inf, -0.1, 1.5])
+def test_gradient_em_step_bound(factor):
+    """A step outside [0, 2 / (mu + lambda)], NaN included, is refused."""
     model, data = _criterion5_instance(n=2000)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"step size must lie in \[0, 5\.0736\]"):
         run_gradient_em(data.x, data.y, model.a, 0.05, model.activation,
-                        step_alpha=default_gradient_step() * 1.5)
+                        step_alpha=default_gradient_step() * factor)
 
 
 def test_curvature_constants():

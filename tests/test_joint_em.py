@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from moelearn import (Activation, InputDistribution, param_error, run_joint_em,
                       sample_dataset)
 from moelearn.errors import ConfigError
-from moelearn.joint_em import _sphere_weighted_ls
+from moelearn.joint_em import _TANGENT_TOL, _expert_step_nonlinear, _sphere_weighted_ls
 from moelearn.metrics import canonical_gauge
 
 from conftest import make_model
@@ -107,3 +110,63 @@ def test_joint_em_records_diagnostics():
     assert np.array_equal(st.iterates[-1][0], st.a)
     assert np.array_equal(st.iterates[-1][1], st.w)
     assert not st.ridge_flagged
+
+
+def _expert_objective(x, y, weights, a, activation, sigma2):
+    return float(-0.5 * np.sum(weights * (y - activation(x @ a)) ** 2) / sigma2)
+
+
+def _counting(activation):
+    """``activation`` with a list that gets one entry per evaluation of g."""
+    calls = []
+    g = activation.derivatives[0]
+
+    def counted(t):
+        calls.append(None)
+        return g(t)
+
+    return Activation.custom(f"counted {activation.name}",
+                             (counted, *activation.derivatives[1:])), calls
+
+
+_finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["sigmoid", "relu"]), st.integers(min_value=1, max_value=40),
+       st.integers(min_value=1, max_value=6), st.data())
+def test_expert_step_stays_on_the_sphere_and_ascends(name, n, d, data):
+    """From a unit start the sphere step returns a unit row whose weighted
+    objective is at least the start's, with weights that may be exactly 0."""
+    x = data.draw(hnp.arrays(float, (n, d), elements=_finite))
+    y = data.draw(hnp.arrays(float, n, elements=_finite))
+    weights = data.draw(hnp.arrays(float, n, elements=st.sampled_from([0.0, 0.1, 0.5, 1.0])))
+    start = data.draw(hnp.arrays(float, d, elements=_finite).filter(
+        lambda a: np.linalg.norm(a) > 1e-3))
+    start /= np.linalg.norm(start)
+    activation = Activation.by_name(name)
+    a = _expert_step_nonlinear(x, y, weights, start, activation, 0.04)
+    assert abs(np.linalg.norm(a) - 1.0) <= 1e-12
+    assert (_expert_objective(x, y, weights, a, activation, 0.04)
+            >= _expert_objective(x, y, weights, start, activation, 0.04))
+
+
+def test_expert_step_returns_at_once_where_the_sphere_is_stationary():
+    """Where the tangent gradient is within tolerance but the full gradient is
+    not, as at the end point of an earlier step, the step scores its start
+    and returns it. A test on the full gradient never fires there and ends
+    only after a failed search of some 50 evaluations."""
+    model = make_model(60, k=2, d=5, sigma=0.2, activation="sigmoid")
+    data = sample_dataset(model, InputDistribution.standard_gaussian(5), 2000, seed=61)
+    weights = np.random.default_rng(62).random(2000)
+    sigma2 = 0.04
+    a = _expert_step_nonlinear(data.x, data.y, weights, model.a[0], model.activation, sigma2)
+    t = data.x @ a
+    grad = ((weights * (data.y - model.activation(t)) * model.activation(t, 1)) @ data.x) / sigma2
+    scale = max(1.0, abs(_expert_objective(data.x, data.y, weights, a, model.activation, sigma2)))
+    assert np.linalg.norm(grad - (grad @ a) * a) <= _TANGENT_TOL * scale
+    assert np.linalg.norm(grad) > 1e3 * _TANGENT_TOL * scale
+    counted, calls = _counting(model.activation)
+    again = _expert_step_nonlinear(data.x, data.y, weights, a, counted, sigma2)
+    assert len(calls) <= 2
+    assert np.array_equal(again, a)
