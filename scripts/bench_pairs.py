@@ -23,10 +23,11 @@ the trials whose ``run_trial`` output differs as canonical JSON are counted.
 Per workload it also records, over the fields the benchmark's reference
 check reads (``perfbench/reference.py``'s ``checked_fields``), the largest
 |change - parent| of each score and the number of trials whose
-``iterations`` or ``converged`` differ. Each workload also records, per
-seed and side, the wall time of the first pass against the median of the
-later passes of its sweep, so a cost paid once per process (a module
-first imported by a trial) shows where it lands. ``setup_s`` is split by
+``iterations`` or ``converged`` differ, and the largest |change - parent|
+over every numeric leaf of the outputs, curves included. Each workload also
+records, per seed and side, the wall time of the first pass against the
+median of the later passes of its sweep, so a cost paid once per process (a
+module first imported by a trial) shows where it lands. ``setup_s`` is split by
 layer: ``python -X importtime -c "import moelearn"`` runs three times in
 each tree, and each module's self time goes to ``numpy`` or ``scipy`` when it,
 or the outermost module that imported it, belongs to that package, else to
@@ -70,7 +71,7 @@ IMPORT_PROBES = 3
 LIBRARY_LAYERS = ("numpy", "scipy")
 
 # Prints {trial key: {"sha256": of the canonical JSON of its run_trial output,
-# "checked": the fields the reference check reads}}.
+# "checked": the fields the reference check reads, "output": the output}}.
 _DUMP_OUTPUTS = """
 import hashlib, json, sys
 sys.path[:0] = ["perfbench", "src"]
@@ -81,7 +82,7 @@ outputs = {}
 for t in build_trials(sys.argv[1], int(sys.argv[2])):
     out = experiments.run_trial(t.config, t.index)
     outputs[t.key] = {"sha256": hashlib.sha256(json.dumps(out, sort_keys=True).encode())
-                      .hexdigest(), "checked": checked_fields(out)}
+                      .hexdigest(), "checked": checked_fields(out), "output": out}
 print(json.dumps(outputs))
 """
 
@@ -187,6 +188,27 @@ def score_delta(parent, change) -> float:
         return math.inf
     delta = abs(change - parent)
     return math.inf if math.isnan(delta) else delta
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def leaf_delta(parent, change) -> float:
+    """The largest score_delta over the numeric leaves of two JSON values,
+    matched by key and index: inf where a key, list item or number is on one
+    side only, 0 where neither side holds a number (or for equal strings)."""
+    if isinstance(parent, dict) and isinstance(change, dict):
+        if parent.keys() != change.keys():
+            return math.inf
+        return max((leaf_delta(parent[key], change[key]) for key in parent), default=0.0)
+    if isinstance(parent, list) and isinstance(change, list):
+        if len(parent) != len(change):
+            return math.inf
+        return max(map(leaf_delta, parent, change), default=0.0)
+    if _is_number(parent) and _is_number(change):
+        return score_delta(parent, change)
+    return 0.0 if type(parent) is type(change) else math.inf
 
 
 def _src_env() -> dict:
@@ -430,31 +452,38 @@ def main() -> int:
                                      for side, tree in trees.items()})}
         print(f"suite files differ: {report['suite_digests']['differ']}", flush=True)
 
-    differ, checked, total = {}, {}, 0
+    differ, largest, checked, total = {}, {}, {}, 0
     for workload in workloads:
-        differ[workload] = 0
+        differ[workload], largest[workload] = 0, 0.0
         max_delta, mismatched = dict.fromkeys(SCORES, 0.0), dict.fromkeys(COUNTS, 0)
         for seed in args.seeds:
             outputs = {side: trial_outputs(tree, workload, seed) for side, tree in trees.items()}
             total += len(outputs["change"])
             for key, change in outputs["change"].items():
-                parent = outputs["parent"].get(key, {"sha256": None, "checked": {}})
+                parent = outputs["parent"].get(key, {"sha256": None, "checked": {},
+                                                     "output": None})
                 differ[workload] += parent["sha256"] != change["sha256"]
+                largest[workload] = max(largest[workload],
+                                        leaf_delta(parent["output"], change["output"]))
                 for name in SCORES:
                     max_delta[name] = max(max_delta[name], score_delta(
                         parent["checked"].get(name), change["checked"].get(name)))
                 for name in COUNTS:
                     mismatched[name] += parent["checked"].get(name) != change["checked"].get(name)
         checked[workload] = {"max_abs_delta": max_delta, "mismatched": mismatched}
-        print(f"{workload} outputs: {differ[workload]} differ, {checked[workload]}", flush=True)
+        print(f"{workload} outputs: {differ[workload]} differ, largest leaf delta "
+              f"{largest[workload]}, {checked[workload]}", flush=True)
     report["bit_identical_outputs"] = {
         "method": "every run_trial output of every workload and seed, BLAS on one "
                   "thread, compared between the two trees as canonical JSON "
                   "(json.dumps(sort_keys=True), floats at full repr precision); "
                   "checked_fields: over perfbench/reference.py's checked_fields, the "
                   "largest |change - parent| of each score and the count of trials "
-                  "whose iterations or converged differ",
-        "trials": total, "differ": differ, "checked_fields": checked}
+                  "whose iterations or converged differ; largest_leaf_delta: the largest "
+                  "|change - parent| over every numeric leaf of every output, curves "
+                  "included (inf where a leaf is on one side only)",
+        "trials": total, "differ": differ, "largest_leaf_delta": largest,
+        "checked_fields": checked}
 
     report["setup_layers"] = {
         "command": "PYTHONPATH=src python -X importtime -c 'import moelearn'",

@@ -72,6 +72,9 @@ def cmd_fit(args) -> int:
     else:
         dist = InputDistribution.standard_gaussian(data.d)
     truth = MoeModel.from_json(Path(args.model)) if args.model else None
+    if truth is not None and (truth.k, truth.d) != (cfg.k, data.d):
+        raise ConfigError(f"{args.model}: the model's (k, d) is ({truth.k}, {truth.d}), "
+                          f"the fit's ({cfg.k}, {data.d})")
 
     result = fit_pipeline(data, dist, cfg.k, cfg.sigma, Activation.by_name(cfg.activation),
                           radius=cfg.radius, seed=cfg.seed, algo=cfg.algo)
@@ -80,7 +83,7 @@ def cmd_fit(args) -> int:
     report = (evaluate(result, truth, cfg.to_dict()) if truth is not None
               else fit_report(result, cfg.to_dict()))
     np.savetxt(outdir / "regressors.csv", result.a_est, delimiter=",", fmt="%.17g")
-    np.savetxt(outdir / "gating.csv", result.w_padded, delimiter=",", fmt="%.17g")
+    np.savetxt(outdir / "gating.csv", result.w, delimiter=",", fmt="%.17g")
     report.to_json(outdir / "fit_report.json")
     print(f"wrote {outdir / 'fit_report.json'}"
           + (f" (regressor_fit={report.regressor_fit:.3f}, gating_fit={report.gating_fit:.3f})"

@@ -19,8 +19,7 @@ import numpy as np
 
 from .activations import Activation
 from .errors import ConfigError, MoeError, require_numbers
-from .metrics import (canonical_gauge, config_hash, gating_fit, param_error_min_gauge,
-                      write_csv)
+from .metrics import config_hash, gating_fit, param_error_min_gauge, write_csv
 from .model import (INPUT_KINDS, Dataset, InputDistribution, MoeModel, make_rng,
                     sample_dataset)
 from .pipeline import ALGORITHMS, evaluate, fit_pipeline, predict_moe
@@ -213,11 +212,9 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
         # per-iteration errors against the truth for curve suites
         errs, gfits = [], []
         for a_t, w_t in state.iterates:
-            w_pad = canonical_gauge(np.vstack([w_t, np.zeros((1, config.d))]))
-            errs.append(param_error_min_gauge(a_t, w_pad, model.a,
-                                              model.w_padded())[0])
+            errs.append(param_error_min_gauge(a_t, w_t, model.a, model.w)[0])
             if config.k == 2:
-                gfits.append(gating_fit(w_pad[0] - w_pad[1], model.w[0]))
+                gfits.append(gating_fit(w_t[0], model.w[0]))
         out["error_curve"] = errs
         out["gating_fit_curve"] = gfits
     return out
@@ -392,8 +389,8 @@ def suite_realdata(base: ExperimentConfig, manifest: dict) -> dict:
         try:
             res = fit_pipeline(data, dist, base.k, base.sigma, act, radius=base.radius,
                                seed=base.seed, algo=algo)
-            pred_tr = predict_moe(res.a_est, res.w_padded, act, tab.train_x)
-            pred_te = predict_moe(res.a_est, res.w_padded, act, tab.test_x)
+            pred_tr = predict_moe(res.a_est, res.w, act, tab.train_x)
+            pred_te = predict_moe(res.a_est, res.w, act, tab.test_x)
             var_tr = float(np.var(pred_tr))
             if var_tr > 1e-12:
                 scale = float(np.cov(pred_tr, tab.train_y, bias=True)[0, 1] / var_tr)

@@ -118,57 +118,39 @@ def param_error(a_est: np.ndarray, w_est: np.ndarray,
     return float(error_for(pi)), tuple(pi)
 
 
-def gauge_representatives(w_padded: np.ndarray) -> list[np.ndarray]:
-    """All softmax-equivalent representatives of a padded gating matrix.
-
-    Softmax probabilities are invariant to subtracting one row from all rows;
-    each choice pins a different row to zero with rows kept in their slots.
-    """
-    w = np.atleast_2d(np.asarray(w_padded, dtype=float))
-    return [w - w[j] for j in range(w.shape[0])]
-
-
-def canonical_gauge(w_padded: np.ndarray) -> np.ndarray:
-    """Minimum-norm gauge representative (first row wins ties)."""
-    best, best_norm = None, np.inf
-    for cand in gauge_representatives(w_padded):
-        nrm = float(np.sum(cand**2))
-        if nrm < best_norm - 1e-15:
-            best, best_norm = cand, nrm
-    return best
-
-
-def param_error_min_gauge(a_est: np.ndarray, w_est_padded: np.ndarray,
+def param_error_min_gauge(a_est: np.ndarray, w_est: np.ndarray,
                           a_true: np.ndarray, w_true: np.ndarray) -> tuple[float, tuple]:
     """E(A, W) scored against the best gauge representative of the estimate.
 
-    A gating estimate is only defined up to the softmax gauge (which expert
-    carries the zero row), so the parameter error of the estimated model is
-    the minimum over its representatives.
+    Softmax probabilities do not change when one row is subtracted from all
+    rows, so a gating estimate is only defined up to that gauge (which expert
+    carries the zero row); the parameter error of the estimated model is the
+    minimum over its k representatives.
     """
+    a_est = np.atleast_2d(np.asarray(a_est, dtype=float))
+    w = _pad_gating(w_est, *a_est.shape)
     best, best_pi = float("inf"), None
-    for cand in gauge_representatives(w_est_padded):
-        err, pi = param_error(a_est, cand, a_true, w_true)
+    for j in range(w.shape[0]):
+        err, pi = param_error(a_est, w - w[j], a_true, w_true)
         if err < best:
             best, best_pi = err, pi
     return best, best_pi
 
 
-def gating_fit_rows(w_est_padded: np.ndarray, w_true_padded: np.ndarray,
-                    permutation: tuple) -> float:
+def gating_fit_rows(w_est: np.ndarray, w_true: np.ndarray, permutation: tuple) -> float:
     """Min-over-rows gating fit, after the regressor-matched permutation.
 
-    The estimate is re-gauged so the row matched to the truth's zero row is
-    zero, then each remaining row is scored by absolute cosine. Convention for
+    Both matrices are (k-1, d) with the k-th row implicitly zero, or (k, d).
+    The estimate is re-gauged so the row matched to the truth's last row is
+    zero, then each other row is scored by absolute cosine. Convention for
     reporting only. At k = 2 the one scored row is +-(w_0 - w_1), so this is
     gating_fit of the estimate's row difference, to the bit.
     """
-    w_est = np.atleast_2d(np.asarray(w_est_padded, dtype=float))
-    w_true = np.atleast_2d(np.asarray(w_true_padded, dtype=float))
-    k = w_true.shape[0]
-    pi = list(permutation)
-    aligned = w_est[pi]                  # aligned[i] pairs with w_true row i
-    aligned = aligned - aligned[-1]      # pin the row matched to the zero row
+    k, d = len(permutation), np.shape(w_true)[-1]
+    w_est = _pad_gating(w_est, k, d)
+    w_true = _pad_gating(w_true, k, d)
+    aligned = w_est[list(permutation)]   # aligned[i] pairs with w_true row i
+    aligned = aligned - aligned[-1]      # pin the row matched to the last row
     fits = []
     for i in range(k - 1):
         f = gating_fit(aligned[i], w_true[i])

@@ -83,12 +83,13 @@ def softmax_rows(logits: np.ndarray, zero_column: bool = False) -> np.ndarray:
 
 def load_json(path: str | Path, build):
     """``build(payload)`` for the JSON in the file at ``path``. A file that
-    does not parse, lacks a key or holds a mistyped value is a DataError."""
+    does not parse, lacks a key, holds a mistyped value or one the built
+    object refuses is a DataError that names the file."""
     try:
         return build(json.loads(Path(path).read_text()))
     except KeyError as exc:
         raise DataError(f"{path}: missing key {exc}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ConfigError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
@@ -110,13 +111,15 @@ class MoeModel:
             raise ConfigError("need k >= 1 and d >= 1")
         if w.shape != (k - 1, d):
             raise ConfigError(f"gating matrix must be {(k - 1, d)}, got {w.shape}")
+        if not (np.isfinite(a).all() and np.isfinite(w).all()):
+            raise ConfigError("regressor and gating rows must be finite")
         norms = np.linalg.norm(a, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise ConfigError("regressor rows must have unit norm (within 1e-9)")
-        if self.sigma < 0:
-            raise ConfigError("sigma must be nonnegative")
-        if self.radius <= 0:
-            raise ConfigError("radius must be positive")
+        if not 0 <= self.sigma < np.inf:
+            raise ConfigError("sigma must be finite and nonnegative")
+        if not 0 < self.radius < np.inf:
+            raise ConfigError("radius must be finite and positive")
         if w.size and np.any(np.linalg.norm(w, axis=1) > self.radius + 1e-9):
             raise ConfigError("gating row norms must not exceed the radius")
 
@@ -131,10 +134,6 @@ class MoeModel:
     def gating_probs(self, x: np.ndarray) -> np.ndarray:
         """(n, k) gate probabilities; the k-th logit is the fixed zero."""
         return softmax_rows(np.atleast_2d(x) @ self.w.T, zero_column=True)
-
-    def w_padded(self) -> np.ndarray:
-        """(k, d) gating matrix with the zero k-th row made explicit."""
-        return np.vstack([self.w, np.zeros((1, self.d))])
 
     def to_json(self, path: Optional[str | Path] = None) -> str:
         payload = {
@@ -182,13 +181,17 @@ class InputDistribution:
         if self.kind == "gmm":
             w = np.asarray(self.weights, dtype=float)
             m = np.atleast_2d(np.asarray(self.means, dtype=float))
-            if w.ndim != 1 or np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-                raise ConfigError("mixture weights must be nonnegative and sum to 1")
+            if (w.ndim != 1 or not np.isfinite(w).all() or np.any(w < 0)
+                    or abs(w.sum() - 1.0) > 1e-12):
+                raise ConfigError("input distribution mixture weights must be finite, "
+                                  "nonnegative and sum to 1")
             if m.shape[0] != w.shape[0]:
                 raise ConfigError(f"a mixture needs one mean per weight, got {m.shape[0]} "
                                   f"means and {w.shape[0]} weights")
             if m.shape[1:] != (self.d,):
                 raise ConfigError("each mixture mean must have the input dimension")
+            if not np.isfinite(m).all():
+                raise ConfigError("input distribution mixture means must be finite")
             object.__setattr__(self, "weights", w)
             object.__setattr__(self, "means", m)
 

@@ -3,10 +3,8 @@
 The spectral pipeline runs: CQT coefficient solve -> moment accumulation ->
 whitened tensor decomposition -> gating recovery (EM, gradient EM, or the k=2
 method of moments) on the learnt regressors. The joint-EM pipeline is the
-baseline. Outputs are canonicalized before scoring: the gating estimate is
-replaced by its minimum-norm softmax-equivalent representative, since the
-spectral step fixes an arbitrary expert order and the zero-row convention is
-only defined up to that gauge.
+baseline. Every gating estimate keeps the model's form, k - 1 rows with the
+k-th row implicitly zero; ``metrics`` scores it over every softmax gauge.
 """
 
 from __future__ import annotations
@@ -23,8 +21,7 @@ from .errors import ConfigError, NumericalError
 from .gating_em import EmState, run_em, run_gradient_em
 from .gating_mom import mom_gating
 from .joint_em import run_joint_em
-from .metrics import (FitReport, canonical_gauge, gating_fit_rows,
-                      param_error_min_gauge, regressor_fit)
+from .metrics import FitReport, gating_fit_rows, param_error_min_gauge, regressor_fit
 from .model import Dataset, InputDistribution, MoeModel, softmax_rows
 from .moments import MomentAccumulator, accumulate, finalize
 
@@ -35,7 +32,7 @@ ALGORITHMS = ("spectral+em", "spectral+gradient-em", "spectral+mom", "joint-em")
 class PipelineResult:
     algo: str
     a_est: np.ndarray                    # (k, d) unit rows
-    w_padded: np.ndarray                 # (k, d) canonical-gauge gating estimate
+    w: np.ndarray                        # (k-1, d) gating rows; k-th row is implicitly 0
     cqt: Optional[CqtCoefficients] = None
     decomposition: Optional[DecompositionResult] = None
     em_state: Optional[EmState] = None
@@ -49,11 +46,12 @@ def _stage(name, fn, *args, **kwargs):
         raise NumericalError(f"[{name}] {exc}") from exc
 
 
-def predict_moe(a: np.ndarray, w_padded: np.ndarray, activation: Activation,
+def predict_moe(a: np.ndarray, w: np.ndarray, activation: Activation,
                 x: np.ndarray) -> np.ndarray:
-    """Softmax-weighted expert predictions for estimated parameters."""
+    """Softmax-weighted expert predictions for estimated parameters, ``w``
+    the (k-1, d) gating rows."""
     x = np.atleast_2d(x)
-    probs = softmax_rows(x @ w_padded.T)
+    probs = softmax_rows(x @ w.T, zero_column=True)
     return np.einsum("nk,nk->n", probs, activation(x @ a.T))
 
 
@@ -81,12 +79,11 @@ def fit_pipeline(data: Dataset, dist: InputDistribution, k: int, sigma: float,
     if algo == "joint-em":
         state = _stage("joint-em", run_joint_em, data.x, data.y, k, sigma, activation,
                        radius=radius, seed=seed)
-        w_pad = canonical_gauge(np.vstack([state.w, np.zeros((1, data.d))]))
-        return PipelineResult(algo, state.a, w_pad, em_state=state)
+        return PipelineResult(algo, state.a, state.w, em_state=state)
 
     dec, cqt = spectral_regressors(data, dist, k, sigma, activation, seed=seed)
     a_est = dec.vectors
-    result = PipelineResult(algo, a_est, np.zeros((k, data.d)), cqt=cqt,
+    result = PipelineResult(algo, a_est, np.zeros((k - 1, data.d)), cqt=cqt,
                             decomposition=dec)
     if dec.weak_flags:
         result.flags.append(f"weak power-method components: {dec.weak_flags}")
@@ -100,8 +97,7 @@ def fit_pipeline(data: Dataset, dist: InputDistribution, k: int, sigma: float,
         if mom.below_noise_floor:
             result.flags.append("mom: moment below noise floor")
         # direction only; scale is not identified by the indicator moment
-        result.w_padded = canonical_gauge(np.vstack([mom.w_hat[None, :],
-                                                     np.zeros((1, data.d))]))
+        result.w = mom.w_hat[None, :]
         return result
 
     runner = run_em if algo == "spectral+em" else run_gradient_em
@@ -111,7 +107,7 @@ def fit_pipeline(data: Dataset, dist: InputDistribution, k: int, sigma: float,
     if not state.converged:
         result.flags.append("gating EM hit the iteration cap without converging")
     result.em_state = state
-    result.w_padded = canonical_gauge(np.vstack([state.w, np.zeros((1, data.d))]))
+    result.w = state.w
     return result
 
 
@@ -135,8 +131,7 @@ def fit_report(result: PipelineResult, config: dict) -> FitReport:
 def evaluate(result: PipelineResult, truth: MoeModel, config: dict) -> FitReport:
     """Score a pipeline result against the generating model."""
     rfit, perm, exact = regressor_fit(result.a_est, truth.a)
-    gfit = gating_fit_rows(result.w_padded, truth.w_padded(), perm)
-    perr, _ = param_error_min_gauge(result.a_est, result.w_padded, truth.a,
-                                    truth.w_padded())
+    gfit = gating_fit_rows(result.w, truth.w, perm)
+    perr, _ = param_error_min_gauge(result.a_est, result.w, truth.a, truth.w)
     return replace(fit_report(result, config), regressor_fit=rfit, gating_fit=gfit,
                    param_error=perr, matched_permutation=perm, permutation_exact=exact)

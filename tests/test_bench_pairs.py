@@ -1,8 +1,10 @@
 """scripts/bench_pairs.py's split of import time into layers, its count of
-config fields and its comparison of suite outputs."""
+config fields, its comparison of suite outputs and of run_trial outputs."""
 
 import dataclasses
 import importlib.util
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -90,3 +92,19 @@ def test_slowest_tests_reads_the_durations_section(bench_pairs):
         "tests/test_model.py::test_softmax": 0.01,
     }
     assert bench_pairs.slowest_tests("4 passed in 0.10s") == {}
+
+
+def test_leaf_delta_sizes_a_change_in_any_numeric_leaf(bench_pairs):
+    out = {"trial": 1, "param_error": 0.25, "converged": True, "flags": ["weak"],
+           "error_curve": [0.5, 0.3, float("nan")], "gating_fit_curve": [],
+           "step_norms": [1.0, 0.1]}
+    assert bench_pairs.leaf_delta(out, json.loads(json.dumps(out))) == 0.0
+    assert bench_pairs.leaf_delta(out, {**out, "error_curve": [0.5, 0.3 + 1e-16, float("nan")],
+                                        "step_norms": [1.0, 0.1 + 2e-12]}) == pytest.approx(2e-12)
+    assert bench_pairs.leaf_delta(out, {**out, "flags": ["other"], "converged": False}) == 0.0
+    assert bench_pairs.leaf_delta(out, {**out, "step_norms": [1.0]}) == math.inf
+    assert bench_pairs.leaf_delta(out, {**out, "error_curve": [0.5, 0.3, 0.1]}) == math.inf
+    assert bench_pairs.leaf_delta(out, {**out, "param_error": None}) == math.inf
+    assert bench_pairs.leaf_delta(None, out) == math.inf
+    extra = {**out, "iterations": 3}
+    assert bench_pairs.leaf_delta(out, extra) == bench_pairs.leaf_delta(extra, out) == math.inf

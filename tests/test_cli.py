@@ -84,6 +84,25 @@ def test_fit_without_truth_model(tmp_path):
     assert (tmp_path / "run" / "regressors.csv").exists()
 
 
+@pytest.mark.parametrize("k, algo", [(3, "spectral+em"), (2, "spectral+mom")])
+def test_gating_csv_is_the_fit_k_minus_one_rows(tmp_path, monkeypatch, k, algo):
+    """gating.csv holds PipelineResult.w as it is, k - 1 rows with the k-th
+    implicitly zero, the layout of model.json's w."""
+    cfg = _write_config(tmp_path / "cfg.json", out=str(tmp_path / "run"), k=k, n=900)
+    assert main(["generate", "--config", str(cfg)]) == 0
+    results = []
+    fit = cli.fit_pipeline
+    monkeypatch.setattr(cli, "fit_pipeline",
+                        lambda *args, **kwargs: results.append(fit(*args, **kwargs))
+                        or results[-1])
+    assert main(["fit", "--config", str(cfg), "--algo", algo,
+                 "--data", str(tmp_path / "run" / "dataset.csv")]) == 0
+    gating = np.loadtxt(tmp_path / "run" / "gating.csv", delimiter=",", ndmin=2)
+    assert gating.shape == (k - 1, 6)
+    assert np.array_equal(gating, results[0].w)
+    assert gating.shape == MoeModel.from_json(tmp_path / "run" / "model.json").w.shape
+
+
 def test_fit_without_truth_reports_em_trace(tmp_path):
     """Only the metrics need the generating model; the report's EM trace
     rows match trace.csv and the scored report's rows."""
@@ -158,7 +177,9 @@ def _exit_and_stderr(capsys, argv):
     ("k", 0), ("n", 0), ("trials", 0), ("sigma", -0.1),
     ("radius", -1), ("threads", -2), ("split", 1.5), ("seed", -1),
     ("dist", {"kind": "gmm", "p": 1.5}), ("dist", {"kind": "gmm", "p": -0.1}),
-    ("dist", {"kind": "gmm", "mean": [0]})])
+    ("dist", {"kind": "gmm", "mean": [0]}),
+    *[(key, value) for key in ("sigma", "radius", "split")
+      for value in (float("nan"), float("inf"), -float("inf"))]])
 def test_invalid_setting_is_configuration_error(generated, tmp_path, capsys, key, value):
     cfg, run = generated
     bad = _write_config(tmp_path / "bad.json", out=str(tmp_path / "out"), **{key: value})
@@ -207,11 +228,14 @@ def test_malformed_config_is_configuration_error(tmp_path, capsys, text):
     ("dist", {"kind": "gmm", "p": True}), ("dist", {"kind": "gmm", "weights": "x"}),
     ("dist", {"kind": "gmm", "means": [[0.0], [1.0, 2.0]]}),
     ("orthogonal", "no"), ("feature_cols", "ab"), ("feature_cols", [True]),
-    ("csv_path", 5), ("experiment", 3), ("activation", ["linear"]), ("target_col", True)])
+    ("csv_path", 5), ("experiment", 3), ("activation", ["linear"]), ("target_col", True),
+    ("dist", {"kind": "gmm", "weights": [float("nan")] * 2}),
+    ("dist", {"kind": "gmm", "means": [[float("nan")] * 6, [0.0] * 6]})])
 def test_mistyped_setting_is_configuration_error(tmp_path, capsys, key, value):
     """Values of the wrong type that no range check trips: a string for the
     input law, a float or bool for a count, a string for a number, a number
-    for a path or name, a string for a flag or a column list."""
+    for a path or name, a string for a flag or a column list, NaN for a
+    mixture weight or mean."""
     bad = _write_config(tmp_path / "bad.json", **{"out": str(tmp_path / "out"), key: value})
     rc, err = _exit_and_stderr(capsys, ["generate", "--config", str(bad)])
     assert rc == 1
@@ -291,6 +315,58 @@ def test_distribution_without_kind_is_data_error(generated, tmp_path, capsys):
                                         "--data", str(run / "dataset.csv"), "--dist", str(dist)])
     assert rc == 2
     assert err == f"data error: {dist}: missing key 'kind'\n"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("weights", [float("nan"), 0.5],
+     "input distribution mixture weights must be finite, nonnegative and sum to 1"),
+    ("means", [[float("nan")] * 6, [1.0] * 6], "input distribution mixture means must be finite")],
+    ids=["weights", "means"])
+def test_distribution_with_nan_is_data_error(generated, tmp_path, capsys, key, value, message):
+    cfg, run = generated
+    payload = {"kind": "gmm", "d": 6, "weights": [0.5, 0.5], "means": [[0.0] * 6, [1.0] * 6]}
+    dist = tmp_path / "distribution.json"
+    dist.write_text(json.dumps({**payload, key: value}))
+    rc, err = _exit_and_stderr(capsys, ["fit", "--config", str(cfg), "--out", str(tmp_path),
+                                        "--data", str(run / "dataset.csv"), "--dist", str(dist)])
+    assert rc == 2
+    assert err == f"data error: {dist}: {message}\n"
+
+
+def _nan_first_entry(rows):
+    return [[float("nan")] + rows[0][1:]] + rows[1:]
+
+
+@pytest.mark.parametrize("key, edit, message", [
+    ("sigma", lambda v: float("nan"), "sigma must be finite and nonnegative"),
+    ("radius", lambda v: float("inf"), "radius must be finite and positive"),
+    ("a", _nan_first_entry, "regressor and gating rows must be finite"),
+    ("w", _nan_first_entry, "regressor and gating rows must be finite")],
+    ids=["sigma", "radius", "a", "w"])
+def test_model_with_non_finite_value_is_data_error(generated, tmp_path, capsys, key, edit,
+                                                   message):
+    cfg, run = generated
+    payload = json.loads((run / "model.json").read_text())
+    payload[key] = edit(payload[key])
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    rc, err = _exit_and_stderr(capsys, ["fit", "--config", str(cfg), "--out", str(tmp_path),
+                                        "--data", str(run / "dataset.csv"), "--model", str(model)])
+    assert rc == 2
+    assert err == f"data error: {model}: {message}\n"
+
+
+def test_model_of_another_shape_is_refused_before_the_fit(generated, tmp_path, capsys,
+                                                           monkeypatch):
+    cfg, run = generated
+    other = _write_config(tmp_path / "other.json", out=str(tmp_path / "other"), k=3)
+    assert main(["generate", "--config", str(other)]) == 0
+    monkeypatch.setattr(cli, "fit_pipeline", lambda *args, **kwargs: pytest.fail("fitted"))
+    model = tmp_path / "other" / "model.json"
+    rc, err = _exit_and_stderr(capsys, ["fit", "--config", str(cfg), "--out", str(tmp_path),
+                                        "--data", str(run / "dataset.csv"), "--model", str(model)])
+    assert rc == 1
+    assert err == f"configuration error: {model}: the model's (k, d) is (3, 6), the fit's (2, 6)\n"
 
 
 def test_threads_has_no_environment_fallback(tmp_path, monkeypatch):

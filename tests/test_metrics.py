@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moelearn import canonical_gauge, gating_fit, param_error, regressor_fit
+from moelearn import gating_fit, param_error, regressor_fit
 from moelearn import metrics
 from moelearn.errors import ConfigError
 from moelearn.metrics import (FitReport, config_hash, gating_fit_rows,
@@ -140,31 +140,21 @@ def test_metric_invariances(k, seed):
        st.integers(min_value=0, max_value=10**6))
 def test_param_error_min_gauge_is_softmax_gauge_invariant(k, scale, seed):
     """Adding one vector to every row of the padded estimate leaves the
-    softmax, and so the parameter error, unchanged."""
+    softmax, and so the parameter error and the gating fit, unchanged. The
+    truth has the model's k - 1 rows; both metrics pad it."""
     rng = np.random.default_rng(seed)
     d = k + 2
     a_true = unit_rows(rng, k, d)
-    w_true = np.vstack([rng.standard_normal((k - 1, d)), np.zeros((1, d))])
+    w_true = rng.standard_normal((k - 1, d))
     a_est = a_true + 0.1 * rng.standard_normal((k, d))
     w_est = rng.standard_normal((k, d))
     shift = scale * rng.standard_normal(d)
     base, _ = param_error_min_gauge(a_est, w_est, a_true, w_true)
     shifted, _ = param_error_min_gauge(a_est, w_est + shift, a_true, w_true)
     assert shifted == pytest.approx(base, rel=1e-9, abs=1e-12)
-
-
-def test_canonical_gauge_minimal_norm_and_equivalence():
-    rng = np.random.default_rng(5)
-    w = np.vstack([rng.standard_normal((2, 4)), np.zeros((1, 4))])
-    g = canonical_gauge(w)
-    assert np.sum(g**2) <= np.sum(w**2) + 1e-12
-    assert any(np.allclose(g[j], 0.0, atol=1e-12) for j in range(3))
-    # softmax probabilities unchanged
-    x = rng.standard_normal((50, 4))
-    def probs(m):
-        e = np.exp(x @ m.T - (x @ m.T).max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
-    assert np.allclose(probs(w), probs(g), atol=1e-12)
+    _, perm, _ = regressor_fit(a_est, a_true)
+    assert (gating_fit_rows(w_est + shift, w_true, perm)
+            == pytest.approx(gating_fit_rows(w_est, w_true, perm), rel=1e-9, abs=1e-12))
 
 
 def test_gating_fit_rows_matched_permutation():

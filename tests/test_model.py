@@ -31,7 +31,7 @@ def test_zero_gating_gives_uniform_expert_frequencies():
 
 
 def _predict(model, x):
-    return predict_moe(model.a, model.w_padded(), model.activation, x)
+    return predict_moe(model.a, model.w, model.activation, x)
 
 
 def test_predict_single_expert_and_cancellation():

@@ -83,7 +83,7 @@ def test_unknown_algorithm_rejected(gaussian10):
 def test_predict_moe_matches_model(gaussian10):
     model = make_model(72, k=3, d=10, sigma=0.2)
     x = np.random.default_rng(0).standard_normal((20, 10))
-    got = predict_moe(model.a, model.w_padded(), model.activation, x)
+    got = predict_moe(model.a, model.w, model.activation, x)
     want = (model.gating_probs(x) * model.activation(x @ model.a.T)).sum(axis=1)
     assert np.allclose(got, want, atol=1e-12)
 
