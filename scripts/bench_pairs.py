@@ -17,7 +17,9 @@ median is better than the parent's by more than the parent's q3 - q1.
 Each workload then runs traced (``--trace 1``) once per tree at the first
 seed, for its per-layer metrics; its ``counts_differ`` lists the per-layer
 metrics of unit ``count`` in ``BENCHMARK.json`` whose values differ between
-the two trees (empty when a change keeps every count). Then every trial of
+the two trees (empty when a change keeps every count), and its
+``layer_ratios`` the change/parent ratio of every per-layer time (the metrics
+named ``*.s``), None where the parent's reads 0. Then every trial of
 every (workload, seed) runs once more in each tree, BLAS on one thread, and
 the trials whose ``run_trial`` output differs as canonical JSON are counted.
 Per workload it also records, over the fields the benchmark's reference
@@ -188,6 +190,13 @@ def score_delta(parent, change) -> float:
         return math.inf
     delta = abs(change - parent)
     return math.inf if math.isnan(delta) else delta
+
+
+def layer_ratios(parent: dict, change: dict) -> dict:
+    """change / parent of each per-layer metric named ``*.s`` on either side;
+    None where the parent's is 0 or a side lacks it."""
+    return {name: change[name] / parent[name] if parent.get(name) and name in change else None
+            for name in sorted(parent.keys() | change.keys()) if name.endswith(".s")}
 
 
 def _is_number(value) -> bool:
@@ -435,6 +444,7 @@ def main() -> int:
             layers = {side: traced[workload][side]["per_layer"] for side in trees}
             traced[workload]["counts_differ"] = [
                 name for name in counts if layers["parent"].get(name) != layers["change"].get(name)]
+            traced[workload]["layer_ratios"] = layer_ratios(layers["parent"], layers["change"])
             print(f"{workload} traced seed {trace_seed}: counts differ "
                   f"{traced[workload]['counts_differ']}", flush=True)
         report["trace_seed"] = {

@@ -69,6 +69,9 @@ def cmd_fit(args) -> int:
     dist_path = Path(args.dist or Path(args.data).with_name("distribution.json"))
     if args.dist or dist_path.exists():
         dist = load_json(dist_path, InputDistribution.from_dict)
+        if dist.d != data.d:
+            raise ConfigError(f"{dist_path}: the input distribution's d is {dist.d}, "
+                              f"the data's {data.d}")
     else:
         dist = InputDistribution.standard_gaussian(data.d)
     truth = MoeModel.from_json(Path(args.model)) if args.model else None

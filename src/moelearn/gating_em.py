@@ -55,10 +55,14 @@ def _logits(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The (n, c) logits x @ w.T, as the transposed view of w @ x.T.
 
     Its (c, n) rows, the rows model.exp_pass works on, are contiguous, so
-    the linear term can read each column as one. This assumes
-    that w @ x.T has the bits of (x @ w.T).T. On OpenBLAS 0.3.31 (Haswell
-    kernels) it does for C-contiguous x at every shape tried: n 1-8000,
-    d 1-64, c 1-9, one and two threads, gemv included.
+    the linear term can read each column as one. The EM runners and m_step
+    pass a column-major x, whose transpose BLAS reads as contiguous (d, n)
+    rows without repacking it. On OpenBLAS 0.3.31 (Haswell kernels, one
+    thread) the result has the bits of x @ w.T on a C-ordered x at two or
+    more gating rows when d <= 12 or n >= 1000 (n 1-8000, d 1-64 tried), so
+    at the benchmark's k = 3 shapes. At one gating row (a matrix-vector
+    product), or at d >= 16 with n <= 300, it sums in another order and
+    moves by a few ulp.
     """
     return (w @ x.T).T
 
@@ -74,7 +78,7 @@ def e_step(x: np.ndarray, y: np.ndarray, regressors: np.ndarray, w: np.ndarray,
     """
     x = np.atleast_2d(x)
     n, k = x.shape[0], regressors.shape[0]
-    res = y - activation(regressors @ x.T)   # the bits of x @ regressors.T; see _logits
+    res = y - activation(regressors @ x.T)   # bits and layout as in _logits
     if sigma == 0.0:
         # degenerate noise: hard assignment by residual magnitude
         z = np.argmin(np.abs(res), axis=0)
@@ -153,20 +157,25 @@ def _row_norms(w: np.ndarray) -> np.ndarray:
 
 
 def project_rows(w: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the product of row balls of the given radius."""
+    """Euclidean projection onto the product of row balls of the given radius;
+    ``w`` itself when every row is inside (a NaN norm is not)."""
     norms = _row_norms(w)[:, None]
+    if np.all(norms <= radius):
+        return w
     scale = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
     return w * scale
 
 
 def _projected_gradient_norm(w: np.ndarray, grad: np.ndarray, radius: float) -> float:
-    pg = grad.copy()
+    """Norm of grad less each on-ball row's outward part, with np.linalg.norm's bits."""
     norms = _row_norms(w)
-    for i in np.flatnonzero(norms >= radius * (1 - 1e-12)):
+    on_ball = np.flatnonzero(norms >= radius * (1 - 1e-12))
+    pg = grad.copy() if len(on_ball) else grad
+    for i in on_ball:
         radial = float(grad[i] @ w[i])
         if radial > 0:   # outward component is blocked by the constraint
             pg[i] = grad[i] - (radial / max(norms[i] ** 2, 1e-300)) * w[i]
-    return float(np.linalg.norm(pg))
+    return math.sqrt(pg.ravel().dot(pg.ravel()))
 
 
 def ascend(point, evaluate, gradient, project, stationary, max_inner):
@@ -198,7 +207,9 @@ def ascend(point, evaluate, gradient, project, stationary, max_inner):
 
 def m_step(x: np.ndarray, posteriors: np.ndarray, w_init: np.ndarray,
            radius: float) -> np.ndarray:
-    """Maximize Q over the row-ball domain by projected gradient ascent."""
+    """Maximize Q over the row-ball domain by projected gradient ascent on a column-major x."""
+    x = np.ascontiguousarray(x.T).T
+
     def evaluate(w):
         # each point's logits and exp pass are computed once, for its Q and gradient
         logits = _logits(x, w)
@@ -309,7 +320,7 @@ def run_em(x: np.ndarray, y: np.ndarray, regressors: np.ndarray, sigma: float,
            max_iters: int = 100, seed=0, w0: Optional[np.ndarray] = None,
            truth: Optional[np.ndarray] = None) -> EmState:
     """Alternate E and M steps until the iterate moves less than eps."""
-    x = np.atleast_2d(x)
+    x = np.asfortranarray(np.atleast_2d(x))   # column-major: see _logits
 
     def update(a, w, posteriors):
         return a, m_step(x, posteriors, w, radius)
@@ -324,7 +335,7 @@ def run_gradient_em(x: np.ndarray, y: np.ndarray, regressors: np.ndarray, sigma:
                     max_iters: int = 100, seed=0, w0: Optional[np.ndarray] = None,
                     truth: Optional[np.ndarray] = None) -> EmState:
     """Generalized EM: one projected ascent step on Q per outer iteration."""
-    x = np.atleast_2d(x)
+    x = np.asfortranarray(np.atleast_2d(x))   # column-major: see _logits
     alpha_max = default_gradient_step()
     alpha = alpha_max if step_alpha is None else float(step_alpha)
     if not 0 <= alpha <= alpha_max * (1 + 1e-9):   # NaN fails too

@@ -100,6 +100,9 @@ def run_joint_em(x: np.ndarray, y: np.ndarray, k: int, sigma: float,
     if k < 2:
         raise ConfigError("joint EM needs at least two experts")
     x = np.atleast_2d(x)
+    # the gating steps read a column-major copy (see gating_em._logits); the
+    # expert steps keep x's own order, which their products' bits depend on
+    x_cols = np.asfortranarray(x)
     d = x.shape[1]
     rng = make_rng(seed)
     a = np.array(a0, dtype=float) if a0 is not None else rng.standard_normal((k, d))
@@ -117,8 +120,8 @@ def run_joint_em(x: np.ndarray, y: np.ndarray, k: int, sigma: float,
                 ridge.append(flagged)
             else:
                 a_next[i] = _expert_step_nonlinear(x, y, p, a[i], activation, sigma2)
-        return a_next, m_step(x, post, w, radius)
+        return a_next, m_step(x_cols, post, w, radius)
 
-    state = em_loop(x, y, a, w, sigma, activation, eps, max_iters, update)
+    state = em_loop(x_cols, y, a, w, sigma, activation, eps, max_iters, update)
     state.ridge_flagged = any(ridge)
     return state

@@ -86,36 +86,7 @@ def param_error(a_est: np.ndarray, w_est: np.ndarray,
                 a_true: np.ndarray, w_true: np.ndarray) -> tuple[float, tuple]:
     """E(A, W) = inf_pi ||A - A*_pi||_F + ||W - W*_pi||_F, shared permutation."""
     a_est = np.atleast_2d(np.asarray(a_est, dtype=float))
-    a_true = np.atleast_2d(np.asarray(a_true, dtype=float))
-    if a_est.shape != a_true.shape:
-        raise ConfigError(f"shape mismatch: {a_est.shape} vs {a_true.shape}")
-    k, d = a_est.shape
-    w_est = _pad_gating(w_est, k, d)
-    w_true = _pad_gating(w_true, k, d)
-
-    def error_for(pi):
-        pi = list(pi)
-        ea = np.linalg.norm(a_est - a_true[pi], "fro")
-        ew = np.linalg.norm(w_est - w_true[pi], "fro")
-        return ea + ew
-
-    if k <= BRUTE_FORCE_LIMIT:
-        best, best_pi = float("inf"), None
-        for pi in itertools.permutations(range(k)):
-            val = error_for(pi)
-            if val < best:
-                best, best_pi = val, pi
-        return float(best), tuple(best_pi)
-    from scipy.optimize import linear_sum_assignment
-
-    # Hungarian on summed squared costs approximates the coupled objective
-    cost = (np.linalg.norm(a_est[:, None, :] - a_true[None, :, :], axis=2) ** 2
-            + np.linalg.norm(w_est[:, None, :] - w_true[None, :, :], axis=2) ** 2)
-    rows, cols = linear_sum_assignment(cost)
-    pi = [0] * k
-    for r, c in zip(rows, cols):
-        pi[r] = int(c)
-    return float(error_for(pi)), tuple(pi)
+    return _least_error(a_est, [_pad_gating(w_est, *a_est.shape)], a_true, w_true)
 
 
 def param_error_min_gauge(a_est: np.ndarray, w_est: np.ndarray,
@@ -129,12 +100,39 @@ def param_error_min_gauge(a_est: np.ndarray, w_est: np.ndarray,
     """
     a_est = np.atleast_2d(np.asarray(a_est, dtype=float))
     w = _pad_gating(w_est, *a_est.shape)
-    best, best_pi = float("inf"), None
-    for j in range(w.shape[0]):
-        err, pi = param_error(a_est, w - w[j], a_true, w_true)
-        if err < best:
-            best, best_pi = err, pi
-    return best, best_pi
+    return _least_error(a_est, [w - row for row in w], a_true, w_true)
+
+
+def _least_error(a_est: np.ndarray, w_ests: list, a_true: np.ndarray,
+                 w_true: np.ndarray) -> tuple[float, tuple]:
+    """param_error minimised over the padded gating estimates ``w_ests``: the
+    first estimate, then the first permutation, that attains the minimum.
+    Each permutation's regressor term is computed once for all estimates."""
+    a_true = np.atleast_2d(np.asarray(a_true, dtype=float))
+    if a_est.shape != a_true.shape:
+        raise ConfigError(f"shape mismatch: {a_est.shape} vs {a_true.shape}")
+    k, d = a_est.shape
+    w_true = _pad_gating(w_true, k, d)
+    perms = list(itertools.permutations(range(k))) if k <= BRUTE_FORCE_LIMIT else None
+    errors_a, best, best_pi = {}, float("inf"), None
+    for w in w_ests:
+        for pi in perms or [_hungarian(a_est, w, a_true, w_true)]:
+            if pi not in errors_a:
+                errors_a[pi] = np.linalg.norm(a_est - a_true[list(pi)], "fro")
+            err = errors_a[pi] + np.linalg.norm(w - w_true[list(pi)], "fro")
+            if err < best:
+                best, best_pi = err, pi
+    return float(best), best_pi
+
+
+def _hungarian(a_est, w_est, a_true, w_true) -> tuple:
+    """The permutation linear_sum_assignment finds on summed squared costs,
+    which approximates the coupled objective."""
+    from scipy.optimize import linear_sum_assignment
+
+    cost = (np.linalg.norm(a_est[:, None, :] - a_true[None, :, :], axis=2) ** 2
+            + np.linalg.norm(w_est[:, None, :] - w_true[None, :, :], axis=2) ** 2)
+    return tuple(int(c) for c in linear_sum_assignment(cost)[1])   # rows come as 0..k-1
 
 
 def gating_fit_rows(w_est: np.ndarray, w_true: np.ndarray, permutation: tuple) -> float:

@@ -74,7 +74,7 @@ def fit_pipeline(data: Dataset, dist: InputDistribution, k: int, sigma: float,
     if algo not in ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algo!r}; choose from {ALGORITHMS}")
     if data.d != dist.d:
-        raise ConfigError("dataset and input distribution dimensions differ")
+        raise ConfigError(f"the dataset's d is {data.d}, the input distribution's {dist.d}")
 
     if algo == "joint-em":
         state = _stage("joint-em", run_joint_em, data.x, data.y, k, sigma, activation,

@@ -1,5 +1,6 @@
 """scripts/bench_pairs.py's split of import time into layers, its count of
-config fields, its comparison of suite outputs and of run_trial outputs."""
+config fields, its comparison of suite outputs, of run_trial outputs and of
+traced layer times."""
 
 import dataclasses
 import importlib.util
@@ -108,3 +109,15 @@ def test_leaf_delta_sizes_a_change_in_any_numeric_leaf(bench_pairs):
     assert bench_pairs.leaf_delta(None, out) == math.inf
     extra = {**out, "iterations": 3}
     assert bench_pairs.leaf_delta(out, extra) == bench_pairs.leaf_delta(extra, out) == math.inf
+
+
+def test_layer_ratios_divide_each_traced_time_by_the_parent_s(bench_pairs):
+    parent = {"gating_em.m_step.s": 0.5, "moments.accumulate.s": 0.2,
+              "gating_mom.mom_gating.s": 0.0, "gating_em.m_step.calls": 115,
+              "experiments.run_trial.self_s": 0.01, "old.layer.s": 0.3}
+    change = {"gating_em.m_step.s": 0.4, "moments.accumulate.s": 0.2,
+              "gating_mom.mom_gating.s": 0.0, "gating_em.m_step.calls": 115,
+              "experiments.run_trial.self_s": 0.02, "new.layer.s": 0.1}
+    assert bench_pairs.layer_ratios(parent, change) == {
+        "gating_em.m_step.s": pytest.approx(0.8), "gating_mom.mom_gating.s": None,
+        "moments.accumulate.s": 1.0, "new.layer.s": None, "old.layer.s": None}

@@ -369,6 +369,29 @@ def test_model_of_another_shape_is_refused_before_the_fit(generated, tmp_path, c
     assert err == f"configuration error: {model}: the model's (k, d) is (3, 6), the fit's (2, 6)\n"
 
 
+def test_distribution_of_another_dimension_is_refused_before_the_fit(generated, tmp_path,
+                                                                     capsys, monkeypatch):
+    """Given by --dist or found beside the data, a distribution.json whose d
+    is not the data's is named with both dimensions, as the --model check is."""
+    cfg, run = generated
+    monkeypatch.setattr(cli, "fit_pipeline", lambda *args, **kwargs: pytest.fail("fitted"))
+    dist = tmp_path / "distribution.json"
+    dist.write_text(json.dumps({"kind": "gaussian", "d": 5}))
+    rc, err = _exit_and_stderr(capsys, ["fit", "--config", str(cfg), "--out", str(tmp_path),
+                                        "--data", str(run / "dataset.csv"), "--dist", str(dist)])
+    assert rc == 1
+    assert err == (f"configuration error: {dist}: the input distribution's d is 5, "
+                   f"the data's 6\n")
+    beside = tmp_path / "beside"
+    beside.mkdir()
+    (beside / "dataset.csv").write_bytes((run / "dataset.csv").read_bytes())
+    (beside / "distribution.json").write_bytes(dist.read_bytes())
+    rc, err = _exit_and_stderr(capsys, ["fit", "--config", str(cfg), "--out", str(tmp_path),
+                                        "--data", str(beside / "dataset.csv")])
+    assert rc == 1
+    assert err.startswith(f"configuration error: {beside / 'distribution.json'}: ")
+
+
 def test_threads_has_no_environment_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("MOE_THREADS", "abc")
     cfg = _write_config(tmp_path / "cfg.json", out=str(tmp_path / "run"))

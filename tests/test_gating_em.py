@@ -220,16 +220,20 @@ def _ref_m_step(x, posteriors, w_init, radius, grad_tol=1e-7, max_inner=500,
        st.integers(min_value=0, max_value=2**31 - 1))
 @example(k=8, d=5, n=2000, starts=["inside"] * 8, radius=2.5, frac_zero=0.0, seed=8)
 @example(k=9, d=5, n=2000, starts=["on"] * 8, radius=2.5, frac_zero=0.3, seed=9)
+@example(k=3, d=10, n=2000, starts=["on", "outside"] + ["inside"] * 6, radius=1.0,
+         frac_zero=0.3, seed=3)
 def test_m_step_bitwise_matches_reference(k, d, n, starts, radius, frac_zero, seed):
     """Starts inside, on and outside the row ball, posteriors with exact
     zeros (all but one in a row when frac_zero is 1), two to nine experts.
 
-    Up to three experts, the benchmark's shapes, m_step takes the
-    reference's iterates bit for bit. From four on, Q and its gradient are
-    rounded otherwise (see _Q_TOL), which can flip a backtracking test and
-    so the path; where m_step stops short of the maximum, the end points
-    then differ. Both are near-maximisers of one concave Q, so there their
-    Q values must agree within the larger of their optimality-gap bounds."""
+    At three experts and n = 2000, the benchmark's shapes, m_step takes the
+    reference's iterates bit for bit. Elsewhere its logits, read from a
+    column-major x (see gating_em._logits), or from four experts on its Q
+    and gradient (see _Q_TOL), are rounded otherwise, which can flip a
+    backtracking test and so the path; where m_step stops short of the
+    maximum, the end points then differ. Both are near-maximisers of one
+    concave Q, so there their Q values must agree within the larger of
+    their optimality-gap bounds."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d)) * rng.choice([0.5, 1.0, 3.0])
     posteriors = rng.dirichlet(np.ones(k), size=n)
@@ -244,7 +248,7 @@ def test_m_step_bitwise_matches_reference(k, d, n, starts, radius, frac_zero, se
 
     got = m_step(x, posteriors, w0, radius)
     ref = _ref_m_step(x, posteriors, w0, radius)
-    if k <= 3:
+    if k == 3 and n == 2000:
         assert np.array_equal(got, ref)
     else:
         gap = max(_optimality_gap_bound(x, posteriors, w, radius) for w in (got, ref))
@@ -261,6 +265,52 @@ def test_m_step_bitwise_matches_reference(k, d, n, starts, radius, frac_zero, se
         grad = q_gradient(x, posteriors, w)
         assert np.array_equal(grad, q_gradient(x, posteriors, w, exps=exps))
         _assert_gradient_matches(grad, _ref_q_gradient(x, posteriors, w), bitwise=k <= 7)
+
+
+@pytest.mark.parametrize("n,d", [(2000, 10), (4096, 40)])
+def test_gating_em_bits_do_not_depend_on_the_order_of_x(n, d):
+    """At the benchmark's k = 3 shapes, each E-step, Q, gradient, M-step and
+    whole fit on a C-ordered x has the bits of the same call on a
+    column-major copy, the layout the EM runners fit on."""
+    rng = np.random.default_rng(n + d)
+    k, sigma, act = 3, 0.5, Activation.sigmoid()
+    x = rng.standard_normal((n, d))
+    x_cols = np.asfortranarray(x)
+    regressors = unit_rows(rng, k, d)
+    w = rng.standard_normal((k - 1, d)) * 0.5
+    y = act(x @ regressors[0]) + sigma * rng.standard_normal(n)
+    posteriors = rng.dirichlet(np.ones(k), size=n)
+    assert not x.flags.f_contiguous and not x_cols.flags.c_contiguous
+    est, est_cols = (e_step(v, y, regressors, w, sigma, act) for v in (x, x_cols))
+    assert np.array_equal(est.posteriors, est_cols.posteriors)
+    assert est.loglik == est_cols.loglik
+    assert q_value(x, posteriors, w) == q_value(x_cols, posteriors, w)
+    assert np.array_equal(q_gradient(x, posteriors, w), q_gradient(x_cols, posteriors, w))
+    assert np.array_equal(m_step(x, posteriors, w, 1.0), m_step(x_cols, posteriors, w, 1.0))
+    fits = [run_em(v, y, regressors, sigma, act, seed=1, max_iters=5) for v in (x, x_cols)]
+    assert np.array_equal(fits[0].w, fits[1].w)
+    assert [vars(r) for r in fits[0].trace] == [vars(r) for r in fits[1].trace]
+
+
+def test_m_step_leaves_the_caller_x_alone():
+    rng = np.random.default_rng(11)
+    for x in (rng.standard_normal((300, 4)), np.asfortranarray(rng.standard_normal((300, 4)))):
+        before = x.copy(order="A")
+        posteriors = rng.dirichlet(np.ones(3), size=300)
+        m_step(x, posteriors, rng.standard_normal((2, 4)), 1.0)
+        assert np.array_equal(x, before)
+        assert x.flags.c_contiguous == before.flags.c_contiguous
+
+
+def test_project_rows_returns_rows_inside_unchanged():
+    """Rows inside the balls come back as the same array; a row outside, or
+    with a NaN norm, takes the scaling as before."""
+    w = np.array([[0.6, 0.8], [0.1, -0.2]])
+    assert gating_em.project_rows(w, 1.0) is w
+    for bad in (np.array([[3.0, 4.0], [0.1, -0.2]]), np.array([[np.nan, 0.0], [0.1, -0.2]])):
+        got = gating_em.project_rows(bad, 1.0)
+        assert got is not bad
+        np.testing.assert_array_equal(got, _ref_project_rows(bad, 1.0))
 
 
 @pytest.mark.parametrize("c", [1, 2])

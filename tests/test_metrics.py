@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -155,6 +156,51 @@ def test_param_error_min_gauge_is_softmax_gauge_invariant(k, scale, seed):
     _, perm, _ = regressor_fit(a_est, a_true)
     assert (gating_fit_rows(w_est + shift, w_true, perm)
             == pytest.approx(gating_fit_rows(w_est, w_true, perm), rel=1e-9, abs=1e-12))
+
+
+def _ref_param_error_min_gauge(a_est, w_est, a_true, w_true):
+    """The minimum gauge error as k full permutation searches, one per gauge
+    representative, each scoring both Frobenius terms of every permutation;
+    the first gauge, then the first permutation, that attains it."""
+    k, d = a_est.shape
+    w = np.vstack([w_est, np.zeros((1, d))]) if len(w_est) == k - 1 else w_est
+    w_true = np.vstack([w_true, np.zeros((1, d))]) if len(w_true) == k - 1 else w_true
+    best, best_pi = float("inf"), None
+    for j in range(k):
+        for pi in itertools.permutations(range(k)):
+            err = (np.linalg.norm(a_est - a_true[list(pi)], "fro")
+                   + np.linalg.norm((w - w[j]) - w_true[list(pi)], "fro"))
+            if err < best:
+                best, best_pi = err, pi
+    return float(best), best_pi
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=5), st.booleans(), st.booleans(),
+       st.sampled_from(["noisy", "truth", "zero_gating"]),
+       st.integers(min_value=0, max_value=10**6))
+def test_param_error_min_gauge_matches_every_gauge_search(k, est_padded, truth_padded,
+                                                          kind, seed):
+    """Bit for bit, the permutation included, with ties: an estimate that is
+    the permuted truth, or whose gating rows are all zero (every gauge the
+    same)."""
+    rng = np.random.default_rng(seed)
+    d = rng.integers(1, 7)
+    a_true = unit_rows(rng, k, d)
+    w_true = np.vstack([rng.standard_normal((k - 1, d)), np.zeros((1, d))])
+    perm = rng.permutation(k)
+    a_est, w_est = a_true[perm], w_true[perm]
+    if kind == "noisy":
+        a_est = a_est + 0.3 * rng.standard_normal((k, d))
+        w_est = rng.standard_normal((k, d))
+    elif kind == "zero_gating":
+        w_est = np.zeros((k, d))
+    if not est_padded:
+        w_est = w_est[:-1] - w_est[-1]
+    w_truth = w_true if truth_padded else w_true[:-1]
+    got = param_error_min_gauge(a_est, w_est, a_true, w_truth)
+    assert got == _ref_param_error_min_gauge(a_est, w_est, a_true, w_truth)
+    assert type(got[0]) is float
 
 
 def test_gating_fit_rows_matched_permutation():

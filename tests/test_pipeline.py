@@ -91,5 +91,5 @@ def test_predict_moe_matches_model(gaussian10):
 def test_pipeline_dimension_mismatch(gaussian10):
     model = make_model(73, k=2, d=8, sigma=0.1)
     data = sample_dataset(model, InputDistribution.standard_gaussian(8), 500, seed=1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^the dataset's d is 8, the input distribution's 10$"):
         fit_pipeline(data, gaussian10, 2, 0.1, model.activation)
