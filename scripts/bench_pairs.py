@@ -22,19 +22,24 @@ the two trees (empty when a change keeps every count), and its
 named ``*.s``), None where the parent's reads 0. Then every trial of
 every (workload, seed) runs once more in each tree, BLAS on one thread, and
 the trials whose ``run_trial`` output differs as canonical JSON are counted.
-Per workload it also records, over the fields the benchmark's reference
-check reads (``perfbench/reference.py``'s ``checked_fields``), the largest
-|change - parent| of each score and the number of trials whose
-``iterations`` or ``converged`` differ, and the largest |change - parent|
-over every numeric leaf of the outputs, curves included. Each workload also
-records, per seed and side, the wall time of the first pass against the
-median of the later passes of its sweep, so a cost paid once per process (a
-module first imported by a trial) shows where it lands. ``setup_s`` is split by
-layer: ``python -X importtime -c "import moelearn"`` runs three times in
-each tree, and each module's self time goes to ``numpy`` or ``scipy`` when it,
-or the outermost module that imported it, belongs to that package, else to
-``moelearn`` for the package's own modules, else to ``other`` (interpreter
-start-up and the standard library moelearn imports itself); the medians and
+Per workload it also records, over the fields the benchmark's reference check
+reads (``perfbench/reference.py``'s ``checked_fields``), the largest |change -
+parent| of each score and the number of trials whose ``iterations`` or
+``converged`` differ, and the largest |change - parent| over every numeric
+leaf of the outputs, curves included. Each workload also records, per seed and
+side, the wall time of the first pass against the median of the later passes
+of its sweep, so a cost paid once per process (a module first imported by a
+trial) shows where it lands. ``cell_s`` gives, per workload and cell, the
+cell's time in each untraced run (the sum of its trials' per-pass medians, as
+``wall_s`` sums all of them), its quartiles and values per side over the
+seeds, and the change/parent ratio of the medians; the columns of a record's
+``trial_s`` follow ``build_trials``' execution order, which the tree's
+``perfbench/workloads.py`` gives. ``setup_s`` is split by layer: ``python -X
+importtime -c "import moelearn"`` runs three times in each tree, and each
+module's self time goes to ``numpy`` or ``scipy`` when it, or the outermost
+module that imported it, belongs to that package, else to ``moelearn`` for the
+package's own modules, else to ``other`` (interpreter start-up and the
+standard library moelearn imports itself); the medians and
 the count of ``scipy`` modules loaded are recorded. Last, the Tier-1 verify
 command (``TIER1``) runs once in each tree, BLAS on one thread, and its wall time,
 pytest summary line and ten slowest tests (``--durations=10``, as ``{test id:
@@ -88,6 +93,15 @@ for t in build_trials(sys.argv[1], int(sys.argv[2])):
 print(json.dumps(outputs))
 """
 
+# Prints the trial keys of workload sys.argv[1] under seed sys.argv[2], in the
+# order a pass runs them.
+_TRIAL_KEYS = """
+import json, sys
+sys.path[:0] = ["perfbench", "src"]
+from workloads import build_trials
+print(json.dumps([t.key for t in build_trials(sys.argv[1], int(sys.argv[2]))]))
+"""
+
 # Prints the field count of the ExperimentConfig in the current tree's src/.
 _COUNT_FIELDS = """
 import dataclasses, sys
@@ -139,6 +153,25 @@ def trial_outputs(tree: Path, workload: str, seed: int) -> dict:
                           cwd=tree, check=True, stdout=subprocess.PIPE, text=True,
                           env={**os.environ, **_ONE_THREAD}, timeout=1800)
     return json.loads(done.stdout)
+
+
+def trial_keys(tree: Path, workload: str, seed: int) -> list:
+    done = subprocess.run([sys.executable, "-c", _TRIAL_KEYS, workload, str(seed)],
+                          cwd=tree, check=True, stdout=subprocess.PIPE, text=True,
+                          timeout=120)
+    return json.loads(done.stdout)
+
+
+def cell_seconds(trial_s: list, keys: list) -> dict:
+    """{cell: the sum of its trials' median times over the passes} of one run
+    record. ``trial_s`` holds one list per pass whose columns are the trials
+    in execution order, ``keys`` (not the key-sorted order of the record's
+    ``trials``)."""
+    cells = {}
+    for key, times in zip(keys, zip(*trial_s), strict=True):
+        cell = key.rsplit("/", 1)[0]
+        cells[cell] = cells.get(cell, 0.0) + statistics.median(times)
+    return cells
 
 
 def write_standin_csv(path: Path) -> None:
@@ -394,6 +427,9 @@ def main() -> int:
                    f"change reads better."),
         "claim": None,
         "end_to_end": {},
+        "cell_s": {"method": "per untraced run, each cell's trials' median times over "
+                             "the passes (run.py's trial_s, its columns in build_trials' "
+                             "execution order) summed; values in seed order"},
     }
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -420,6 +456,13 @@ def main() -> int:
                                         for side in runs},
                 "first_pass": {side: first_pass(runs[side]) for side in runs},
             }
+            keys = [trial_keys(trees["change"], workload, seed) for seed in args.seeds]
+            cells = {side: [cell_seconds(r["record"]["trial_s"], k)
+                            for r, k in zip(runs[side], keys)] for side in runs}
+            report["cell_s"][workload] = {
+                cell: compare([c[cell] for c in cells["parent"]],
+                              [c[cell] for c in cells["change"]], "lower")
+                for cell in cells["change"][0]}
 
         if args.claim:
             workload, metric = args.claim.split(":")

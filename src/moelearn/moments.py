@@ -6,8 +6,9 @@ accumulated in packed symmetric storage. Also the untransformed tensor
 transform it carries rank-one terms in the gating directions.
 
 Summation policy: each accumulate call splits its batch into fixed-size chunks,
-each chunk is reduced by BLAS matrix-vector products over blocks of packed
-columns (``scores.score_moment``), and its sums are added to the running sums
+each chunk is split once into its input law's components (``scores.components``)
+and reduced, for T2 and T3, by BLAS matrix-vector products over blocks of packed
+columns (``scores.contract_scores``), and its sums are added to the running sums
 in row order; finalize only divides by the kept count. Chunks start at
 multiples of CHUNK within each call, so one call and successive calls split at
 multiples of CHUNK give the same bits.
@@ -23,7 +24,8 @@ import numpy as np
 from .cqt import CqtCoefficients, apply_p2, apply_p3
 from .errors import ConfigError, NumericalError
 from .model import Dataset, InputDistribution
-from .scores import Sym3, packed_indices, packed_size, score_moment
+from .scores import (Sym3, components, contract_scores, packed_indices, packed_size,
+                     score_moment)
 
 CHUNK = 4096
 
@@ -66,8 +68,8 @@ class MomentAccumulator:
 def accumulate(acc: MomentAccumulator, batch) -> MomentAccumulator:
     """Add a batch of samples to the running sums, one chunk at a time.
 
-    ``batch`` is a Dataset or an (x, y) pair; empty arrays are a no-op. The
-    outlier scale is estimated per chunk.
+    ``batch`` is a Dataset or an (x, y) pair with one label per row of x;
+    empty arrays are a no-op. The outlier scale is estimated per chunk.
     """
     if isinstance(batch, Dataset):
         x, y = batch.x, batch.y
@@ -75,6 +77,8 @@ def accumulate(acc: MomentAccumulator, batch) -> MomentAccumulator:
         x, y = batch
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
+        if x.shape[0] != y.shape[0]:
+            raise ConfigError(f"batch has {x.shape[0]} input rows but {y.shape[0]} labels")
     n = y.shape[0]
     if n == 0:
         return acc
@@ -96,8 +100,9 @@ def accumulate(acc: MomentAccumulator, batch) -> MomentAccumulator:
         sel = finite & (np.abs(p3c) <= cap)
         xs = x[start:stop][sel]
         if xs.shape[0]:
-            t2 = score_moment(xs, acc.dist, p2c[sel], 2)
-            t3 = score_moment(xs, acc.dist, p3c[sel], 3)
+            parts = components(xs, acc.dist)
+            t2 = contract_scores(parts, p2c[sel], 2)
+            t3 = contract_scores(parts, p3c[sel], 3)
         else:
             t2 = np.zeros(packed_size(acc.d, 2))
             t3 = np.zeros(packed_size(acc.d, 3))

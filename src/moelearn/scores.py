@@ -137,18 +137,17 @@ def _hermite_columns(ut: np.ndarray, order: int, cols: slice, out: np.ndarray,
                      pair: np.ndarray) -> np.ndarray:
     """Columns ``cols`` of the packed order-2 or order-3 Hermite rows of a batch.
 
-    The batch comes transposed as ut (d, n). The columns are written into out
-    (width, n) and returned as out.T: (n, width), Fortran-ordered, the memory
-    order of the full-width matrix, so a block reaches the same BLAS kernel.
-    They are built one shared-prefix run (``_runs``) at a time. For order 3,
-    x_i * x_j goes once per run into the one-row buffer ``pair`` (n,), and the
-    run is one broadcast product of it with the contiguous rows ut[l0:l1]; for
-    order 2 the run is x_i times those rows. The deltas are slice corrections:
-    -1 on the diagonal for order 2; for order 3, -x_i where j == l (the run's
-    first row), -x_j where i == l (that row again when i == j), and -x_l over
-    the whole run where i == j, in that order. The left factor stays the first
-    operand throughout, so for finite inputs every entry, NaNs included, has
-    the bits of the per-column formula x_i * x_j * x_l.
+    The batch comes transposed as ut (d, n). The columns are written as the
+    contiguous rows of out (width, n), which is returned. They are built one
+    shared-prefix run (``_runs``) at a time. For order 3, x_i * x_j goes once
+    per run into the one-row buffer ``pair`` (n,), and the run is one broadcast
+    product of it with the contiguous rows ut[l0:l1]; for order 2 the run is
+    x_i times those rows. The deltas are slice corrections: -1 on the diagonal
+    for order 2; for order 3, -x_i where j == l (the run's first row), -x_j
+    where i == l (that row again when i == j), and -x_l over the whole run
+    where i == j, in that order. The left factor stays the first operand
+    throughout, so for finite inputs every entry, NaNs included, has the bits
+    of the per-column formula x_i * x_j * x_l.
     """
     for r0, r1, prefix, l0 in _runs(ut.shape[0], order, cols.start, cols.stop):
         rows, xl = out[r0:r1], ut[l0:l0 + r1 - r0]
@@ -166,7 +165,7 @@ def _hermite_columns(ut: np.ndarray, order: int, cols: slice, out: np.ndarray,
                 rows[0] -= ut[j]
         if i == j:
             rows -= xl
-    return out.T
+    return out
 
 
 def _transposed(u: np.ndarray) -> np.ndarray:
@@ -181,18 +180,20 @@ def gmm_responsibilities(x: np.ndarray, dist: InputDistribution) -> np.ndarray:
     return softmax_rows(logw[None, :] - 0.5 * np.einsum("ncd,ncd->nc", diff, diff))
 
 
-def _components(x: np.ndarray, dist: InputDistribution) -> list:
-    """(responsibility column, transposed centred inputs) per mixture
+def components(x: np.ndarray, dist: InputDistribution) -> list:
+    """(responsibility row (n,), transposed centred inputs (d, n)) per mixture
     component; standard Gaussian inputs are one component without one."""
     if dist.kind == "gaussian":
         return [(None, _transposed(x))]
-    r = gmm_responsibilities(x, dist)
-    return [(r[:, c:c + 1], _transposed(x - mean)) for c, mean in enumerate(dist.means)]
+    r = _transposed(gmm_responsibilities(x, dist))
+    return [(r[c], _transposed(x - mean)) for c, mean in enumerate(dist.means)]
 
 
 def _workspace(parts: list, width: int) -> list:
-    """Buffers for ``_score_columns``: a flat (width * n) block and the (n,)
-    ``pair`` row of ``_hermite_columns``, and two more blocks for a mixture.
+    """Buffers for ``_score_columns``: the (n,) ``pair`` row of
+    ``_hermite_columns`` and a flat (width * n) block it builds in, and for a
+    mixture two more, the (width, n) component sum and the (n, width) block
+    transposed from it.
 
     Reused from block to block: fresh arrays per block fault in new pages
     every time, which made the wide_moments benchmark about 1.5x slower.
@@ -205,20 +206,25 @@ def _workspace(parts: list, width: int) -> list:
 def _score_columns(parts: list, order: int, cols: slice, work: list) -> np.ndarray:
     """Columns ``cols`` of the packed score rows, built in the buffers ``work``.
 
-    Mixture components are added from zero in their order. The result is a
-    view into ``work``: Fortran-ordered for Gaussian inputs, C-ordered for a
-    mixture, as the full-width matrices have always been.
+    The result is an (n, width) view into ``work``, in the memory order the
+    full-width matrices have always had: Fortran-ordered for Gaussian inputs,
+    C-ordered for a mixture. A mixture's components are summed on contiguous
+    (width, n) rows: each Hermite block is multiplied in place by its
+    responsibility row (r the left operand), and the blocks are added in
+    component order, the first as 0.0 + term, as a sum started from zeros
+    gives. One transposed copy then writes the C-ordered block.
     """
     n, width = parts[0][1].shape[1], cols.stop - cols.start
     pair, out = work[0], work[1][:width * n].reshape(width, n)
     if parts[0][0] is None:
-        return _hermite_columns(parts[0][1], order, cols, out, pair)
-    total, term = (buf[:width * n].reshape(n, width) for buf in work[2:])
-    total.fill(0.0)
-    for r, ut in parts:
-        np.multiply(r, _hermite_columns(ut, order, cols, out, pair), out=term)
-        total += term
-    return total
+        return _hermite_columns(parts[0][1], order, cols, out, pair).T
+    total = work[2][:width * n].reshape(width, n)
+    for c, (r, ut) in enumerate(parts):
+        term = np.multiply(r, _hermite_columns(ut, order, cols, out, pair), out=out)
+        np.add(total if c else 0.0, term, out=total)
+    block = work[3][:width * n].reshape(n, width)
+    np.copyto(block, total.T)
+    return block
 
 
 def _full_width(parts: list, order: int) -> np.ndarray:
@@ -228,17 +234,23 @@ def _full_width(parts: list, order: int) -> np.ndarray:
 
 def score2_packed(x: np.ndarray, dist: InputDistribution) -> np.ndarray:
     """(n, P2) packed S2 rows under the given input law."""
-    return _full_width(_components(np.atleast_2d(x), dist), 2)
+    return _full_width(components(np.atleast_2d(x), dist), 2)
 
 
 def score3_packed(x: np.ndarray, dist: InputDistribution) -> np.ndarray:
     """(n, P3) packed S3 rows under the given input law."""
-    return _full_width(_components(np.atleast_2d(x), dist), 3)
+    return _full_width(components(np.atleast_2d(x), dist), 3)
 
 
 def score_moment(x: np.ndarray, dist: InputDistribution, weights: np.ndarray,
                  order: int) -> np.ndarray:
-    """``weights @ score{order}_packed(x, dist)`` without the (n, P) matrix.
+    """``weights @ score{order}_packed(x, dist)`` without the (n, P) matrix."""
+    return contract_scores(components(np.atleast_2d(x), dist), weights, order)
+
+
+def contract_scores(parts: list, weights: np.ndarray, order: int) -> np.ndarray:
+    """``score_moment`` on a batch already split into ``components``, so that
+    several orders can share one split.
 
     Builds and contracts one block of BLOCK_COLUMNS packed columns at a time in
     buffers reused from block to block, so memory is O(n * BLOCK_COLUMNS)
@@ -248,9 +260,7 @@ def score_moment(x: np.ndarray, dist: InputDistribution, weights: np.ndarray,
     BLAS may split a product by its width, so the full-width product itself
     then depends on the thread count.)
     """
-    x = np.atleast_2d(x)
-    parts = _components(x, dist)
-    out = np.empty(packed_size(x.shape[1], order))
+    out = np.empty(packed_size(parts[0][1].shape[0], order))
     blocks = _column_blocks(out.shape[0])
     work = _workspace(parts, max(b.stop - b.start for b in blocks))
     for cols in blocks:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -39,3 +42,33 @@ def make_model(seed: int, k: int, d: int, sigma: float, activation: str = "linea
 @pytest.fixture
 def gaussian10():
     return InputDistribution.standard_gaussian(10)
+
+
+def _openblas_thread_calls():
+    """(get, set) for the thread count of the OpenBLAS this process loaded."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    for path in sorted({line.split()[-1] for line in maps.splitlines() if "openblas" in line}):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            if hasattr(lib, name.format("get")) and hasattr(lib, name.format("set")):
+                return getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+    return None
+
+
+@pytest.fixture(scope="module")
+def one_blas_thread():
+    """BLAS on one thread, as the benchmark runs it. With more threads BLAS may
+    split one product by its width, so a full-width product stops being one
+    fixed reference."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        pytest.skip("the BLAS thread count of this numpy cannot be set")
+    get, set_ = calls
+    before = get()
+    set_(1)
+    yield
+    set_(before)

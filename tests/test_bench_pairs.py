@@ -121,3 +121,19 @@ def test_layer_ratios_divide_each_traced_time_by_the_parent_s(bench_pairs):
     assert bench_pairs.layer_ratios(parent, change) == {
         "gating_em.m_step.s": pytest.approx(0.8), "gating_mom.mom_gating.s": None,
         "moments.accumulate.s": 1.0, "new.layer.s": None, "old.layer.s": None}
+
+
+def test_cell_seconds_reads_trial_columns_in_execution_order(bench_pairs):
+    # in execution order; sorted, "z/0" would come last
+    keys = ["z/0", "gmm/0", "gmm/1", "relu/0"]
+    trial_s = [[1.0, 2.0, 4.0, 8.0], [3.0, 2.0, 6.0, 8.0], [2.0, 9.0, 5.0, 0.0]]
+    assert bench_pairs.cell_seconds(trial_s, keys) == {"z": 2.0, "gmm": 7.0, "relu": 8.0}
+    with pytest.raises(ValueError):
+        bench_pairs.cell_seconds(trial_s, keys[:3])
+
+
+def test_trial_keys_follow_the_workload_cells(bench_pairs):
+    keys = bench_pairs.trial_keys(BENCH_PAIRS.parents[1], "small_k2", 0)
+    assert keys[:2] == ["gaussian:spectral+em/0", "gaussian:spectral+em/1"]
+    assert keys[8] == "gmm0.3:spectral+em/0" and len(keys) == 88
+    assert keys != sorted(keys)

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from moelearn import (Activation, Dataset, InputDistribution, MoeModel,
                       sample_dataset, solve_cqt)
-from moelearn.cqt import apply_p3, gauss_hermite
-from moelearn.errors import NumericalError
-from moelearn.moments import (CHUNK, MomentAccumulator, accumulate, finalize,
-                              raw_third_moment)
-from moelearn.scores import Sym3, score3_packed
+from moelearn.cqt import apply_p2, apply_p3, gauss_hermite
+from moelearn.errors import ConfigError, NumericalError
+from moelearn.moments import (CAP_MULTIPLIER, CHUNK, MomentAccumulator, accumulate,
+                              finalize, raw_third_moment)
+from moelearn.scores import Sym3, score2_packed, score3_packed
 
 from conftest import make_model, orthogonal_gating, unit_rows
 
@@ -26,6 +26,16 @@ def test_empty_batch_leaves_accumulator_unchanged():
     acc = _acc(3, Activation.linear(), 0.1)
     accumulate(acc, (np.zeros((0, 3)), np.zeros(0)))
     assert acc.n_seen == 0 and not acc.chunks
+
+
+@pytest.mark.parametrize("rows, labels", [(10, 9), (9, 10), (0, 3), (3, 0)])
+def test_batch_with_unequal_row_counts_is_refused(rows, labels):
+    """Neither the extra input rows nor the extra labels are dropped."""
+    acc = _acc(4, Activation.linear(), 0.1)
+    rng = np.random.default_rng(1)
+    with pytest.raises(ConfigError, match=f"{rows} input rows but {labels} labels"):
+        accumulate(acc, (rng.standard_normal((rows, 4)), rng.standard_normal(labels)))
+    assert not acc.chunks and acc.t2 is None and acc.t3 is None
 
 
 def test_single_sample_at_origin():
@@ -324,3 +334,25 @@ def test_accumulate_memory_is_bounded_at_d60():
         tracemalloc.stop()
     assert acc.n_seen + acc.n_rejected == n
     assert peak < 64 * 2**20
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=12),
+       st.one_of(st.integers(min_value=1, max_value=300), st.just(CHUNK)),
+       st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=2**31 - 1))
+def test_chunk_moments_bitwise_match_full_width_products_on_mixtures(one_blas_thread, d, n,
+                                                                      components, seed):
+    """One chunk's T2 and T3, both built from one split of the chunk into its
+    mixture components, equal the kept labels' transforms times the full-width
+    score matrices bit for bit."""
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(components))
+    dist = InputDistribution.gaussian_mixture(weights, rng.standard_normal((components, d)))
+    x, y = dist.sample(n, rng), rng.standard_normal(n)
+    acc = _acc(d, Activation.linear(), 0.1, dist)
+    accumulate(acc, (x, y))
+    p2, p3 = apply_p2(acc.cqt, y), apply_p3(acc.cqt, y)
+    kept = np.abs(p3) <= CAP_MULTIPLIER * max(np.median(np.abs(p3)), 1e-12)
+    assert acc.n_seen == kept.sum()
+    assert np.array_equal(acc.t2, p2[kept] @ score2_packed(x[kept], dist))
+    assert np.array_equal(acc.t3, p3[kept] @ score3_packed(x[kept], dist))
