@@ -12,7 +12,7 @@ regressors and the component weights |c3| E[p_i].
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ NOISE_FLOOR_RTOL = 1e-6
 class WhiteningMap:
     w_map: np.ndarray                    # (d, k), w_map^T (sign * T2) w_map = I_k
     pseudo_inverse_transpose: np.ndarray  # (d, k) back-projection of whitened vectors
-    eigen_signs: np.ndarray              # (k,) signs of the raw T2 eigenvalues used
     eigenvalues: np.ndarray              # (k,) eigenvalues of sign-corrected T2, descending
 
 
@@ -54,13 +53,12 @@ def whiten(t2: np.ndarray, k: int, c2_sign: float = 1.0) -> WhiteningMap:
             "rank deficient: regressors not linearly independent or n too small "
             f"(top-{k} eigenvalues {np.array2string(top, precision=3)})")
     # a sampling-noise eigenvalue may come out negative; absorb its sign so the
-    # whitened metric is positive and record it
-    signs = np.sign(top)
+    # whitened metric is positive
     mags = np.abs(top)
     u = evecs[:, :k]
     w_map = u / np.sqrt(mags)
     back = u * np.sqrt(mags)
-    return WhiteningMap(w_map, back, signs * sign, mags.copy())
+    return WhiteningMap(w_map, back, mags.copy())
 
 
 @dataclass
@@ -156,19 +154,16 @@ def power_method(t3: np.ndarray, n_components: int, restarts: int = 30,
 class DecompositionResult:
     vectors: np.ndarray       # (k, d) unit-norm regressor estimates
     weights: np.ndarray       # (k,) positive scales |c3| E[p_i]
-    residual: float           # Frobenius norm left after deflation (whitened space)
-    restarts: int
-    residuals: list           # per component, as PowerMethodResult.residuals
-    weak_flags: list = field(default_factory=list)
-    deflation_norms: list = field(default_factory=list)
+    power: PowerMethodResult  # the whitened tensor's decomposition
 
     def to_dict(self) -> dict:
         return {
             "regressors": self.vectors.tolist(),
             "weights": self.weights.tolist(),
-            "residual": self.residual,
-            "restarts": self.restarts,
-            "residuals": self.residuals,
+            # Frobenius norm left after deflation (whitened space)
+            "residual": self.power.deflation_norms[-1],
+            "restarts": self.power.restarts,
+            "residuals": self.power.residuals,
         }
 
 
@@ -197,7 +192,4 @@ def recover_regressors(t2: np.ndarray, t3: Sym3, k: int, cqt: CqtCoefficients,
             raise NumericalError(f"degenerate component {i}: zero back-projection")
         vectors[i] = b / nrm
         weights[i] = pm.eigenvalues[i] * nrm**3
-    return DecompositionResult(vectors, weights,
-                               residual=pm.deflation_norms[-1] if pm.deflation_norms else 0.0,
-                               restarts=pm.restarts, residuals=pm.residuals,
-                               weak_flags=pm.weak_flags, deflation_norms=pm.deflation_norms)
+    return DecompositionResult(vectors, weights, pm)

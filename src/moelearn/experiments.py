@@ -423,18 +423,13 @@ SUITES = tuple(_SUITE_FNS)
 
 def run_suite(name: str, config: ExperimentConfig, outdir: str | Path) -> dict:
     """Run one suite and write its tables; completed outputs are kept and
-    failures listed in the manifest."""
+    failed cells listed in the manifest. A suite's own setup errors raise."""
     if name not in _SUITE_FNS:
         raise ConfigError(f"unknown suite {name!r}; choose from {SUITES}")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = {"suite": name, "config_hash": config.hash(), "outputs": [], "failures": []}
-    try:
-        tables = _SUITE_FNS[name](config, manifest)
-    except MoeError as exc:
-        manifest["failures"].append(str(exc))
-        tables = {}
-    for file_name, (header, rows) in tables.items():
+    for file_name, (header, rows) in _SUITE_FNS[name](config, manifest).items():
         write_csv(outdir / file_name, header, rows)
         manifest["outputs"].append(file_name)
     (outdir / f"{name}.manifest.json").write_text(

@@ -6,8 +6,7 @@ M-step: maximize the empirical surrogate
     Q(w) = (1/n) sum_s [ sum_i p_s^(i) <w_i, x_s> - log(1 + sum_i e^{<w_i, x_s>}) ]
 over the product of row balls ||w_i|| <= R. Q is concave (a soft-label
 multinomial logistic regression), solved by projected gradient ascent with
-Armijo backtracking (ascend; joint EM's nonlinear expert step runs it on the
-unit sphere, along the tangent gradient, with normalisation as the projection).
+Armijo backtracking (m_step).
 
 The gradient-EM variant replaces the inner maximization with a single
 projected ascent step of size alpha <= 2 / (mu + lambda), where lambda and mu
@@ -178,36 +177,13 @@ def _projected_gradient_norm(w: np.ndarray, grad: np.ndarray, radius: float) -> 
     return math.sqrt(pg.ravel().dot(pg.ravel()))
 
 
-def ascend(point, evaluate, gradient, project, stationary, max_inner):
-    """Projected gradient ascent with Armijo backtracking (c = 1e-4): the step
-    is warm-started, doubled up to 1e6 and halved while above 1e-16.
-
-    ``evaluate(p)`` gives (value, state for ``gradient(p, state)``). Stops when
-    ``stationary(p, grad, value)``, when a search finds no ascent, or after
-    ``max_inner`` steps. An accepted candidate is the object passed to the
-    next ``gradient`` call, and returned."""
-    value, state = evaluate(point)
-    step = 1.0
-    for _ in range(max_inner):
-        grad = gradient(point, state)
-        if stationary(point, grad, value):
-            break
-        step = min(step * 2.0, 1e6)
-        while step > 1e-16:
-            cand = project(point + step * grad)
-            cand_value, cand_state = evaluate(cand)
-            if cand_value >= value + 1e-4 * float((grad * (cand - point)).sum()):
-                point, value, state = cand, cand_value, cand_state
-                break
-            step *= 0.5
-        else:
-            break
-    return point
-
-
 def m_step(x: np.ndarray, posteriors: np.ndarray, w_init: np.ndarray,
            radius: float) -> np.ndarray:
-    """Maximize Q over the row-ball domain by projected gradient ascent on a column-major x."""
+    """Maximize Q over the row-ball domain on a column-major x by projected
+    gradient ascent with Armijo backtracking (c = 1e-4), the step warm-started,
+    doubled up to 1e6 and halved while above 1e-16. Stops at a projected
+    gradient of 1e-7, on a failed search or after 500 steps; returns the last
+    accepted candidate object itself."""
     x = np.ascontiguousarray(x.T).T
 
     def evaluate(w):
@@ -216,10 +192,24 @@ def m_step(x: np.ndarray, posteriors: np.ndarray, w_init: np.ndarray,
         exps = exp_pass(logits.T, zero_column=True)
         return q_value(x, posteriors, w, logits=logits, exps=exps), exps
 
-    start = project_rows(np.array(w_init, dtype=float), radius)
-    return ascend(start, evaluate, lambda w, exps: q_gradient(x, posteriors, w, exps=exps),
-                  lambda w: project_rows(w, radius),
-                  lambda w, grad, q: _projected_gradient_norm(w, grad, radius) <= 1e-7, 500)
+    w = project_rows(np.array(w_init, dtype=float), radius)
+    q, exps = evaluate(w)
+    step = 1.0
+    for _ in range(500):
+        grad = q_gradient(x, posteriors, w, exps=exps)
+        if _projected_gradient_norm(w, grad, radius) <= 1e-7:
+            break
+        step = min(step * 2.0, 1e6)
+        while step > 1e-16:
+            cand = project_rows(w + step * grad, radius)
+            cand_q, cand_exps = evaluate(cand)
+            if cand_q >= q + 1e-4 * float((grad * (cand - w)).sum()):
+                w, q, exps = cand, cand_q, cand_exps
+                break
+            step *= 0.5
+        else:
+            break
+    return w
 
 
 @dataclass

@@ -2,11 +2,10 @@
 
 This is the baseline that gets stuck in local optima. E-step as in the
 gating-only EM; M-step updates the experts (responsibility-weighted least
-squares constrained to the unit sphere for linear experts; for nonlinear ones
-projected ascent on the sphere, along the tangent gradient, then normalised)
-and then the gating rows, both ascents run by gating_em.ascend. No expert
-update lowers its Q-term on the sphere, so the observed-data log-likelihood
-is nondecreasing. The outer loop is gating_em.em_loop.
+squares on the unit sphere, by _sphere_weighted_ls: exact for linear experts,
+Gauss-Newton steps for nonlinear ones) and then the gating rows (m_step). No
+expert update lowers its Q-term on the sphere, so the observed-data
+log-likelihood is nondecreasing. The outer loop is gating_em.em_loop.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 
 from .activations import Activation
 from .errors import ConfigError
-from .gating_em import EmState, ascend, em_loop, m_step, random_gating_init
+from .gating_em import EmState, em_loop, m_step, random_gating_init
 from .model import make_rng
 
 _RIDGE = 1e-8
@@ -70,24 +69,42 @@ def _sphere_weighted_ls(h: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]
 
 
 def _expert_step_nonlinear(x, y, weights, a_init, activation, sigma2) -> np.ndarray:
-    """Projected ascent of the weighted Gaussian log-likelihood
-    -sum_s weights_s (y_s - g(x_s.a))^2 / (2 sigma2) on the unit sphere: along
-    the tangent gradient g - (g.a)a, then normalised. Each point's x @ a and
-    residual are kept for its gradient."""
+    """Gauss-Newton ascent of -sum_s weights_s (y_s - g(x_s.a))^2 / (2 sigma2)
+    on the unit sphere: each step solves the model linearised at a on the
+    sphere (_sphere_weighted_ls) and takes the first point of the chord to
+    that target, halved from 1 down to 1e-10 and renormalised, that strictly
+    raises the objective. Stops at a tangent gradient within _TANGENT_TOL of
+    max(1, |objective|), when no chord point rises (ReLU at a kink), or after
+    50 steps."""
     def evaluate(a):
         t = x @ a
         res = y - activation(t)
-        return float(-0.5 * np.sum(weights * res**2) / sigma2), (t, res)
+        return float(-0.5 * np.sum(weights * res**2) / sigma2), t, res
 
-    def tangent_gradient(a, state):
-        t, res = state
-        grad = ((weights * res * activation(t, 1)) @ x) / sigma2
-        return grad - (grad @ a) * a
-
-    return ascend(np.array(a_init, dtype=float), evaluate, tangent_gradient,
-                  lambda a: a / np.linalg.norm(a),
-                  lambda a, grad, obj: np.linalg.norm(grad) <= _TANGENT_TOL * max(1.0, abs(obj)),
-                  50)
+    a = np.array(a_init, dtype=float)
+    value, t, res = evaluate(a)
+    for _ in range(50):
+        slope = activation(t, 1)
+        grad = ((weights * res * slope) @ x) / sigma2
+        if np.linalg.norm(grad - (grad @ a) * a) <= _TANGENT_TOL * max(1.0, abs(value)):
+            break
+        ws = weights * slope
+        target, _ = _sphere_weighted_ls((x * (ws * slope)[:, None]).T @ x,
+                                        (ws * (res + slope * t)) @ x)
+        s = 1.0
+        while s >= 1e-10:
+            cand = a + s * (target - a)
+            norm = np.linalg.norm(cand)
+            if norm > 0:
+                cand /= norm
+                cand_value, cand_t, cand_res = evaluate(cand)
+                if cand_value > value:
+                    a, value, t, res = cand, cand_value, cand_t, cand_res
+                    break
+            s *= 0.5
+        else:
+            break
+    return a
 
 
 def run_joint_em(x: np.ndarray, y: np.ndarray, k: int, sigma: float,

@@ -30,7 +30,6 @@ ALGORITHMS = ("spectral+em", "spectral+gradient-em", "spectral+mom", "joint-em")
 
 @dataclass
 class PipelineResult:
-    algo: str
     a_est: np.ndarray                    # (k, d) unit rows
     w: np.ndarray                        # (k-1, d) gating rows; k-th row is implicitly 0
     cqt: Optional[CqtCoefficients] = None
@@ -79,14 +78,13 @@ def fit_pipeline(data: Dataset, dist: InputDistribution, k: int, sigma: float,
     if algo == "joint-em":
         state = _stage("joint-em", run_joint_em, data.x, data.y, k, sigma, activation,
                        radius=radius, seed=seed)
-        return PipelineResult(algo, state.a, state.w, em_state=state)
+        return PipelineResult(state.a, state.w, em_state=state)
 
     dec, cqt = spectral_regressors(data, dist, k, sigma, activation, seed=seed)
     a_est = dec.vectors
-    result = PipelineResult(algo, a_est, np.zeros((k - 1, data.d)), cqt=cqt,
-                            decomposition=dec)
-    if dec.weak_flags:
-        result.flags.append(f"weak power-method components: {dec.weak_flags}")
+    result = PipelineResult(a_est, np.zeros((k - 1, data.d)), cqt=cqt, decomposition=dec)
+    if dec.power.weak_flags:
+        result.flags.append(f"weak power-method components: {dec.power.weak_flags}")
 
     if algo == "spectral+mom":
         if k != 2:

@@ -588,6 +588,23 @@ def test_realdata_suite_structural(tmp_path):
     assert joint <= variance
 
 
+@pytest.mark.parametrize("overrides,code,message", [
+    ({}, 1, "configuration error: realdata needs csv_path, feature_cols, and target_col"),
+    ({"csv_path": "missing.csv", "feature_cols": ["c1"], "target_col": "target"}, 2,
+     "data error: CSV not found: "),
+], ids=["no-csv-settings", "missing-csv"])
+def test_realdata_setup_error_exits_with_its_class(tmp_path, capsys, overrides, code, message):
+    """A realdata suite that cannot start exits 1 (no CSV settings) or 2 (no
+    CSV) with one stderr line, not 3 with a manifest that lists the error."""
+    if "csv_path" in overrides:
+        overrides = dict(overrides, csv_path=str(tmp_path / overrides["csv_path"]))
+    cfg = _write_config(tmp_path / "cfg.json", out=str(tmp_path / "rd"), **overrides)
+    assert main(["experiment", "--suite", "realdata", "--config", str(cfg)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not (tmp_path / "rd" / "realdata.manifest.json").exists()
+
+
 def test_realdata_rows_hash_each_method_config(tmp_path):
     """Each method row carries the hash of the config it was fitted with (its
     algo, d = the fitted feature count); the baseline row the suite's own."""

@@ -130,7 +130,7 @@ def test_recover_exact_population_tensors():
         assert np.linalg.norm(dec.vectors[perm[i]] - a[i]) <= 1e-6   # sign included
     matched = sorted(zip(dec.weights, range(k)))
     assert np.allclose(sorted(dec.weights), sorted(6 * pbar), atol=1e-8)
-    assert dec.residual <= 1e-8
+    assert dec.to_dict()["residual"] == dec.power.deflation_norms[-1] <= 1e-8
     assert np.all(dec.weights > 0)
 
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from moelearn import (Activation, InputDistribution, param_error, run_joint_em,
-                      sample_dataset)
+from moelearn import (Activation, ExperimentConfig, InputDistribution, joint_em,
+                      param_error, run_joint_em, sample_dataset)
 from moelearn.errors import ConfigError
+from moelearn.experiments import run_trial
 from moelearn.joint_em import _TANGENT_TOL, _expert_step_nonlinear, _sphere_weighted_ls
 
 from conftest import make_model
@@ -130,23 +131,85 @@ def _counting(activation):
 _finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["sigmoid", "relu"]), st.integers(min_value=1, max_value=40),
-       st.integers(min_value=1, max_value=6), st.data())
-def test_expert_step_stays_on_the_sphere_and_ascends(name, n, d, data):
-    """From a unit start the sphere step returns a unit row whose weighted
-    objective is at least the start's, with weights that may be exactly 0."""
-    x = data.draw(hnp.arrays(float, (n, d), elements=_finite))
-    y = data.draw(hnp.arrays(float, n, elements=_finite))
-    weights = data.draw(hnp.arrays(float, n, elements=st.sampled_from([0.0, 0.1, 0.5, 1.0])))
-    start = data.draw(hnp.arrays(float, d, elements=_finite).filter(
+@st.composite
+def _expert_step_cases(draw):
+    """(activation name, x, y, weights, unit start), weights possibly exactly 0."""
+    name = draw(st.sampled_from(["sigmoid", "relu"]))
+    n, d = draw(st.integers(min_value=1, max_value=40)), draw(st.integers(min_value=1, max_value=6))
+    x = draw(hnp.arrays(float, (n, d), elements=_finite))
+    y = draw(hnp.arrays(float, n, elements=_finite))
+    weights = draw(hnp.arrays(float, n, elements=st.sampled_from([0.0, 0.1, 0.5, 1.0])))
+    start = draw(hnp.arrays(float, d, elements=_finite).filter(
         lambda a: np.linalg.norm(a) > 1e-3))
-    start /= np.linalg.norm(start)
+    return name, x, y, weights, start / np.linalg.norm(start)
+
+
+_X = np.random.default_rng(63).standard_normal((40, 3))
+_A = np.array([0.6, 0.0, 0.8])
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=60, deadline=None)
+@given(_expert_step_cases())
+# the first Gauss-Newton target is near _A, antipodal to the start, so the
+# chord passes near zero
+@example(("sigmoid", _X, Activation.sigmoid()(_X @ _A), np.ones(40), -_A))
+@example(("relu", _X, Activation.relu()(_X @ _A), np.ones(40), -_A))
+# all-zero weights
+@example(("sigmoid", _X, _X[:, 0], np.zeros(40), _A))
+# every ReLU row inactive (h = 0)
+@example(("relu", -np.abs(_X), _X[:, 1], np.ones(40), _A))
+def test_expert_step_stays_on_the_sphere_and_ascends(case):
+    """From a unit start the sphere step returns a unit row whose weighted
+    objective is at least the start's, with numpy warnings as errors."""
+    name, x, y, weights, start = case
     activation = Activation.by_name(name)
     a = _expert_step_nonlinear(x, y, weights, start, activation, 0.04)
     assert abs(np.linalg.norm(a) - 1.0) <= 1e-12
     assert (_expert_objective(x, y, weights, a, activation, 0.04)
             >= _expert_objective(x, y, weights, start, activation, 0.04))
+
+
+@pytest.mark.filterwarnings("error")
+def test_expert_step_rejects_a_zero_chord_point(monkeypatch):
+    """With the start's antipode as the Gauss-Newton target, the chord's
+    midpoint is the origin: it is refused, not divided by its zero norm, and
+    the step still returns a unit row that scores at least its start."""
+    start = _A + 0.3 * np.array([0.0, 1.0, 0.0])
+    start /= np.linalg.norm(start)
+    sigmoid = Activation.sigmoid()
+    y = sigmoid(_X @ _A)
+    before = _expert_objective(_X, y, np.ones(40), start, sigmoid, 0.04)
+    # so the whole chord, -start, is refused and the search reaches the midpoint
+    assert _expert_objective(_X, y, np.ones(40), -start, sigmoid, 0.04) < before
+    monkeypatch.setattr(joint_em, "_sphere_weighted_ls", lambda h, b: (-start, False))
+    a = _expert_step_nonlinear(_X, y, np.ones(40), start, sigmoid, 0.04)
+    assert abs(np.linalg.norm(a) - 1.0) <= 1e-12
+    assert _expert_objective(_X, y, np.ones(40), a, sigmoid, 0.04) >= before
+
+
+def test_sigmoid_joint_em_expert_steps_end_within_tolerance(monkeypatch):
+    """On one sigmoid joint-EM trial of the nonlinear suite's shape (k = 3,
+    d = 5, n = 10,000, sigma = 0.1), every expert step ends with its tangent
+    gradient within _TANGENT_TOL of max(1, |objective|). Capped projected
+    gradient ascent left 28 of these 126 calls above it."""
+    ends = []
+
+    def checked(x, y, weights, a_init, activation, sigma2):
+        a = _expert_step_nonlinear(x, y, weights, a_init, activation, sigma2)
+        t = x @ a
+        grad = ((weights * (y - activation(t)) * activation(t, 1)) @ x) / sigma2
+        scale = max(1.0, abs(_expert_objective(x, y, weights, a, activation, sigma2)))
+        ends.append(np.linalg.norm(grad - (grad @ a) * a) / scale)
+        return a
+
+    monkeypatch.setattr(joint_em, "_expert_step_nonlinear", checked)
+    cfg = ExperimentConfig(experiment="nonlinear", k=3, d=5, sigma=0.1, n=10000,
+                           orthogonal=False, dist={"kind": "gaussian"}, activation="sigmoid",
+                           algo="joint-em", seed=13)
+    run_trial(cfg, 0)
+    assert len(ends) > 100
+    assert max(ends) <= _TANGENT_TOL
 
 
 def test_expert_step_returns_at_once_where_the_sphere_is_stationary():
