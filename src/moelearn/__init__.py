@@ -16,7 +16,7 @@ from .gating_em import (EmState, e_step, em_curvature_constants, m_step,
 from .gating_mom import (RatioStatistic, compute_ratio, mom_gating,
                          naive_ratio_mean, ratio_cdf_oracle)
 from .joint_em import run_joint_em
-from .metrics import FitReport, gating_fit, param_error, regressor_fit
+from .metrics import FitReport, gating_fit, regressor_fit
 from .model import (Dataset, InputDistribution, MoeModel, make_rng,
                     sample_dataset)
 from .moments import MomentAccumulator, accumulate, finalize, raw_third_moment

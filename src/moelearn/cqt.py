@@ -58,14 +58,14 @@ _RELU_MOMENTS = {
 }
 
 
-def activation_moments(act: Activation, order: int = DEFAULT_QUADRATURE_ORDER) -> dict:
+def activation_moments(act: Activation) -> dict:
     """Gaussian moments of g and derivatives entering the coefficient system."""
     if act.name == "relu":
         return dict(_RELU_MOMENTS)
     g = lambda z: act(z, 0)
     g1 = lambda z: act(z, 1)
     g2 = lambda z: act(z, 2)
-    E = lambda fn: gaussian_expectation(fn, order)
+    E = gaussian_expectation
     return {
         "g1": E(g1),
         "gg1": E(lambda z: g(z) * g1(z)),
@@ -140,14 +140,13 @@ def _condition_integrals(act: Activation, alpha: float, beta: float, gamma: floa
     }
 
 
-def solve_cqt(activation: Activation, sigma: float,
-              order: int = DEFAULT_QUADRATURE_ORDER) -> CqtCoefficients:
+def solve_cqt(activation: Activation, sigma: float) -> CqtCoefficients:
     """Solve the coefficient system for the given activation and noise level.
 
     Raises NumericalError naming the violated condition when the activation is
     not valid at this sigma.
     """
-    m = activation_moments(activation, order)
+    m = activation_moments(activation)
     mat = np.array([[2 * m["gg1"], m["g1"]],
                     [2 * m["pair"], m["g2"]]])
     rhs = np.array([
@@ -165,7 +164,8 @@ def solve_cqt(activation: Activation, sigma: float,
             f"activation not valid: E[g'] = 0, gamma undefined for {activation.name!r}")
     gamma = -2 * m["gg1"] / m["g1"]
 
-    ints = _condition_integrals(activation, alpha, beta, gamma, sigma, order)
+    ints = _condition_integrals(activation, alpha, beta, gamma, sigma,
+                                DEFAULT_QUADRATURE_ORDER)
     if abs(ints["s3_d1"]) > _COND_TOL or abs(ints["s3_d2"]) > _COND_TOL:
         raise NumericalError(
             "activation not valid: first condition E[S3']=E[S3'']=0 violated "
@@ -199,12 +199,13 @@ class ConditionReport:
                 and abs(self.s2_d1) <= tol)
 
 
-def check_conditions(c: CqtCoefficients, order: int = DEFAULT_QUADRATURE_ORDER) -> ConditionReport:
+def check_conditions(c: CqtCoefficients) -> ConditionReport:
     """Re-evaluate the condition integrals; error estimate via doubled order.
 
     For ReLU the integrals are closed forms; the error estimate compares them
     against adaptive half-line quadrature instead.
     """
+    order = DEFAULT_QUADRATURE_ORDER
     vals = _condition_integrals(c.activation, c.alpha, c.beta, c.gamma, c.sigma, order)
     if c.activation.name == "relu":
         ref = _relu_integrals_adaptive(c.alpha, c.beta, c.gamma, c.sigma)

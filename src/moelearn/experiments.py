@@ -78,6 +78,9 @@ class ExperimentConfig:
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         try:
             payload = json.loads(Path(path).read_text())
+            if not isinstance(payload, dict):
+                raise ConfigError(f"{path}: config must be a JSON object, "
+                                  f"got {type(payload).__name__}")
             unknown = set(payload) - set(cls.__dataclass_fields__)
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")

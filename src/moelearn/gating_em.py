@@ -14,7 +14,8 @@ are the strong-concavity and smoothness constants of the population surrogate;
 both are Gaussian quadrature minimizations exposed by em_curvature_constants.
 
 Both variants, and joint EM (joint_em), run em_loop and differ only in the
-M-step they pass to it.
+M-step they pass to it. em_loop never sees the truth: a caller that knows
+it scores the recorded EmState.iterates.
 """
 
 from __future__ import annotations
@@ -218,7 +219,6 @@ class TraceRow:
     step_norm: float
     q_value: float
     loglik: float
-    dist_to_truth: float = float("nan")
 
 
 @dataclass
@@ -230,7 +230,6 @@ class EmState:
     hard_assignment: bool = False
     ridge_flagged: bool = False   # joint EM's linear expert step needed a ridge
     final_loglik: float = float("nan")
-    initial_distance: float = float("nan")
     iterates: list = field(default_factory=list)   # (a, w) after each outer step
 
     def loglik_sequence(self) -> list:
@@ -239,7 +238,7 @@ class EmState:
 
 
 def row_metric(w_a: np.ndarray, w_b: np.ndarray) -> float:
-    """max_i ||w_a_i - w_b_i||_2, the gating-parameter error metric."""
+    """max_i ||w_a_i - w_b_i||_2, em_loop's step norm between iterates."""
     if w_a.size == 0:
         return 0.0
     return float(np.max(_row_norms(w_a - w_b)))
@@ -261,7 +260,7 @@ def _finite_loglik(est: EStepResult, iteration: int) -> EStepResult:
     return est
 
 
-def em_loop(x, y, a, w, sigma, activation, eps, max_iters, update, truth=None) -> EmState:
+def em_loop(x, y, a, w, sigma, activation, eps, max_iters, update) -> EmState:
     """Alternate the E-step with ``update(a, w, posteriors) -> (a, w)`` until
     the stacked (a, w) rows move less than eps.
 
@@ -271,8 +270,6 @@ def em_loop(x, y, a, w, sigma, activation, eps, max_iters, update, truth=None) -
     (sigma = 0) reports a NaN log-likelihood by design.
     """
     state = EmState(a=a, w=w)
-    if truth is not None:
-        state.initial_distance = row_metric(w, truth)
     for t in range(max_iters):
         est = _finite_loglik(e_step(x, y, a, w, sigma, activation), t + 1)
         state.hard_assignment = state.hard_assignment or est.hard_assignment
@@ -284,8 +281,6 @@ def em_loop(x, y, a, w, sigma, activation, eps, max_iters, update, truth=None) -
                        q_value=q_value(x, est.posteriors, w_next), loglik=est.loglik)
         if not math.isfinite(row.q_value):
             raise NumericalError(f"EM iteration {t + 1}: Q is {row.q_value} after the M-step")
-        if truth is not None:
-            row.dist_to_truth = row_metric(w_next, truth)
         state.trace.append(row)
         state.iterates.append((a_next.copy(), w_next.copy()))
         a, w = a_next, w_next
@@ -307,8 +302,7 @@ def _gating_start(regressors, radius, seed, w0) -> np.ndarray:
 
 def run_em(x: np.ndarray, y: np.ndarray, regressors: np.ndarray, sigma: float,
            activation: Activation, radius: float = 1.0, eps: float = 1e-4,
-           max_iters: int = 100, seed=0, w0: Optional[np.ndarray] = None,
-           truth: Optional[np.ndarray] = None) -> EmState:
+           max_iters: int = 100, seed=0, w0: Optional[np.ndarray] = None) -> EmState:
     """Alternate E and M steps until the iterate moves less than eps."""
     x = np.asfortranarray(np.atleast_2d(x))   # column-major: see _logits
 
@@ -316,14 +310,13 @@ def run_em(x: np.ndarray, y: np.ndarray, regressors: np.ndarray, sigma: float,
         return a, m_step(x, posteriors, w, radius)
 
     return em_loop(x, y, regressors, _gating_start(regressors, radius, seed, w0),
-                   sigma, activation, eps, max_iters, update, truth)
+                   sigma, activation, eps, max_iters, update)
 
 
 def run_gradient_em(x: np.ndarray, y: np.ndarray, regressors: np.ndarray, sigma: float,
                     activation: Activation, radius: float = 1.0,
                     step_alpha: Optional[float] = None, eps: float = 1e-4,
-                    max_iters: int = 100, seed=0, w0: Optional[np.ndarray] = None,
-                    truth: Optional[np.ndarray] = None) -> EmState:
+                    max_iters: int = 100, seed=0, w0: Optional[np.ndarray] = None) -> EmState:
     """Generalized EM: one projected ascent step on Q per outer iteration."""
     x = np.asfortranarray(np.atleast_2d(x))   # column-major: see _logits
     alpha_max = default_gradient_step()
@@ -335,7 +328,7 @@ def run_gradient_em(x: np.ndarray, y: np.ndarray, regressors: np.ndarray, sigma:
         return a, project_rows(w + alpha * q_gradient(x, posteriors, w), radius)
 
     return em_loop(x, y, regressors, _gating_start(regressors, radius, seed, w0),
-                   sigma, activation, eps, max_iters, update, truth)
+                   sigma, activation, eps, max_iters, update)
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +336,17 @@ def run_gradient_em(x: np.ndarray, y: np.ndarray, regressors: np.ndarray, sigma:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def em_curvature_constants(grid: int = 4001, order: int = 120) -> tuple[float, float]:
+def em_curvature_constants() -> tuple[float, float]:
     """(lambda, mu): extremal eigenvalues of E[f'(w.x) x x^T] over ||w|| <= 1.
 
     By Stein's identity the matrix equals E[f'''(aZ)] w w^T + E[f'(aZ)] I with
     a = ||w||, so its eigenvalues are m1(a) and m1(a) + a^2 m3(a); lambda is
     the infimum of the smaller one over a in [0, 1] and mu the supremum of the
-    larger one. f is the sigmoid.
+    larger one, on a 4001-point grid of a with 120-node Gauss-Hermite
+    quadrature. f is the sigmoid.
     """
-    z, wq = gauss_hermite(order)
-    a = np.linspace(0.0, 1.0, grid)
+    z, wq = gauss_hermite(120)
+    a = np.linspace(0.0, 1.0, 4001)
     t = np.outer(a, z)
     f1 = _sigmoid_d1(t) @ wq
     f3 = _sigmoid_d3(t) @ wq

@@ -37,15 +37,14 @@ class RatioStatistic:
     degenerate_count: int
 
 
-def compute_ratio(x: np.ndarray, y: np.ndarray, a1: np.ndarray, a2: np.ndarray,
-                  floor: float = DENOMINATOR_FLOOR) -> RatioStatistic:
-    """Ratio(x, y) per sample, excluding |denominator| below the floor."""
+def compute_ratio(x: np.ndarray, y: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> RatioStatistic:
+    """Ratio(x, y) per sample, excluding |denominator| below DENOMINATOR_FLOOR."""
     a1 = np.asarray(a1, dtype=float)
     a2 = np.asarray(a2, dtype=float)
     if np.linalg.norm(a1 - a2) < 1e-10:
         raise NumericalError("degenerate model: a1 == a2, ratio undefined")
     denom = x @ (a1 - a2)
-    keep = np.abs(denom) >= floor
+    keep = np.abs(denom) >= DENOMINATOR_FLOOR
     values = (y[keep] - x[keep] @ a2) / denom[keep]
     return RatioStatistic(values, keep, int((~keep).sum()))
 

@@ -1,9 +1,10 @@
 """Permutation-matched evaluation metrics and the fit report.
 
 RegressorFit: max over permutations of the minimum |<a_hat_pi(i), a*_i>| on
-unit-normalized rows. GatingFit: |<w_hat, w*>| on unit vectors. E(A, W): the
-permutation-minimized sum of the two Frobenius errors, with one permutation
-coupling both matrices and the gating matrices padded by an explicit zero row.
+unit-normalized rows. GatingFit: |<w_hat, w*>| on unit vectors. E(A, W)
+(param_error_min_gauge): the sum of the two Frobenius errors, minimized over
+the estimate's softmax gauges and over permutations, one coupling both
+matrices, with the gating matrices padded by an explicit zero row.
 Permutations are enumerated for k <= 8; larger k falls back to Hungarian
 max-sum matching, which approximates the bottleneck objective and is flagged.
 """
@@ -82,32 +83,21 @@ def _pad_gating(w: np.ndarray, k: int, d: int) -> np.ndarray:
     raise ConfigError(f"gating matrix must be ({k - 1}, {d}) or ({k}, {d}), got {w.shape}")
 
 
-def param_error(a_est: np.ndarray, w_est: np.ndarray,
-                a_true: np.ndarray, w_true: np.ndarray) -> tuple[float, tuple]:
-    """E(A, W) = inf_pi ||A - A*_pi||_F + ||W - W*_pi||_F, shared permutation."""
-    a_est = np.atleast_2d(np.asarray(a_est, dtype=float))
-    return _least_error(a_est, [_pad_gating(w_est, *a_est.shape)], a_true, w_true)
-
-
 def param_error_min_gauge(a_est: np.ndarray, w_est: np.ndarray,
                           a_true: np.ndarray, w_true: np.ndarray) -> tuple[float, tuple]:
-    """E(A, W) scored against the best gauge representative of the estimate.
+    """E(A, W) = inf_pi ||A - A*_pi||_F + ||W - W*_pi||_F, one permutation pi
+    coupling both terms, scored against the best gauge representative W of
+    the estimate.
 
     Softmax probabilities do not change when one row is subtracted from all
     rows, so a gating estimate is only defined up to that gauge (which expert
     carries the zero row); the parameter error of the estimated model is the
-    minimum over its k representatives.
+    minimum over its k representatives. Ties go to the first gauge, then the
+    first permutation, that attains the minimum. Each permutation's regressor
+    term is computed once for all gauges.
     """
     a_est = np.atleast_2d(np.asarray(a_est, dtype=float))
     w = _pad_gating(w_est, *a_est.shape)
-    return _least_error(a_est, [w - row for row in w], a_true, w_true)
-
-
-def _least_error(a_est: np.ndarray, w_ests: list, a_true: np.ndarray,
-                 w_true: np.ndarray) -> tuple[float, tuple]:
-    """param_error minimised over the padded gating estimates ``w_ests``: the
-    first estimate, then the first permutation, that attains the minimum.
-    Each permutation's regressor term is computed once for all estimates."""
     a_true = np.atleast_2d(np.asarray(a_true, dtype=float))
     if a_est.shape != a_true.shape:
         raise ConfigError(f"shape mismatch: {a_est.shape} vs {a_true.shape}")
@@ -115,11 +105,12 @@ def _least_error(a_est: np.ndarray, w_ests: list, a_true: np.ndarray,
     w_true = _pad_gating(w_true, k, d)
     perms = list(itertools.permutations(range(k))) if k <= BRUTE_FORCE_LIMIT else None
     errors_a, best, best_pi = {}, float("inf"), None
-    for w in w_ests:
-        for pi in perms or [_hungarian(a_est, w, a_true, w_true)]:
+    for row in w:
+        gauge = w - row
+        for pi in perms or [_hungarian(a_est, gauge, a_true, w_true)]:
             if pi not in errors_a:
                 errors_a[pi] = np.linalg.norm(a_est - a_true[list(pi)], "fro")
-            err = errors_a[pi] + np.linalg.norm(w - w_true[list(pi)], "fro")
+            err = errors_a[pi] + np.linalg.norm(gauge - w_true[list(pi)], "fro")
             if err < best:
                 best, best_pi = err, pi
     return float(best), best_pi

@@ -101,7 +101,7 @@ def fit_pipeline(data: Dataset, dist: InputDistribution, k: int, sigma: float,
     runner = run_em if algo == "spectral+em" else run_gradient_em
     # a gating radius of 2R, so any expert-order gauge of the truth fits
     state = _stage("gating-em", runner, data.x, data.y, a_est, sigma, activation,
-                   radius=2.0 * radius, seed=seed, truth=None)
+                   radius=2.0 * radius, seed=seed)
     if not state.converged:
         result.flags.append("gating EM hit the iteration cap without converging")
     result.em_state = state

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .model import make_rng
 
 
@@ -54,7 +54,8 @@ class TabularDataset:
 def _read_numeric_csv(path: Path, columns) -> tuple[np.ndarray, list, int]:
     """The float table of the columns ``columns(header)`` names (names or
     indices), their header names, and how many rows had a selected cell that
-    is missing or not a number; blank rows are skipped."""
+    is missing or not a number; blank rows are skipped. A selected name the
+    header repeats is a DataError, a column selected twice a ConfigError."""
     if not path.exists():
         raise DataError(f"CSV not found: {path}")
     with path.open(newline="") as fh:
@@ -71,9 +72,15 @@ def _read_numeric_csv(path: Path, columns) -> tuple[np.ndarray, list, int]:
                 return col
             if col not in header:
                 raise DataError(f"column {col!r} not in header {header}")
+            if header.count(col) > 1:
+                raise DataError(f"column {col!r} appears {header.count(col)} times in "
+                                f"the header of {path}")
             return header.index(col)
 
         idx = [col_index(c) for c in columns(header)]
+        twice = next((header[i] for i in idx if idx.count(i) > 1), None)
+        if twice is not None:
+            raise ConfigError(f"column {twice!r} is selected more than once")
         rows, rejected = [], 0
         for raw in reader:
             if not raw or all(not c.strip() for c in raw):

@@ -173,6 +173,19 @@ def _exit_and_stderr(capsys, argv):
     return rc, capsys.readouterr().err
 
 
+def test_fit_on_a_repeated_column_name_is_data_error(generated, tmp_path, capsys):
+    """Both copies of a repeated header name would resolve to its first
+    column, so the second would be fitted twice and the other never read."""
+    _, run = generated
+    lines = (run / "dataset.csv").read_text().splitlines()
+    path = tmp_path / "dataset.csv"
+    path.write_text("\n".join([lines[0].replace("x1", "x0"), *lines[1:]]) + "\n")
+    cfg = _write_config(tmp_path / "cfg.json", out=str(tmp_path / "out"))
+    rc, err = _exit_and_stderr(capsys, ["fit", "--config", str(cfg), "--data", str(path)])
+    assert rc == 2
+    assert err == f"data error: column 'x0' appears 2 times in the header of {path}\n"
+
+
 @pytest.mark.parametrize("key, value", [
     ("k", 0), ("n", 0), ("trials", 0), ("sigma", -0.1),
     ("radius", -1), ("threads", -2), ("split", 1.5), ("seed", -1),
@@ -220,6 +233,16 @@ def test_malformed_config_is_configuration_error(tmp_path, capsys, text):
     rc, err = _exit_and_stderr(capsys, ["generate", "--config", str(bad)])
     assert rc == 1
     assert err.startswith("configuration error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text, kind", [("5", "int"), ("null", "NoneType"),
+                                        ('"kd"', "str"), ("[]", "list")])
+def test_config_that_is_not_an_object_is_named_so(tmp_path, capsys, text, kind):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    rc, err = _exit_and_stderr(capsys, ["generate", "--config", str(bad)])
+    assert rc == 1
+    assert err == f"configuration error: {bad}: config must be a JSON object, got {kind}\n"
 
 
 @pytest.mark.parametrize("key, value", [
@@ -618,10 +641,10 @@ def test_realdata_rows_hash_each_method_config(tmp_path):
     assert hashes["test_variance"] == cfg.hash()
 
 
-def _ingest_set(path, n):
+def _ingest_set(path, n, header="a,b,y"):
     rng = np.random.default_rng(1)
     with path.open("w") as fh:
-        fh.write("a,b,y\n")
+        fh.write(header + "\n")
         for i in range(n):
             fh.write(f"{rng.normal()},{rng.normal()},{rng.normal()}\n")
     return path
@@ -634,6 +657,25 @@ def test_ingest_cli(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "ing" / "train.csv").exists()
     assert (tmp_path / "ing" / "preprocess.json").exists()
+
+
+@pytest.mark.parametrize("header, features, target, code, message", [
+    ("a,a,y", "a,a", "y", 2, "data error: column 'a' appears 2 times in the header of "),
+    ("a,b,a", "b", "a", 2, "data error: column 'a' appears 2 times in the header of "),
+    ("a,b,y", "a,a", "y", 1, "configuration error: column 'a' is selected more than once"),
+    ("a,b,y", "a,b", "a", 1, "configuration error: column 'a' is selected more than once"),
+], ids=["repeated-feature-name", "repeated-target-name", "feature-twice", "target-as-feature"])
+def test_ingest_repeated_column_is_refused_by_name(tmp_path, capsys, header, features,
+                                                    target, code, message):
+    """A repeated header name would read its first column for every copy, and
+    a column selected twice would enter the fit twice (as two features, or as
+    a feature and the target): both are refused, naming the column."""
+    csv = _ingest_set(tmp_path / "t.csv", 100, header)
+    rc, err = _exit_and_stderr(capsys, ["ingest", "--csv", str(csv), "--features", features,
+                                        "--target", target, "--out", str(tmp_path / "ing")])
+    assert rc == code
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not (tmp_path / "ing" / "train.csv").exists()
 
 
 def _data_rows(path):

@@ -46,6 +46,20 @@ def test_run_trial_returns_metrics_and_curves():
     assert out1["regressor_fit"] != out["regressor_fit"]   # independent draws
 
 
+@pytest.mark.parametrize("activation", ["linear", "sigmoid"])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("algo", ["spectral+em", "spectral+gradient-em", "joint-em"])
+def test_curves_end_at_the_final_scores(algo, k, activation):
+    """The last iterate is the fit, and the curves and the final scores come
+    from one scorer, so each curve ends at its score to the bit."""
+    cfg = ExperimentConfig(algo=algo, k=k, d=6, sigma=0.1, activation=activation, n=800,
+                           seed=5)
+    out = run_trial(cfg, 0)
+    assert out["error_curve"][-1] == out["param_error"]
+    if k == 2:
+        assert out["gating_fit_curve"][-1] == out["gating_fit"]
+
+
 # Modules only the side paths load: joint EM's sphere solve (scipy.optimize),
 # method-of-moments gating (scipy.special), the ReLU quadrature oracle
 # (scipy.integrate), k > 8 matching (scipy.optimize) and threaded suites.

@@ -11,8 +11,8 @@ from moelearn import gating_em
 from moelearn.errors import ConfigError, NumericalError
 from moelearn.gating_em import (default_gradient_step, e_step,
                                 em_curvature_constants, m_step, q_gradient,
-                                q_value, row_metric)
-from moelearn.model import exp_pass
+                                q_value, random_gating_init, row_metric)
+from moelearn.model import exp_pass, make_rng
 
 from conftest import make_model, unit_rows
 
@@ -426,14 +426,14 @@ def _criterion5_instance(sigma=0.05, n=100000, seed=5):
 def test_fixed_point_one_step_from_truth():
     model, data = _criterion5_instance()
     st = run_em(data.x, data.y, model.a, model.sigma, model.activation,
-                radius=1.0, w0=model.w, truth=model.w, max_iters=1)
+                radius=1.0, w0=model.w, max_iters=1)
     assert st.trace[0].step_norm < 0.05
 
 
 def test_em_reaches_truth_and_loglik_monotone():
     model, data = _criterion5_instance()
     st = run_em(data.x, data.y, model.a, model.sigma, model.activation,
-                radius=1.0, seed=3, truth=model.w)
+                radius=1.0, seed=3)
     assert st.converged
     assert row_metric(st.w, model.w) < 0.05
     lls = st.loglik_sequence()
@@ -446,9 +446,10 @@ def test_contraction_ratios_below_one_before_plateau():
     model = make_model(42, k=2, d=10, sigma=0.1)
     dist = InputDistribution.standard_gaussian(10)
     data = sample_dataset(model, dist, 100000, seed=9)
+    w0 = random_gating_init(2, 10, 1.0, make_rng(1))
     st = run_em(data.x, data.y, model.a, 0.1, model.activation, radius=1.0,
-                seed=1, truth=model.w, max_iters=12, eps=0.0)
-    dists = [st.initial_distance] + [r.dist_to_truth for r in st.trace]
+                w0=w0, max_iters=12, eps=0.0)
+    dists = [row_metric(w, model.w) for w in [w0] + [w for _, w in st.iterates]]
     floor = dists[-1]
     ratios = [dists[i + 1] / dists[i] for i in range(len(dists) - 1)
               if dists[i] > 2 * floor]
@@ -520,7 +521,7 @@ def test_em_robust_to_regressor_error_linear_envelope():
         a_pert = model.a + 0.1**2 * eps * delta
         a_pert /= np.linalg.norm(a_pert, axis=1, keepdims=True)
         st = run_em(data.x, data.y, a_pert, 0.1, model.activation, radius=1.0,
-                    seed=2, truth=model.w)
+                    seed=2)
         err = row_metric(st.w, model.w)
         if eps == 0.0:
             base = err

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moelearn import gating_fit, param_error, regressor_fit
+from moelearn import gating_fit, regressor_fit
 from moelearn import metrics
 from moelearn.errors import ConfigError
 from moelearn.metrics import (FitReport, config_hash, gating_fit_rows,
@@ -50,7 +50,7 @@ def test_hungarian_fallbacks_recover_a_row_permutation():
     fit, pi, exact = regressor_fit(a[perm], a)
     assert fit == pytest.approx(1.0) and not exact
     assert pi == tuple(np.argsort(perm))    # est row pi[i] is truth row i
-    err, pi = param_error(a[perm], w[perm], a, w)
+    err, pi = param_error_min_gauge(a[perm], w[perm], a, w)
     assert err == 0.0
     assert pi == tuple(perm)                # est row r is truth row pi[r]
 
@@ -64,12 +64,12 @@ def test_hungarian_fallbacks_agree_with_brute_force(monkeypatch):
     a_est = a[perm] + 0.05 * rng.standard_normal((k, d))
     w_est = w[perm] + 0.05 * rng.standard_normal((k, d))
     brute_fit = regressor_fit(a_est, a)
-    brute_err = param_error(a_est, w_est, a, w)
+    brute_err = param_error_min_gauge(a_est, w_est, a, w)
     monkeypatch.setattr(metrics, "BRUTE_FORCE_LIMIT", 3)
     fit, pi, exact = regressor_fit(a_est, a)
     assert not exact and brute_fit[2]
     assert (fit, pi) == brute_fit[:2]
-    assert param_error(a_est, w_est, a, w) == brute_err
+    assert param_error_min_gauge(a_est, w_est, a, w) == brute_err
 
 
 def test_gating_fit_examples():
@@ -85,12 +85,12 @@ def test_param_error_exact_and_signflip():
     rng = np.random.default_rng(1)
     a = unit_rows(rng, 3, 4)
     w = np.vstack([unit_rows(rng, 2, 4), np.zeros((1, 4))])
-    err, perm = param_error(a, w, a, w)
+    err, perm = param_error_min_gauge(a, w, a, w)
     assert err == pytest.approx(0.0, abs=1e-12)
     flipped = a.copy()
     flipped[0] *= -1
     a_orth = np.eye(3)
-    err, _ = param_error(-a_orth[:1].repeat(3, 0) * 0 + np.vstack([-a_orth[0], a_orth[1], a_orth[2]]),
+    err, _ = param_error_min_gauge(-a_orth[:1].repeat(3, 0) * 0 + np.vstack([-a_orth[0], a_orth[1], a_orth[2]]),
                          np.zeros((3, 3)), a_orth, np.zeros((3, 3)))
     assert err == pytest.approx(2.0)   # ||a - (-a)|| = 2 for a unit row
 
@@ -102,7 +102,7 @@ def test_param_error_couples_permutation():
     a_est = a_true[[1, 0]]
     w_true = np.array([[1.0, 0.0], [0.0, 0.0]])
     w_est = w_true.copy()
-    err, perm = param_error(a_est, w_est, a_true, w_true)
+    err, perm = param_error_min_gauge(a_est, w_est, a_true, w_true)
     swap_cost = np.linalg.norm(w_est - w_true[[1, 0]], "fro")
     id_cost = np.linalg.norm(a_est - a_true, "fro")
     assert err == pytest.approx(min(swap_cost, id_cost))
@@ -111,10 +111,10 @@ def test_param_error_couples_permutation():
 def test_param_error_pads_gating():
     a = np.eye(3)
     w = np.zeros((2, 3))
-    err, _ = param_error(a, w, a, np.zeros((3, 3)))
+    err, _ = param_error_min_gauge(a, w, a, np.zeros((3, 3)))
     assert err == 0.0
     with pytest.raises(ConfigError):
-        param_error(a, np.zeros((4, 3)), a, w)
+        param_error_min_gauge(a, np.zeros((4, 3)), a, w)
 
 
 @settings(max_examples=20, deadline=None)
@@ -131,8 +131,8 @@ def test_metric_invariances(k, seed):
     assert fit_perm == pytest.approx(fit_base, abs=1e-10)
     # param_error invariant under permuting estimate rows (not signs)
     w_est = rng.standard_normal((k, d))
-    e_base, _ = param_error(est, w_est, truth, rng.standard_normal((k, d)) * 0)
-    e_perm, _ = param_error(est[perm], w_est[perm], truth, np.zeros((k, d)))
+    e_base, _ = param_error_min_gauge(est, w_est, truth, rng.standard_normal((k, d)) * 0)
+    e_perm, _ = param_error_min_gauge(est[perm], w_est[perm], truth, np.zeros((k, d)))
     assert e_perm == pytest.approx(e_base, abs=1e-10)
 
 
@@ -244,7 +244,7 @@ def test_hungarian_permutation_is_plain_ints_and_serializes():
     est = truth[::-1] + 0.01 * rng.standard_normal((k, d))
     _, perm, exact = regressor_fit(est, truth)
     assert not exact and perm == tuple(range(k - 1, -1, -1))
-    _, perm_e = param_error(est, np.zeros((k - 1, d)), truth, np.zeros((k - 1, d)))
+    _, perm_e = param_error_min_gauge(est, np.zeros((k - 1, d)), truth, np.zeros((k - 1, d)))
     assert all(type(p) is int for p in perm + perm_e)
     text = FitReport(config={"k": k}, matched_permutation=perm).to_json()
     assert json.loads(text)["matched_permutation"] == list(perm)
@@ -274,7 +274,7 @@ def test_fit_report_roundtrip(tmp_path):
 
 def test_trace_csv(tmp_path):
     from moelearn.gating_em import TraceRow
-    trace = [TraceRow(1, 0.5, -1.2, -3.4, float("nan"))]
+    trace = [TraceRow(1, 0.5, -1.2, -3.4)]
     tpath = tmp_path / "trace.csv"
     write_trace_csv(tpath, trace)
     tl = tpath.read_text().strip().splitlines()
