@@ -20,8 +20,8 @@ import numpy as np
 from .activations import Activation
 from .errors import ConfigError, MoeError, require_numbers
 from .metrics import config_hash, gating_fit, param_error_min_gauge, write_csv
-from .model import (INPUT_KINDS, Dataset, InputDistribution, MoeModel, make_rng,
-                    sample_dataset)
+from .model import (INPUT_KINDS, SIGMA_MAX, Dataset, InputDistribution, MoeModel,
+                    make_rng, sample_dataset)
 from .pipeline import ALGORITHMS, evaluate, fit_pipeline, predict_moe
 from .tabular import ingest_csv
 
@@ -62,8 +62,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown algorithm {self.algo!r}; choose from {ALGORITHMS}")
         if self.k < 1 or self.d < 1 or self.n < 1 or self.trials < 1:
             raise ConfigError("k, d, n, trials must be positive")
-        if self.sigma < 0:
-            raise ConfigError("sigma must be nonnegative")
+        if not 0 <= self.sigma <= SIGMA_MAX:
+            raise ConfigError(f"sigma must lie in [0, {SIGMA_MAX!r}], where sigma**2 is finite")
         if self.radius <= 0:
             raise ConfigError("radius must be positive")
         if self.threads < 1:

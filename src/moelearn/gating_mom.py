@@ -6,8 +6,8 @@ is a Bernoulli variable plus a Cauchy-scaled noise term, so its plain mean is
 not integrable. Thresholding it is: the indicator moment
     E[ 1{Ratio <= 1/2} x ] = alpha_scale * w*,
 where alpha_scale = E[ f'(<w*,x>) (1 - 2 Phi(|<a1-a2, x>| / 2 sigma)) ] and f
-is the sigmoid. The estimator normalizes the empirical moment to a direction
-and fixes the sign with a plug-in estimate of alpha_scale, which is negative.
+is the sigmoid, Phi the normal CDF (normal_cdf). The estimator normalizes the
+empirical moment to a direction and fixes its sign by a plug-in alpha_scale < 0.
 
 The naive mean of Ratio * x is kept as a documented negative control with a
 heavy-tail diagnostic.
@@ -28,6 +28,10 @@ from .model import MoeModel
 DENOMINATOR_FLOOR = 1e-12
 # the Ratio threshold of the indicator moment
 RATIO_THRESHOLD = 0.5
+
+
+def normal_cdf(t: float) -> float:   # Phi(t), from math.erfc
+    return 0.5 * math.erfc(-t / math.sqrt(2.0))
 
 
 @dataclass
@@ -85,10 +89,8 @@ def mom_gating(x: np.ndarray, y: np.ndarray, a1: np.ndarray, a2: np.ndarray,
     if sigma <= 0:
         alpha = -1.0   # Phi(inf) = 1 so the population scale is -E[f'] < 0
     else:
-        from scipy.special import ndtr
-
-        alpha = float(np.mean(_sigmoid_d1(np.abs(xs @ u))
-                              * (1.0 - 2.0 * ndtr(delta / (2.0 * sigma)))))
+        cdf = np.array([normal_cdf(t) for t in (delta / (2.0 * sigma)).tolist()])
+        alpha = float(np.mean(_sigmoid_d1(np.abs(xs @ u)) * (1.0 - 2.0 * cdf)))
     w_hat = math.copysign(1.0, alpha) * u
     return MomResult(w_hat, alpha, norm, stat.degenerate_count, False)
 
@@ -105,11 +107,9 @@ def ratio_cdf_oracle(x: np.ndarray, z: float, model: MoeModel) -> float:
     delta = float((model.a[0] - model.a[1]) @ x)
     if delta == 0.0:
         raise NumericalError("ratio undefined: <a1 - a2, x> = 0")
-    from scipy.special import ndtr
-
     f = 1.0 / (1.0 + math.exp(-float(model.w[0] @ x)))
     scale = abs(delta) / model.sigma
-    return float(f * ndtr((z - 1.0) * scale) + (1.0 - f) * ndtr(z * scale))
+    return float(f * normal_cdf((z - 1.0) * scale) + (1.0 - f) * normal_cdf(z * scale))
 
 
 @dataclass

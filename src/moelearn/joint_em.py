@@ -1,11 +1,11 @@
 """Classical joint EM over regressors and gating, from random initialization.
 
-This is the baseline that gets stuck in local optima. E-step as in the
-gating-only EM; M-step updates the experts (responsibility-weighted least
-squares on the unit sphere, by _sphere_weighted_ls: exact for linear experts,
-Gauss-Newton steps for nonlinear ones) and then the gating rows (m_step). No
-expert update lowers its Q-term on the sphere, so the observed-data
-log-likelihood is nondecreasing. The outer loop is gating_em.em_loop.
+The baseline that gets stuck in local optima. E-step as in gating-only EM;
+M-step updates each expert by weighted least squares on the unit sphere
+(_sphere_weighted_ls, its secular equation solved by _brentq, not scipy):
+exact for linear experts, Gauss-Newton steps for nonlinear ones; then the
+gating rows (m_step). No expert update lowers its Q-term on the sphere, so the
+observed-data log-likelihood is nondecreasing. The outer loop is gating_em.em_loop.
 """
 
 from __future__ import annotations
@@ -15,12 +15,56 @@ from typing import Optional
 import numpy as np
 
 from .activations import Activation
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .gating_em import EmState, em_loop, m_step, random_gating_init
 from .model import make_rng
 
 _RIDGE = 1e-8
 _TANGENT_TOL = 1e-6   # the expert step's stop, relative to max(1, |objective|)
+
+
+def _brentq(f, xpre: float, xcur: float) -> float:
+    """scipy's Zeros/brentq.c (Brent 1973, ch. 4) line for line: scipy.optimize.brentq's
+    root of f between xpre and xcur to the bit, and NumericalError where scipy raises."""
+    def value(x):
+        if np.isnan(fx := f(x)):
+            raise NumericalError(f"sphere solve: the secular equation is NaN at nu={x!r}")
+        return fx
+    xpre, xcur = float(xpre), float(xcur)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise NumericalError(f"sphere solve: no sign change on [{xpre!r}, {xcur!r}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (1e-14 + 1e-14 * abs(xcur)) / 2   # (xtol + rtol |xcur|) / 2, both 1e-14
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = np.inf   # bisect unless an interpolation step is short enough
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:   # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:              # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:   # C's quotient is inf or NaN, so it bisects
+                pass
+        good = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if good else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise NumericalError("sphere solve: no root of the secular equation in 100 steps")
 
 
 def _sphere_weighted_ls(h: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -61,9 +105,7 @@ def _sphere_weighted_ls(h: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]
         tau = np.sqrt(max(0.0, 1.0 - float(np.sum(core**2))))
         a = evecs @ core + tau * evecs[:, 0]
         return a / np.linalg.norm(a), ridge_flag
-    from scipy.optimize import brentq
-
-    nu = brentq(lambda t: phi(t) - 1.0, lo, hi, xtol=1e-14, rtol=1e-14)
+    nu = _brentq(lambda t: phi(t) - 1.0, lo, hi)
     a = evecs @ (beta / (evals + nu))
     return a / np.linalg.norm(a), ridge_flag
 

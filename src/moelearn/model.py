@@ -20,6 +20,7 @@ from .errors import ConfigError, DataError
 # Counter-based generator so parallel sampling over disjoint ranges is
 # reproducible; the name is echoed into fit reports.
 RNG_NAME = "philox4x64"
+SIGMA_MAX = float(np.sqrt(np.finfo(float).max))   # the largest sigma whose square is finite
 
 
 def make_rng(seed) -> np.random.Generator:
@@ -118,6 +119,8 @@ class MoeModel:
             raise ConfigError("regressor rows must have unit norm (within 1e-9)")
         if not 0 <= self.sigma < np.inf:
             raise ConfigError("sigma must be finite and nonnegative")
+        if self.sigma > SIGMA_MAX:
+            raise ConfigError(f"sigma must be at most {SIGMA_MAX!r}, where sigma**2 is finite")
         if not 0 < self.radius < np.inf:
             raise ConfigError("radius must be finite and positive")
         if w.size and np.any(np.linalg.norm(w, axis=1) > self.radius + 1e-9):

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -14,6 +15,7 @@ from moelearn import ExperimentConfig, MoeModel, run_suite
 from moelearn import cli
 from moelearn.cli import main
 from moelearn.errors import ConfigError, DataError, NumericalError
+from moelearn.model import SIGMA_MAX
 
 
 def _write_config(path, **overrides):
@@ -377,6 +379,42 @@ def test_model_with_non_finite_value_is_data_error(generated, tmp_path, capsys, 
                                         "--data", str(run / "dataset.csv"), "--model", str(model)])
     assert rc == 2
     assert err == f"data error: {model}: {message}\n"
+
+
+@pytest.mark.parametrize("algo", ["spectral+em", "joint-em"])
+def test_sigma_whose_square_overflows_is_refused(generated, tmp_path, capsys, algo):
+    """sigma**2 overflows above sqrt(max float), about 1.34e154. A config with
+    such a sigma, which made every fit raise an OverflowError, is a
+    configuration error, and a model.json with one is a data error."""
+    cfg, run = generated
+    bad = _write_config(tmp_path / "bad.json", out=str(tmp_path / "out"), sigma=1.4e154)
+    rc, err = _exit_and_stderr(capsys, ["fit", "--config", str(bad), "--algo", algo,
+                                        "--data", str(run / "dataset.csv")])
+    assert rc == 1
+    assert err == ("configuration error: sigma must lie in [0, 1.3407807929942596e+154], "
+                   "where sigma**2 is finite\n")
+    payload = json.loads((run / "model.json").read_text())
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({**payload, "sigma": 1e300}))
+    rc, err = _exit_and_stderr(capsys, ["fit", "--config", str(cfg), "--algo", algo,
+                                        "--out", str(tmp_path), "--data", str(run / "dataset.csv"),
+                                        "--model", str(model)])
+    assert rc == 2
+    assert err == (f"data error: {model}: sigma must be at most 1.3407807929942596e+154, "
+                   f"where sigma**2 is finite\n")
+
+
+def test_largest_sigma_whose_square_is_finite_is_accepted():
+    """The bound is exact: the largest accepted sigma squares to a finite
+    float, and the next float up does not."""
+    assert math.isfinite(SIGMA_MAX ** 2)
+    with pytest.raises(OverflowError):
+        math.nextafter(SIGMA_MAX, math.inf) ** 2
+    assert ExperimentConfig(sigma=SIGMA_MAX).sigma == SIGMA_MAX
+    with pytest.raises(ConfigError):
+        ExperimentConfig(sigma=math.nextafter(SIGMA_MAX, math.inf))
+    with pytest.raises(ConfigError):
+        ExperimentConfig(sigma=10**400)
 
 
 def test_model_of_another_shape_is_refused_before_the_fit(generated, tmp_path, capsys,

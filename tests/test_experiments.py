@@ -60,9 +60,10 @@ def test_curves_end_at_the_final_scores(algo, k, activation):
         assert out["gating_fit_curve"][-1] == out["gating_fit"]
 
 
-# Modules only the side paths load: joint EM's sphere solve (scipy.optimize),
-# method-of-moments gating (scipy.special), the ReLU quadrature oracle
-# (scipy.integrate), k > 8 matching (scipy.optimize) and threaded suites.
+# Modules only the side paths load: k > 8 matching (scipy.optimize), the ReLU
+# quadrature oracle of check_conditions (scipy.integrate, which loads
+# scipy.special) and threaded suites. Joint EM's sphere solve and the
+# method-of-moments gating use no scipy.
 _SIDE_PATH_MODULES = ("scipy.optimize", "scipy.special", "scipy.integrate",
                       "concurrent.futures.process")
 
@@ -70,22 +71,37 @@ _IMPORT_PROBE = """
 import sys
 import moelearn, moelearn.cli
 from moelearn.experiments import ExperimentConfig, run_trial
-run_trial(ExperimentConfig(k=2, d=4, n=400, trials=1), 0)
+run_trial(ExperimentConfig(algo={algo!r}, k=2, d=4, n=400, trials=1), 0)
 print("\\n".join(sorted(sys.modules)))
 """
+
+
+def _side_path_modules_loaded(algo):
+    """The side-path modules loaded by importing moelearn and its CLI and
+    running one linear k = 2 trial of ``algo``, in a fresh interpreter."""
+    src = str(Path(moelearn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE.format(algo=algo)],
+                          check=True, text=True,
+                          stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+                          timeout=120)
+    loaded = done.stdout.split()
+    assert "moelearn.cli" in loaded
+    return [m for m in loaded if m.startswith(_SIDE_PATH_MODULES)]
 
 
 def test_spectral_em_fit_loads_no_side_path_modules():
     """Importing moelearn and its CLI and running one spectral+em trial, in a
     fresh interpreter, loads none of the modules of the side paths."""
-    src = str(Path(moelearn.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], check=True, text=True,
-                          stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
-                          timeout=120)
-    loaded = done.stdout.split()
-    assert "moelearn.cli" in loaded
-    assert [m for m in loaded if m.startswith(_SIDE_PATH_MODULES)] == []
+    assert _side_path_modules_loaded("spectral+em") == []
+
+
+@pytest.mark.parametrize("algo", ["joint-em", "spectral+mom"])
+def test_joint_em_and_mom_fits_load_no_side_path_modules(algo):
+    """Joint EM's Brent solve of the secular equation and the method-of-moments
+    normal CDF are the package's own: a linear trial of either loads neither
+    scipy.optimize nor scipy.special, nor any other side-path module."""
+    assert _side_path_modules_loaded(algo) == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,6 +9,7 @@ from moelearn import (Activation, InputDistribution, MoeModel, compute_ratio,
                       sample_dataset)
 from moelearn.activations import _sigmoid_d1
 from moelearn.errors import NumericalError
+from moelearn.gating_mom import normal_cdf
 
 from conftest import make_model, unit_rows
 
@@ -58,6 +59,18 @@ def test_mom_alpha_matches_one_sided_formula():
     alpha = float(np.mean(_one_sided_sigmoid_d1(xs @ u)
                           * (1.0 - 2.0 * ndtr(delta / (2.0 * 0.1)))))
     assert res.alpha_scale == alpha
+
+
+def test_normal_cdf_matches_ndtr():
+    """Phi from math.erfc agrees with scipy's ndtr on t in [0, 40], where
+    mom_gating reads it as 1 - 2 Phi, to 1e-15, and at the ends exactly."""
+    rng = np.random.default_rng(12)
+    t = np.concatenate([np.linspace(0.0, 40.0, 4001), rng.uniform(0.0, 40.0, 100000),
+                        np.abs(rng.standard_normal(100000))])
+    cdf = np.array([normal_cdf(v) for v in t.tolist()])
+    assert np.max(np.abs((1.0 - 2.0 * cdf) - (1.0 - 2.0 * ndtr(t)))) <= 1e-15
+    assert [normal_cdf(v) for v in (0.0, 40.0, math.inf, -math.inf)] == [0.5, 1.0, 1.0, 0.0]
+    assert math.isnan(normal_cdf(math.nan))
 
 
 def test_mom_zero_gating_below_noise_floor():

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.optimize import brentq
 
 from moelearn import (Activation, ExperimentConfig, InputDistribution, joint_em,
                       run_joint_em, sample_dataset)
-from moelearn.errors import ConfigError
+from moelearn.errors import ConfigError, NumericalError
 from moelearn.metrics import param_error_min_gauge
 from moelearn.experiments import run_trial
-from moelearn.joint_em import _TANGENT_TOL, _expert_step_nonlinear, _sphere_weighted_ls
+from moelearn.joint_em import (_TANGENT_TOL, _brentq, _expert_step_nonlinear,
+                               _sphere_weighted_ls)
 
 from conftest import make_model
 
@@ -48,6 +50,85 @@ def test_sphere_weighted_ls_hard_case():
     grid /= np.linalg.norm(grid, axis=1, keepdims=True)
     vals = np.einsum("nd,de,ne->n", grid, h, grid) - 2 * grid @ b
     assert direct <= vals.min() + 1e-6
+
+
+def _secular_bracket(evals, beta):
+    """f(nu) = ||beta / (evals + nu)||^2 - 1 and the bracket _sphere_weighted_ls
+    gives it, or None in the hard case, where no root is sought."""
+    def f(nu):
+        return float(np.sum((beta / (evals + nu)) ** 2)) - 1.0
+
+    lam_min = evals[0]
+    lo = -lam_min + 1e-12 * max(lam_min, 1.0)
+    hi = max(np.linalg.norm(beta), lam_min, 1.0)
+    while f(hi) > 0.0:
+        hi *= 2.0
+    return (f, lo, hi) if f(lo) >= 0.0 else None
+
+
+_scale = st.floats(min_value=-2.0, max_value=2.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=30).flatmap(lambda d: st.tuples(
+    hnp.arrays(float, d, elements=st.floats(min_value=1e-3, max_value=10.0)),
+    hnp.arrays(float, d, elements=st.floats(min_value=-3.0, max_value=3.0)))),
+    _scale, _scale)
+def test_brentq_port_returns_scipys_root_to_the_bit(case, h_scale, b_scale):
+    """On secular equations of the sphere solve (d 2-30, the spectrum and
+    b scaled over 1e-2-1e2) the port's root is scipy's brentq root, bit for bit."""
+    evals, beta = np.sort(case[0]) * h_scale, case[1] * b_scale
+    secular = _secular_bracket(evals, beta)
+    assume(secular is not None)
+    f, lo, hi = secular
+    expected = brentq(f, lo, hi, xtol=1e-14, rtol=1e-14)
+    root = _brentq(f, lo, hi)
+    assert type(root) is float
+    assert root.hex() == expected.hex()
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda t: t - 1.0, 1.0, 2.0), (lambda t: t - 1.0, 0.0, 1.0),
+    (lambda t: (t - 1.0) * (t - 3.0), 3.0, 2.0), (lambda t: (t - 1.0) * (t - 3.0), 1.0, 3.0)])
+def test_brentq_port_returns_a_bracket_end_at_a_zero_value(f, lo, hi):
+    """Where f is 0 at an end of the bracket, that end is the root, as in scipy."""
+    root = _brentq(f, lo, hi)
+    assert f(root) == 0.0
+    assert root == brentq(f, lo, hi, xtol=1e-14, rtol=1e-14)
+
+
+def test_brentq_port_bisects_where_the_c_quotient_is_not_finite():
+    """At values near 1e-200 the extrapolation's divisor underflows to 0; C
+    divides to inf or NaN and bisects, and so does the port, to scipy's root."""
+    f = lambda t: 1e-200 * (t ** 3 - 2.0)   # noqa: E731
+    assert _brentq(f, 0.0, 2.0) == brentq(f, 0.0, 2.0, xtol=1e-14, rtol=1e-14)
+
+
+@pytest.mark.parametrize("f, lo, hi, scipy_error, message", [
+    (lambda t: t * t + 1.0, -1.0, 1.0, ValueError, "no sign change on "),
+    (lambda t: t if t < 0.5 else float("nan"), -1.0, 1.0, ValueError, "is NaN at nu=1.0"),
+    # a jump, which Brent's method can only bisect towards: 2e300 needs ~1,000 halvings
+    (lambda t: -1.0 if t < 0.3 else 1.0, -1e300, 1e300, RuntimeError, "in 100 steps"),
+], ids=["no-sign-change", "nan", "step-cap"])
+def test_brentq_port_raises_numerical_error_where_scipy_raises(f, lo, hi, scipy_error, message):
+    with pytest.raises(scipy_error):
+        brentq(f, lo, hi, xtol=1e-14, rtol=1e-14)
+    with pytest.raises(NumericalError, match=f"^sphere solve: .*{message}"):
+        _brentq(f, lo, hi)
+
+
+@pytest.mark.parametrize("h, b, message", [
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.array([0.3, 0.2]), "is NaN at nu=nan"),
+    (2.0 * np.eye(2), np.array([np.inf, 0.2]), "is NaN at nu="),
+    # the upper end doubles past 1e18 with the secular equation still above 1
+    (np.diag([-1.5e18, 1.0]), np.array([1e18, 0.0]), "no sign change on "),
+], ids=["nan-h", "inf-b", "no-sign-change"])
+def test_sphere_solve_of_bad_input_is_numerical_error(h, b, message):
+    """Non-finite input, or a bracket the doubling leaves without a sign
+    change, is a NumericalError that names the solve."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match=f"^sphere solve: .*{message}"):
+            _sphere_weighted_ls(h, b)
 
 
 def test_joint_em_stays_near_truth_when_started_there():
