@@ -143,9 +143,16 @@ def _condition_integrals(act: Activation, alpha: float, beta: float, gamma: floa
 def solve_cqt(activation: Activation, sigma: float) -> CqtCoefficients:
     """Solve the coefficient system for the given activation and noise level.
 
-    Raises NumericalError naming the violated condition when the activation is
-    not valid at this sigma.
+    Raises NumericalError naming sigma and the violated condition when the
+    activation is not valid at this sigma. Each check is written so that a
+    NaN fails it.
     """
+    sigma = float(sigma)
+
+    def invalid(why):
+        return NumericalError(
+            f"activation {activation.name!r} not valid at sigma={sigma!r}: {why}")
+
     m = activation_moments(activation)
     mat = np.array([[2 * m["gg1"], m["g1"]],
                     [2 * m["pair"], m["g2"]]])
@@ -155,31 +162,28 @@ def solve_cqt(activation: Activation, sigma: float) -> CqtCoefficients:
     ])
     det = mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]
     scale = np.abs(mat).max()
-    if scale == 0.0 or abs(det) < 1e-12 * scale**2:
-        raise NumericalError(
-            f"activation not valid: coefficient system is singular for {activation.name!r}")
+    if not (scale > 0.0 and abs(det) >= 1e-12 * scale**2):
+        raise invalid("coefficient system is singular")
     alpha, beta = np.linalg.solve(mat, rhs)
-    if abs(m["g1"]) < 1e-12:
-        raise NumericalError(
-            f"activation not valid: E[g'] = 0, gamma undefined for {activation.name!r}")
+    if not abs(m["g1"]) >= 1e-12:
+        raise invalid("E[g'] = 0, gamma undefined")
     gamma = -2 * m["gg1"] / m["g1"]
+    if not np.isfinite([alpha, beta, gamma]).all():
+        raise invalid(f"coefficients (alpha, beta, gamma) = ({alpha:.3e}, {beta:.3e}, "
+                      f"{gamma:.3e}) are not finite")
 
     ints = _condition_integrals(activation, alpha, beta, gamma, sigma,
                                 DEFAULT_QUADRATURE_ORDER)
-    if abs(ints["s3_d1"]) > _COND_TOL or abs(ints["s3_d2"]) > _COND_TOL:
-        raise NumericalError(
-            "activation not valid: first condition E[S3']=E[S3'']=0 violated "
-            f"({ints['s3_d1']:.3e}, {ints['s3_d2']:.3e})")
-    if abs(ints["s2_d1"]) > _COND_TOL:
-        raise NumericalError(
-            f"activation not valid: second condition E[S2']=0 violated ({ints['s2_d1']:.3e})")
-    if abs(ints["s3_d3"]) < _SCALE_TOL:
-        raise NumericalError(
-            f"activation not valid: vanishing third moment scale E[S3''']={ints['s3_d3']:.3e}")
-    if abs(ints["s2_d2"]) < _SCALE_TOL:
-        raise NumericalError(
-            f"activation not valid: vanishing second moment scale E[S2'']={ints['s2_d2']:.3e}")
-    return CqtCoefficients(float(alpha), float(beta), float(gamma), float(sigma),
+    if not (abs(ints["s3_d1"]) <= _COND_TOL and abs(ints["s3_d2"]) <= _COND_TOL):
+        raise invalid("first condition E[S3']=E[S3'']=0 violated "
+                      f"({ints['s3_d1']:.3e}, {ints['s3_d2']:.3e})")
+    if not abs(ints["s2_d1"]) <= _COND_TOL:
+        raise invalid(f"second condition E[S2']=0 violated ({ints['s2_d1']:.3e})")
+    if not _SCALE_TOL <= abs(ints["s3_d3"]) < math.inf:
+        raise invalid(f"third moment scale E[S3''']={ints['s3_d3']:.3e} vanishes or is not finite")
+    if not _SCALE_TOL <= abs(ints["s2_d2"]) < math.inf:
+        raise invalid(f"second moment scale E[S2'']={ints['s2_d2']:.3e} vanishes or is not finite")
+    return CqtCoefficients(float(alpha), float(beta), float(gamma), sigma,
                            activation, float(ints["s3_d3"]), float(ints["s2_d2"]))
 
 

@@ -6,8 +6,9 @@ is a Bernoulli variable plus a Cauchy-scaled noise term, so its plain mean is
 not integrable. Thresholding it is: the indicator moment
     E[ 1{Ratio <= 1/2} x ] = alpha_scale * w*,
 where alpha_scale = E[ f'(<w*,x>) (1 - 2 Phi(|<a1-a2, x>| / 2 sigma)) ] and f
-is the sigmoid, Phi the normal CDF (normal_cdf). The estimator normalizes the
-empirical moment to a direction and fixes its sign by a plug-in alpha_scale < 0.
+is the sigmoid, Phi the normal CDF (normal_cdf). Every term of alpha_scale is
+at most 0, as f' > 0 and Phi >= 1/2 on [0, inf), so the estimator normalizes
+the empirical moment to a direction u and returns -u.
 
 The naive mean of Ratio * x is kept as a documented negative control with a
 heavy-tail diagnostic.
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import _sigmoid_d1
 from .errors import NumericalError
 from .model import MoeModel
 
@@ -56,15 +56,13 @@ def compute_ratio(x: np.ndarray, y: np.ndarray, a1: np.ndarray, a2: np.ndarray) 
 @dataclass
 class MomResult:
     w_hat: np.ndarray         # unit direction estimate of w*
-    alpha_scale: float        # plug-in estimate of the proportionality scalar
     moment_norm: float
     degenerate_count: int
     below_noise_floor: bool
 
 
-def mom_gating(x: np.ndarray, y: np.ndarray, a1: np.ndarray, a2: np.ndarray,
-               sigma: float) -> MomResult:
-    """Two-pass estimator: direction from the indicator moment, sign from alpha.
+def mom_gating(x: np.ndarray, y: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> MomResult:
+    """The unit direction of the indicator moment, negated as alpha_scale < 0.
 
     Emits a warning (and flags the result) when the empirical moment is below
     the 3/sqrt(n) noise floor, i.e. there is no direction to recover.
@@ -80,19 +78,8 @@ def mom_gating(x: np.ndarray, y: np.ndarray, a1: np.ndarray, a2: np.ndarray,
         warnings.warn("indicator moment below the sampling noise floor; "
                       "gating direction not identifiable from this sample", RuntimeWarning)
         u = moment / norm if norm > 0 else np.zeros_like(moment)
-        return MomResult(u, 0.0, norm, stat.degenerate_count, True)
-    u = moment / norm
-    # sign pass: alpha = E[f'(u.x) (1 - 2 Phi(|delta_x| / 2 sigma))]; f' is even
-    # in the sign of u, so the plug-in direction suffices, and f' is taken at
-    # |u.x|, where the sigmoid is 1 / (1 + exp(-|t|)).
-    delta = np.abs(xs @ (np.asarray(a1, dtype=float) - np.asarray(a2, dtype=float)))
-    if sigma <= 0:
-        alpha = -1.0   # Phi(inf) = 1 so the population scale is -E[f'] < 0
-    else:
-        cdf = np.array([normal_cdf(t) for t in (delta / (2.0 * sigma)).tolist()])
-        alpha = float(np.mean(_sigmoid_d1(np.abs(xs @ u)) * (1.0 - 2.0 * cdf)))
-    w_hat = math.copysign(1.0, alpha) * u
-    return MomResult(w_hat, alpha, norm, stat.degenerate_count, False)
+        return MomResult(u, norm, stat.degenerate_count, True)
+    return MomResult(-moment / norm, norm, stat.degenerate_count, False)
 
 
 def ratio_cdf_oracle(x: np.ndarray, z: float, model: MoeModel) -> float:

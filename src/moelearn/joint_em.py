@@ -2,14 +2,16 @@
 
 The baseline that gets stuck in local optima. E-step as in gating-only EM;
 M-step updates each expert by weighted least squares on the unit sphere
-(_sphere_weighted_ls, its secular equation solved by _brentq, not scipy):
-exact for linear experts, Gauss-Newton steps for nonlinear ones; then the
-gating rows (m_step). No expert update lowers its Q-term on the sphere, so the
-observed-data log-likelihood is nondecreasing. The outer loop is gating_em.em_loop.
+(_sphere_weighted_ls, its secular equation solved by Newton's method in
+_secular_root): exact for linear experts, Gauss-Newton steps for nonlinear
+ones; then the gating rows (m_step). No expert update lowers its Q-term on
+the sphere, so the observed-data log-likelihood is nondecreasing. The outer
+loop is gating_em.em_loop.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -23,47 +25,21 @@ _RIDGE = 1e-8
 _TANGENT_TOL = 1e-6   # the expert step's stop, relative to max(1, |objective|)
 
 
-def _brentq(f, xpre: float, xcur: float) -> float:
-    """scipy's Zeros/brentq.c (Brent 1973, ch. 4) line for line: scipy.optimize.brentq's
-    root of f between xpre and xcur to the bit, and NumericalError where scipy raises."""
-    def value(x):
-        if np.isnan(fx := f(x)):
-            raise NumericalError(f"sphere solve: the secular equation is NaN at nu={x!r}")
-        return fx
-    xpre, xcur = float(xpre), float(xcur)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0 or fcur == 0:
-        return xpre if fpre == 0 else xcur
-    if (fpre < 0) == (fcur < 0):
-        raise NumericalError(f"sphere solve: no sign change on [{xpre!r}, {xcur!r}]")
-    xblk = fblk = spre = scur = 0.0
+def _secular_root(evals: np.ndarray, beta: np.ndarray, nu: float) -> float:
+    """The root of psi(nu) = 1/||beta/(evals+nu)|| - 1 by Newton's method (Moré
+    and Sorensen 1983) from nu, at or left of it: psi is concave and increasing
+    on (-evals.min(), inf), so the steps rise to the root. Stops once a step is
+    at most 1e-14 max(1, |nu|); a non-finite psi or 100 steps is NumericalError."""
     for _ in range(100):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (1e-14 + 1e-14 * abs(xcur)) / 2   # (xtol + rtol |xcur|) / 2, both 1e-14
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        stry = np.inf   # bisect unless an interpolation step is short enough
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:   # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:              # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:   # C's quotient is inf or NaN, so it bisects
-                pass
-        good = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
-        spre, scur = (scur, stry) if good else (sbis, sbis)
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
+        q = beta / (evals + nu)
+        p2 = float(q @ q)
+        if not np.isfinite(p2):
+            raise NumericalError(
+                f"sphere solve: the secular equation is not finite at nu={nu!r}")
+        step = p2 * (math.sqrt(p2) - 1.0) / float(q @ (q / (evals + nu)))
+        if not step > 1e-14 * max(1.0, abs(nu)):
+            return nu
+        nu += step
     raise NumericalError("sphere solve: no root of the secular equation in 100 steps")
 
 
@@ -72,40 +48,30 @@ def _sphere_weighted_ls(h: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]
 
     Returns (a, ridge_flag). Stationarity gives
     (h + nu I) a = b with nu >= -lambda_min; phi(nu) = ||a(nu)||^2 decreases in
-    nu, so the feasible nu solves phi(nu) = 1.
+    nu, so the feasible nu solves phi(nu) = 1, which _secular_root finds by
+    Newton's method from just above -lambda_min. Where phi is already below 1
+    there (the hard case), nu = -lambda_min and a is padded with the bottom
+    eigenvector.
     """
-    d = h.shape[0]
     ridge_flag = False
     evals, evecs = np.linalg.eigh(h)
     if evals[-1] <= 0 or evals[0] < _RIDGE * max(evals[-1], 1.0):
-        h = h + _RIDGE * np.eye(d)
         evals = evals + _RIDGE
         ridge_flag = True
     beta = evecs.T @ b
     lam_min = evals[0]
-
-    def phi(nu):
-        return float(np.sum((beta / (evals + nu)) ** 2))
-
-    # interior solution: ||h^{-1} b|| <= 1 happens when the data pull is weak;
-    # the sphere constraint is an equality here, so we still solve phi = 1 by
-    # allowing nu < 0 down to -lam_min.
-    lo = -lam_min + 1e-12 * max(lam_min, 1.0)
-    hi = max(np.linalg.norm(b), lam_min, 1.0)
-    while phi(hi) > 1.0:
-        hi *= 2.0
-        if hi > 1e18:
-            break
-    if phi(lo) < 1.0:
+    # the sphere constraint is an equality, so nu may lie below 0, down to -lam_min
+    lo = float(-lam_min + 1e-12 * max(lam_min, 1.0))
+    if np.sum((beta / (evals + lo)) ** 2) < 1.0:
         # hard case: b nearly orthogonal to the bottom eigenvector; pad with it
         nu = -lam_min
         mask = evals > lam_min + 1e-12
-        core = np.zeros(d)
+        core = np.zeros_like(beta)
         core[mask] = beta[mask] / (evals[mask] + nu)
         tau = np.sqrt(max(0.0, 1.0 - float(np.sum(core**2))))
         a = evecs @ core + tau * evecs[:, 0]
         return a / np.linalg.norm(a), ridge_flag
-    nu = _brentq(lambda t: phi(t) - 1.0, lo, hi)
+    nu = _secular_root(evals, beta, lo)
     a = evecs @ (beta / (evals + nu))
     return a / np.linalg.norm(a), ridge_flag
 

@@ -91,7 +91,7 @@ def fit_pipeline(data: Dataset, dist: InputDistribution, k: int, sigma: float,
             raise ConfigError("the method-of-moments gating estimator requires k = 2")
         if activation.name != "linear":
             raise ConfigError("the method-of-moments gating estimator requires linear experts")
-        mom = _stage("gating-mom", mom_gating, data.x, data.y, a_est[0], a_est[1], sigma)
+        mom = _stage("gating-mom", mom_gating, data.x, data.y, a_est[0], a_est[1])
         if mom.below_noise_floor:
             result.flags.append("mom: moment below noise floor")
         # direction only; scale is not identified by the indicator moment

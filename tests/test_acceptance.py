@@ -283,7 +283,7 @@ def test_criterion_8_mom_gating():
         model = make_model(7000 + seed, k=2, d=10, sigma=0.1)
         dist = InputDistribution.standard_gaussian(10)
         data = sample_dataset(model, dist, 100_000, seed=8000 + seed)
-        res = mom_gating(data.x, data.y, model.a[0], model.a[1], 0.1)
+        res = mom_gating(data.x, data.y, model.a[0], model.a[1])
         hits += abs(res.w_hat @ model.w[0]) >= 0.95
     model = make_model(7100, k=2, d=10, sigma=0.1)
     dist = InputDistribution.standard_gaussian(10)

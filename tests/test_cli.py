@@ -404,6 +404,20 @@ def test_sigma_whose_square_overflows_is_refused(generated, tmp_path, capsys, al
                    f"where sigma**2 is finite\n")
 
 
+@pytest.mark.filterwarnings("error")
+def test_sigma_whose_transform_overflows_is_numerical_error(generated, tmp_path, capsys):
+    """sigma = 1e154 squares to a finite float, but the transform solve's
+    3 sigma**2 terms overflow: the spectral fit stops there, naming sigma,
+    not at a later stage that cannot say why."""
+    _, run = generated
+    cfg = _write_config(tmp_path / "big.json", out=str(tmp_path / "out"), sigma=1e154)
+    rc, err = _exit_and_stderr(capsys, ["fit", "--config", str(cfg), "--algo", "spectral+em",
+                                        "--data", str(run / "dataset.csv")])
+    assert rc == 3
+    assert err == ("numerical failure: [cqt] activation 'linear' not valid at sigma=1e+154: "
+                   "coefficients (alpha, beta, gamma) = (nan, -inf, -0.000e+00) are not finite\n")
+
+
 def test_largest_sigma_whose_square_is_finite_is_accepted():
     """The bound is exact: the largest accepted sigma squares to a finite
     float, and the next float up does not."""

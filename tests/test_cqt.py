@@ -128,8 +128,24 @@ def test_invalid_activation_raises_with_condition_name():
         lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         lambda t: np.zeros_like(np.asarray(t, dtype=float)),
     ))
-    with pytest.raises(NumericalError, match="not valid"):
+    with pytest.raises(NumericalError, match=r"^activation 'flat' not valid at sigma=0\.1: "
+                       "coefficient system is singular$"):
         solve_cqt(flat, 0.1)
+    # at a large sigma the system's rounding leaves the first condition unmet
+    with pytest.raises(NumericalError, match=r"^activation 'linear' not valid at "
+                       r"sigma=100000000\.0: first condition E\[S3'\]=E\[S3''\]=0 violated"):
+        solve_cqt(Activation.linear(), 1e8)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["linear", "sigmoid", "relu"])
+def test_sigma_whose_terms_overflow_is_refused_by_name(name):
+    """At sigma = 1e154 the 3 sigma**2 terms of the system overflow, so alpha
+    and beta are not finite. A NaN compares False with any tolerance, so
+    such coefficients are refused by name, before any numpy warning."""
+    with pytest.raises(NumericalError, match=rf"^activation '{name}' not valid at "
+                       r"sigma=1e\+154: coefficients \(alpha, beta, gamma\) = .* are not finite$"):
+        solve_cqt(Activation.by_name(name), 1e154)
 
 
 def test_custom_activation_tanh_is_valid():

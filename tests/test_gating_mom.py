@@ -23,23 +23,22 @@ def _k2_instance(seed, sigma=0.1, d=10, n=100000):
 
 def test_mom_recovers_direction():
     model, data = _k2_instance(7000)
-    res = mom_gating(data.x, data.y, model.a[0], model.a[1], 0.1)
+    res = mom_gating(data.x, data.y, model.a[0], model.a[1])
     assert abs(res.w_hat @ model.w[0]) >= 0.95
     assert res.w_hat @ model.w[0] > 0         # sign fixed, not only |cos|
-    assert res.alpha_scale < 0
     assert not res.below_noise_floor
 
 
 def _one_sided_sigmoid_d1(t):
-    """f'(t) by the one-sided formula on |t|, as mom_gating once had it."""
+    """f'(t) by the one-sided formula on |t|."""
     s = 1.0 / (1.0 + np.exp(-np.abs(t)))
     return s * (1.0 - s)
 
 
 def test_sigmoid_d1_on_abs_matches_one_sided_formula():
     """On |t| the two-sided sigmoid takes its 1 / (1 + exp(-|t|)) branch, so
-    mom_gating's f'(|t|) keeps the one-sided formula's bits, at the edges
-    (signed zeros, subnormals, +-1e308, +-inf, NaN) too."""
+    its f'(|t|) keeps the one-sided formula's bits, at the edges (signed
+    zeros, subnormals, +-1e308, +-inf, NaN) too."""
     rng = np.random.default_rng(11)
     t = np.concatenate([scale * rng.standard_normal(20000)
                         for scale in (0.5, 3.0, 40.0, 800.0)]
@@ -48,22 +47,9 @@ def test_sigmoid_d1_on_abs_matches_one_sided_formula():
     assert np.array_equal(_sigmoid_d1(np.abs(t)), _one_sided_sigmoid_d1(t), equal_nan=True)
 
 
-def test_mom_alpha_matches_one_sided_formula():
-    model, data = _k2_instance(7000, n=20000)
-    a1, a2 = model.a
-    res = mom_gating(data.x, data.y, a1, a2, 0.1)
-    stat = compute_ratio(data.x, data.y, a1, a2)
-    xs = data.x[stat.keep]
-    u = math.copysign(1.0, res.alpha_scale) * res.w_hat
-    delta = np.abs(xs @ (a1 - a2))
-    alpha = float(np.mean(_one_sided_sigmoid_d1(xs @ u)
-                          * (1.0 - 2.0 * ndtr(delta / (2.0 * 0.1)))))
-    assert res.alpha_scale == alpha
-
-
 def test_normal_cdf_matches_ndtr():
-    """Phi from math.erfc agrees with scipy's ndtr on t in [0, 40], where
-    mom_gating reads it as 1 - 2 Phi, to 1e-15, and at the ends exactly."""
+    """Phi from math.erfc agrees with scipy's ndtr, as 1 - 2 Phi on t in
+    [0, 40] to 1e-15, and at the ends exactly."""
     rng = np.random.default_rng(12)
     t = np.concatenate([np.linspace(0.0, 40.0, 4001), rng.uniform(0.0, 40.0, 100000),
                         np.abs(rng.standard_normal(100000))])
@@ -80,7 +66,7 @@ def test_mom_zero_gating_below_noise_floor():
                      activation=Activation.linear())
     data = sample_dataset(model, InputDistribution.standard_gaussian(d), n, seed=4)
     with pytest.warns(RuntimeWarning):
-        res = mom_gating(data.x, data.y, model.a[0], model.a[1], 0.1)
+        res = mom_gating(data.x, data.y, model.a[0], model.a[1])
     assert res.below_noise_floor
     assert res.moment_norm <= 3.0 / np.sqrt(n)
 
@@ -90,7 +76,7 @@ def test_mom_fit_degrades_with_noise():
     for sigma in fits:
         for seed in range(20):
             model, data = _k2_instance(500 + seed, sigma=sigma, n=20000)
-            res = mom_gating(data.x, data.y, model.a[0], model.a[1], sigma)
+            res = mom_gating(data.x, data.y, model.a[0], model.a[1])
             fits[sigma].append(abs(res.w_hat @ model.w[0]))
     means = {s: float(np.mean(v)) for s, v in fits.items()}
     assert means[0.1] > means[0.5] > means[1.0]
@@ -102,7 +88,7 @@ def test_mom_fit_improves_with_samples():
         vals = []
         for seed in range(7):
             model, data = _k2_instance(900 + seed, n=n)
-            res = mom_gating(data.x, data.y, model.a[0], model.a[1], 0.1)
+            res = mom_gating(data.x, data.y, model.a[0], model.a[1])
             vals.append(abs(res.w_hat @ model.w[0]))
         medians.append(float(np.median(vals)))
     assert medians[0] <= medians[1] <= medians[2]
