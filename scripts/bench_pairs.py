@@ -43,7 +43,10 @@ standard library moelearn imports itself); the medians and
 the count of ``scipy`` modules loaded are recorded. Last, the Tier-1 verify
 command (``TIER1``) runs once in each tree, BLAS on one thread, and its wall time,
 pytest summary line and ten slowest tests (``--durations=10``, as ``{test id:
-seconds}``) are recorded. The line count of each tree's
+seconds}``) are recorded. ``fit_imports`` lists, per tree, workload and cell,
+the modules that cell's first trial imports beyond ``import moelearn`` (probed
+in a fresh interpreter), so a fit that starts loading a library shows it. The
+line count of each tree's
 ``src/moelearn/*.py`` and the field count of its ``ExperimentConfig`` (the
 settable values of a fit and its experiment) are recorded too, so a change
 that deletes code or settings shows it beside the metrics. Each tree also runs
@@ -100,6 +103,20 @@ import json, sys
 sys.path[:0] = ["perfbench", "src"]
 from workloads import build_trials
 print(json.dumps([t.key for t in build_trials(sys.argv[1], int(sys.argv[2]))]))
+"""
+
+# Runs the first trial of cell sys.argv[3] of workload sys.argv[1] under seed
+# sys.argv[2] and prints the sorted names of the modules it imported that
+# importing moelearn and building the pass had not.
+_FIT_IMPORTS = """
+import json, sys
+sys.path[:0] = ["perfbench", "src"]
+from moelearn import experiments
+from workloads import build_trials
+trial = next(t for t in build_trials(sys.argv[1], int(sys.argv[2])) if t.cell == sys.argv[3])
+before = set(sys.modules)
+experiments.run_trial(trial.config, trial.index)
+print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 # Prints the field count of the ExperimentConfig in the current tree's src/.
@@ -382,6 +399,19 @@ def config_fields(tree: Path) -> int:
     return int(done.stdout)
 
 
+def fit_imports(tree: Path, workload: str, seed: int) -> dict:
+    """{cell: the modules one trial of it imports beyond ``import moelearn``}
+    of ``workload`` under ``seed``, each cell's first trial run in a fresh
+    interpreter that imports ``tree``'s own src/ and perfbench/."""
+    cells = dict.fromkeys(key.rsplit("/", 1)[0] for key in trial_keys(tree, workload, seed))
+    for cell in cells:
+        done = subprocess.run([sys.executable, "-c", _FIT_IMPORTS, workload, str(seed), cell],
+                              cwd=tree, check=True, stdout=subprocess.PIPE, text=True,
+                              env={**os.environ, **_ONE_THREAD}, timeout=600)
+        cells[cell] = json.loads(done.stdout)
+    return cells
+
+
 def source_sha256(tree: Path) -> str:
     digest = hashlib.sha256()
     for path in sorted((tree / "src" / "moelearn").glob("*.py")):
@@ -416,6 +446,12 @@ def main() -> int:
         "source_sha256": {side: source_sha256(tree) for side, tree in trees.items()},
         "source_lines": {side: source_lines(tree) for side, tree in trees.items()},
         "config_fields": {side: config_fields(tree) for side, tree in trees.items()},
+        "fit_imports": {
+            "method": f"per workload cell, the modules its first trial at seed "
+                      f"{args.seeds[0]} imports beyond `import moelearn`, each run in a "
+                      f"fresh interpreter (scripts/bench_pairs.py's fit_imports)",
+            **{side: {workload: fit_imports(tree, workload, args.seeds[0])
+                      for workload in workloads} for side, tree in trees.items()}},
         "environment": None,
         "method": (f"Each (workload, seed) ran as `python3 perfbench/sweep.py --workloads W "
                    f"--seeds S --trace 0` in the parent tree and in the change tree, one "

@@ -11,7 +11,9 @@ derivatives; gamma = -2 E[g g'] / E[g'].
 The nonzero scales c3 = E[S3'''(Z)] and c2 = E[S2''(Z)] multiply the rank-one
 terms of the population moment tensors.
 
-Moments are computed by Gauss-Hermite quadrature (order 80 by default). ReLU
+Moments are computed by Gauss-Hermite quadrature (order 80 by default), its
+nodes and weights from gauss_hermite, an in-package port of numpy's
+hermegauss that keeps numpy.polynomial out of a fit's imports. ReLU
 moments use half-line closed forms under the a.e. convention g'' = g''' = 0,
 as quadrature of kinked integrands converges too slowly. That convention does
 not annihilate the distributional parts: g' jumps at 0, so by Stein's lemma
@@ -36,10 +38,42 @@ _COND_TOL = 1e-8
 _SCALE_TOL = 1e-6
 
 
+def _normed_hermite_e(x: np.ndarray, n: int) -> np.ndarray:
+    """The normalised HermiteE polynomial of degree n at x, by the three-term
+    recurrence run down from n (numpy's ``_normed_hermite_e_n``)."""
+    if n == 0:
+        return np.full(x.shape, 1 / np.sqrt(np.sqrt(2 * np.pi)))
+    c0, c1, nd = 0., 1. / np.sqrt(np.sqrt(2 * np.pi)), float(n)
+    for _ in range(n - 1):
+        c0, c1 = -c1 * np.sqrt((nd - 1.) / nd), c0 + c1 * x * np.sqrt(1. / nd)
+        nd = nd - 1.0
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=None)
 def gauss_hermite(order: int):
-    """Probabilists' Gauss-Hermite nodes and weights normalized to E[1] = 1."""
-    z, w = np.polynomial.hermite_e.hermegauss(order)
+    """Probabilists' Gauss-Hermite nodes and weights normalized to E[1] = 1.
+
+    An in-package port of numpy.polynomial.hermite_e.hermegauss (Golub and
+    Welsch 1969) in its operation order, so nodes and weights keep its bits,
+    without importing numpy.polynomial into every fit: the eigenvalues of
+    the symmetric tridiagonal companion (off-diagonal sqrt(1..n-1)), one
+    Newton step on the normalised HermiteE polynomial, then weights
+    1 / He_{n-1}(z)^2, both symmetrised and the weights normalised.
+    """
+    n = order
+    mat = np.zeros((n, n))
+    off = np.sqrt(np.arange(1, n))
+    mat.reshape(-1)[1::n + 1] = off
+    mat.reshape(-1)[n::n + 1] = off
+    z = np.linalg.eigvalsh(mat)
+    z -= _normed_hermite_e(z, n) / (_normed_hermite_e(z, n - 1) * np.sqrt(n))
+    fm = _normed_hermite_e(z, n - 1)
+    fm /= np.abs(fm).max()
+    w = 1 / (fm * fm)
+    w = (w + w[::-1]) / 2
+    z = (z - z[::-1]) / 2
+    w *= np.sqrt(2 * np.pi) / w.sum()
     return z, w / math.sqrt(2.0 * math.pi)
 
 

@@ -25,6 +25,10 @@ _RIDGE = 1e-8
 _TANGENT_TOL = 1e-6   # the expert step's stop, relative to max(1, |objective|)
 
 
+def _not_finite(nu: float) -> NumericalError:
+    return NumericalError(f"sphere solve: the secular equation is not finite at nu={nu!r}")
+
+
 def _secular_root(evals: np.ndarray, beta: np.ndarray, nu: float) -> float:
     """The root of psi(nu) = 1/||beta/(evals+nu)|| - 1 by Newton's method (Moré
     and Sorensen 1983) from nu, at or left of it: psi is concave and increasing
@@ -34,8 +38,7 @@ def _secular_root(evals: np.ndarray, beta: np.ndarray, nu: float) -> float:
         q = beta / (evals + nu)
         p2 = float(q @ q)
         if not np.isfinite(p2):
-            raise NumericalError(
-                f"sphere solve: the secular equation is not finite at nu={nu!r}")
+            raise _not_finite(nu)
         step = p2 * (math.sqrt(p2) - 1.0) / float(q @ (q / (evals + nu)))
         if not step > 1e-14 * max(1.0, abs(nu)):
             return nu
@@ -58,10 +61,14 @@ def _sphere_weighted_ls(h: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]
     if evals[-1] <= 0 or evals[0] < _RIDGE * max(evals[-1], 1.0):
         evals = evals + _RIDGE
         ridge_flag = True
-    beta = evecs.T @ b
     lam_min = evals[0]
     # the sphere constraint is an equality, so nu may lie below 0, down to -lam_min
     lo = float(-lam_min + 1e-12 * max(lam_min, 1.0))
+    # non-finite input, or lo rounded onto the pole at -lam_min, fails here
+    # rather than after the products and divisions below have warned
+    if not (np.isfinite(b).all() and np.all(evals + lo > 0)):
+        raise _not_finite(lo)
+    beta = evecs.T @ b
     if np.sum((beta / (evals + lo)) ** 2) < 1.0:
         # hard case: b nearly orthogonal to the bottom eigenvector; pad with it
         nu = -lam_min

@@ -11,7 +11,9 @@ and reduced, for T2 and T3, by BLAS matrix-vector products over blocks of packed
 columns (``scores.contract_scores``), and its sums are added to the running sums
 in row order; finalize only divides by the kept count. Chunks start at
 multiples of CHUNK within each call, so one call and successive calls split at
-multiples of CHUNK give the same bits.
+multiples of CHUNK give the same bits. Each chunk's outlier cap scales its
+median finite |P3(y)|, found by a partition (``_median``, np.median's bits);
+a C-ordered chunk that keeps every row is read in place, not copied.
 """
 
 from __future__ import annotations
@@ -65,6 +67,19 @@ class MomentAccumulator:
         return sum(c.rejected for c in self.chunks)
 
 
+def _median(a: np.ndarray) -> float:
+    """np.median of a non-empty 1-D array of finite values, with its bits: the
+    middle order statistic, or for an even length the two middle ones summed
+    and halved, as np.mean of the pair is. ``a`` is partitioned in place; this
+    keeps np.median, whose first call imports numpy.ma, off the fit path."""
+    h = a.size // 2
+    if a.size % 2:
+        a.partition(h)
+        return float(a[h])
+    a.partition((h - 1, h))
+    return float((a[h - 1] + a[h]) / 2.0)
+
+
 def accumulate(acc: MomentAccumulator, batch) -> MomentAccumulator:
     """Add a batch of samples to the running sums, one chunk at a time.
 
@@ -95,14 +110,19 @@ def accumulate(acc: MomentAccumulator, batch) -> MomentAccumulator:
         p3c, p2c = p3[start:stop], p2[start:stop]
         finite = np.isfinite(p3c)
         # one NaN would make the median, and so the cap, NaN for the whole chunk
-        scale = np.median(np.abs(p3c[finite])) if finite.any() else 0.0
+        scale = _median(np.abs(p3c[finite])) if finite.any() else 0.0
         cap = CAP_MULTIPLIER * max(scale, 1e-12)
         sel = finite & (np.abs(p3c) <= cap)
-        xs = x[start:stop][sel]
+        xs, p2s, p3s = x[start:stop], p2c, p3c
+        # a chunk that keeps every row is read in place, if its rows are laid
+        # out as a copy's are: on strided rows a mixture's responsibilities
+        # are summed in another order
+        if not (sel.all() and xs.flags.c_contiguous):
+            xs, p2s, p3s = xs[sel], p2c[sel], p3c[sel]
         if xs.shape[0]:
             parts = components(xs, acc.dist)
-            t2 = contract_scores(parts, p2c[sel], 2)
-            t3 = contract_scores(parts, p3c[sel], 3)
+            t2 = contract_scores(parts, p2s, 2)
+            t3 = contract_scores(parts, p3s, 3)
         else:
             t2 = np.zeros(packed_size(acc.d, 2))
             t3 = np.zeros(packed_size(acc.d, 3))

@@ -137,3 +137,32 @@ def test_trial_keys_follow_the_workload_cells(bench_pairs):
     assert keys[:2] == ["gaussian:spectral+em/0", "gaussian:spectral+em/1"]
     assert keys[8] == "gmm0.3:spectral+em/0" and len(keys) == 88
     assert keys != sorted(keys)
+
+
+def test_fit_imports_lists_what_each_cell_first_trial_imports(bench_pairs, tmp_path):
+    package, bench = tmp_path / "src" / "moelearn", tmp_path / "perfbench"
+    package.mkdir(parents=True)
+    bench.mkdir()
+    (package / "__init__.py").write_text("import json\n")
+    (package / "experiments.py").write_text(
+        "def run_trial(config, index):\n"
+        "    if config == 'slow' and index == 0:\n"
+        "        import side_path\n")
+    (tmp_path / "src" / "side_path.py").write_text("import moelearn.side_helper\n")
+    (package / "side_helper.py").write_text("")
+    (bench / "workloads.py").write_text(
+        "from dataclasses import dataclass\n\n\n@dataclass\nclass Trial:\n"
+        "    cell: str\n    config: str\n    index: int\n\n"
+        "    @property\n    def key(self):\n        return f'{self.cell}/{self.index}'\n\n\n"
+        "def build_trials(workload, seed):\n"
+        "    return [Trial(c, c, i) for c in ('fast', 'slow') for i in range(2)]\n")
+    imports = bench_pairs.fit_imports(tmp_path, "w", 0)
+    assert list(imports.items()) == [("fast", []),
+                                     ("slow", ["moelearn.side_helper", "side_path"])]
+
+
+def test_fit_imports_of_this_tree_hold_no_numpy_side_packages(bench_pairs):
+    imports = bench_pairs.fit_imports(BENCH_PAIRS.parents[1], "wide_moments", 0)
+    assert list(imports) == ["d40:gaussian"]
+    assert not [m for m in imports["d40:gaussian"]
+                if m.split(".")[:2] in (["numpy", "ma"], ["numpy", "polynomial"])]

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from moelearn import Activation, apply_p2, apply_p3, check_conditions, solve_cqt
-from moelearn.cqt import activation_moments, gaussian_expectation
+from moelearn.cqt import activation_moments, gauss_hermite, gaussian_expectation
 from moelearn.errors import NumericalError
 
 
@@ -167,3 +167,14 @@ def test_gaussian_expectation_polynomial_exactness():
     # order-80 rule integrates low-degree polynomials to machine precision
     assert gaussian_expectation(lambda z: z**6) == pytest.approx(15.0, rel=1e-13)
     assert gaussian_expectation(lambda z: z**8) == pytest.approx(105.0, rel=1e-13)
+
+
+def test_gauss_hermite_port_has_hermegauss_bits():
+    """The in-package port equals numpy.polynomial's hermegauss bit for bit,
+    nodes and weights, at every order from 1 to 200 (numpy.polynomial is the
+    oracle here only)."""
+    for order in range(1, 201):
+        z, w = gauss_hermite.__wrapped__(order)
+        z_ref, w_ref = np.polynomial.hermite_e.hermegauss(order)
+        assert z.tobytes() == z_ref.tobytes(), order
+        assert w.tobytes() == (w_ref / math.sqrt(2.0 * math.pi)).tobytes(), order

@@ -65,7 +65,7 @@ def test_curves_end_at_the_final_scores(algo, k, activation):
 # scipy.special) and threaded suites. Joint EM's sphere solve and the
 # method-of-moments gating use no scipy.
 _SIDE_PATH_MODULES = ("scipy.optimize", "scipy.special", "scipy.integrate",
-                      "concurrent.futures.process")
+                      "concurrent.futures.process", "numpy.ma", "numpy.polynomial")
 
 _IMPORT_PROBE = """
 import sys
@@ -87,7 +87,10 @@ def _side_path_modules_loaded(algo):
                           timeout=120)
     loaded = done.stdout.split()
     assert "moelearn.cli" in loaded
-    return [m for m in loaded if m.startswith(_SIDE_PATH_MODULES)]
+    # exact package names: "numpy.ma" is a prefix of numpy.matrixlib, which
+    # import numpy always loads
+    return [m for m in loaded
+            if any(m == p or m.startswith(p + ".") for p in _SIDE_PATH_MODULES)]
 
 
 def test_spectral_em_fit_loads_no_side_path_modules():
@@ -96,11 +99,13 @@ def test_spectral_em_fit_loads_no_side_path_modules():
     assert _side_path_modules_loaded("spectral+em") == []
 
 
-@pytest.mark.parametrize("algo", ["joint-em", "spectral+mom"])
+@pytest.mark.parametrize("algo", ["joint-em", "spectral+mom", "spectral+gradient-em"])
 def test_joint_em_and_mom_fits_load_no_side_path_modules(algo):
-    """Joint EM's Brent solve of the secular equation and the method-of-moments
-    normal CDF are the package's own: a linear trial of either loads neither
-    scipy.optimize nor scipy.special, nor any other side-path module."""
+    """Joint EM's Newton solve of the secular equation, the method-of-moments
+    normal CDF, the quadrature nodes and the moment cap's median are the
+    package's own: a linear trial loads neither scipy.optimize nor
+    scipy.special, nor numpy.ma or numpy.polynomial, nor any other side-path
+    module."""
     assert _side_path_modules_loaded(algo) == []
 
 

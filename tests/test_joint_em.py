@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -86,8 +87,10 @@ def test_secular_root_is_scipys_brentq_root(case, h_scale, b_scale):
 ], ids=["nan-h", "inf-b", "pole-at-lo"])
 def test_sphere_solve_of_bad_input_is_numerical_error(h, b, nu):
     """Non-finite input, or a start on a pole of the secular equation, is a
-    NumericalError that names the solve and prints nu as a float."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    NumericalError that names the solve and prints nu as a float, raised
+    before numpy warns of a division or product it would take."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="^sphere solve: the secular equation is not "
                            f"finite at {re.escape(nu)}$"):
             _sphere_weighted_ls(h, b)

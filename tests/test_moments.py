@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from moelearn import (Activation, Dataset, InputDistribution, MoeModel,
                       sample_dataset, solve_cqt)
 from moelearn.cqt import apply_p2, apply_p3, gauss_hermite
 from moelearn.errors import ConfigError, NumericalError
-from moelearn.moments import (CAP_MULTIPLIER, CHUNK, MomentAccumulator, accumulate,
+from moelearn.moments import (CAP_MULTIPLIER, CHUNK, MomentAccumulator, _median, accumulate,
                               finalize, raw_third_moment)
 from moelearn.scores import Sym3, score2_packed, score3_packed
 
@@ -356,3 +357,42 @@ def test_chunk_moments_bitwise_match_full_width_products_on_mixtures(one_blas_th
     assert acc.n_seen == kept.sum()
     assert np.array_equal(acc.t2, p2[kept] @ score2_packed(x[kept], dist))
     assert np.array_equal(acc.t3, p3[kept] @ score3_packed(x[kept], dist))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("mixture", [False, True], ids=["gaussian", "mixture"])
+def test_chunk_that_keeps_every_row_equals_its_copied_rows_bitwise(mixture, order):
+    """A chunk that keeps every row is read in place; its T2 and T3 equal
+    those of the same rows copied out past one rejected outlier row."""
+    d, n = 5, 700
+    rng = np.random.default_rng(31)
+    dist = (InputDistribution.gaussian_mixture([0.4, 0.6], rng.standard_normal((2, d)))
+            if mixture else InputDistribution.standard_gaussian(d))
+    x = np.asarray(dist.sample(n, rng), order=order)
+    y = rng.uniform(1.0, 1.5, n)          # |P3(y)| within a few medians: all kept
+    in_place = _acc(d, Activation.linear(), 0.1, dist)
+    accumulate(in_place, (x, y))
+    copied = _acc(d, Activation.linear(), 0.1, dist)
+    accumulate(copied, (np.vstack([x, np.zeros((1, d))]), np.append(y, 1e6)))
+    assert (in_place.n_seen, in_place.n_rejected) == (n, 0)
+    assert (copied.n_seen, copied.n_rejected) == (n, 1)
+    assert np.array_equal(in_place.t2, copied.t2) and np.array_equal(in_place.t3, copied.t3)
+
+
+# non-negative finite values: exact ties, zeros, subnormals, values near 1e300
+_MEDIAN_VALUES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1.0, 1e300]),
+    st.floats(0.0, 2.2250738585072014e-308, allow_subnormal=True),
+    st.floats(0.0, 1e3), st.floats(1e299, 1e301))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2048).flatmap(lambda half: st.sampled_from([2 * half - 1, 2 * half])
+                                    ).flatmap(lambda n: hnp.arrays(
+                                        np.float64, n, elements=_MEDIAN_VALUES,
+                                        fill=_MEDIAN_VALUES)))
+def test_median_has_np_median_bits(values):
+    """The accumulator's partition median returns np.median's bits, at odd
+    and even lengths from 1 to 4096."""
+    expected = np.median(values)
+    assert np.float64(_median(values.copy())).tobytes() == expected.tobytes()
