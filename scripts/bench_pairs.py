@@ -53,14 +53,18 @@ that deletes code or settings shows it beside the metrics. Each tree also runs
 every suite once at ``trials=2, seed=3, n=800`` (BLAS on one thread), realdata
 on a stand-in CSV written once at a fixed path in the work directory; the
 sha256 of every file the suites write is recorded per tree, with the list of
-files that differ between the trees and a unified diff of each.
+files that differ between the trees, a unified diff of each and, for each
+CSV both trees wrote that differs, the header columns whose values differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import difflib
 import hashlib
+import io
+import itertools
 import json
 import math
 import os
@@ -217,9 +221,22 @@ def suite_outputs(tree: Path, out: Path, standin: Path) -> dict:
     return json.loads(done.stdout)
 
 
+def differing_columns(parent: str, change: str) -> list:
+    """The header columns of a CSV whose values differ between two texts of
+    it, in column order. A row or a column that one side alone has counts as
+    differing; columns are named by the longer header (the parent's on a tie)."""
+    p_rows, c_rows = (list(csv.reader(io.StringIO(text))) for text in (parent, change))
+    header = max(p_rows[:1] + c_rows[:1], key=len, default=[])
+    moved = {j for p_row, c_row in itertools.zip_longest(p_rows, c_rows, fillvalue=[])
+             for j, (p, c) in enumerate(itertools.zip_longest(p_row, c_row)) if p != c}
+    return [header[j] if j < len(header) else str(j) for j in sorted(moved)]
+
+
 def compare_suite_outputs(outputs: dict) -> dict:
     """Per side, the sha256 of each file; the files whose bytes differ between
-    the sides or that one side alone wrote; and a unified diff of each."""
+    the sides or that one side alone wrote; a unified diff of each; and for
+    each CSV that both sides wrote and that differs, its ``differing_columns``
+    (so a change that only moves the config hash reads ["config_hash"])."""
     digests = {side: {name: hashlib.sha256(text.encode()).hexdigest()
                       for name, text in files.items()} for side, files in outputs.items()}
     names = sorted(digests["parent"].keys() | digests["change"].keys())
@@ -228,7 +245,10 @@ def compare_suite_outputs(outputs: dict) -> dict:
     diffs = {name: list(difflib.unified_diff(
         outputs["parent"].get(name, "").splitlines(), outputs["change"].get(name, "").splitlines(),
         f"parent/{name}", f"change/{name}", lineterm="")) for name in differ}
-    return {**digests, "differ": differ, "diffs": diffs}
+    columns = {name: differing_columns(outputs["parent"][name], outputs["change"][name])
+               for name in differ if name.endswith(".csv")
+               and name in outputs["parent"] and name in outputs["change"]}
+    return {**digests, "differ": differ, "diffs": diffs, "columns": columns}
 
 
 def score_delta(parent, change) -> float:

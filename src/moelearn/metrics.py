@@ -15,7 +15,9 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -25,6 +27,11 @@ from .errors import ConfigError
 from .model import RNG_NAME
 
 BRUTE_FORCE_LIMIT = 8
+
+
+@lru_cache(maxsize=None)
+def _permutations(k: int) -> tuple:
+    return tuple(itertools.permutations(range(k)))
 
 
 def _unit_rows(m: np.ndarray) -> np.ndarray:
@@ -44,7 +51,7 @@ def regressor_fit(est: np.ndarray, truth: np.ndarray) -> tuple[float, tuple, boo
     cos = np.abs(est @ truth.T)   # cos[p, i] = |<est_p, truth_i>|
     if k <= BRUTE_FORCE_LIMIT:
         best, best_pi = -1.0, None
-        for pi in itertools.permutations(range(k)):
+        for pi in _permutations(k):
             val = min(cos[pi[i], i] for i in range(k))
             if val > best:
                 best, best_pi = val, pi
@@ -103,17 +110,24 @@ def param_error_min_gauge(a_est: np.ndarray, w_est: np.ndarray,
         raise ConfigError(f"shape mismatch: {a_est.shape} vs {a_true.shape}")
     k, d = a_est.shape
     w_true = _pad_gating(w_true, k, d)
-    perms = list(itertools.permutations(range(k))) if k <= BRUTE_FORCE_LIMIT else None
+    perms = _permutations(k) if k <= BRUTE_FORCE_LIMIT else None
     errors_a, best, best_pi = {}, float("inf"), None
     for row in w:
         gauge = w - row
         for pi in perms or [_hungarian(a_est, gauge, a_true, w_true)]:
             if pi not in errors_a:
-                errors_a[pi] = np.linalg.norm(a_est - a_true[list(pi)], "fro")
-            err = errors_a[pi] + np.linalg.norm(gauge - w_true[list(pi)], "fro")
+                errors_a[pi] = _frobenius(a_est - a_true.take(pi, axis=0))
+            err = errors_a[pi] + _frobenius(gauge - w_true.take(pi, axis=0))
             if err < best:
                 best, best_pi = err, pi
     return float(best), best_pi
+
+
+def _frobenius(m: np.ndarray) -> float:
+    """Frobenius norm, bitwise what ``np.linalg.norm(m, "fro")`` gives for a
+    real matrix, without its dispatch."""
+    v = m.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def _hungarian(a_est, w_est, a_true, w_true) -> tuple:
@@ -155,8 +169,14 @@ def gating_fit_rows(w_est: np.ndarray, w_true: np.ndarray, permutation: tuple) -
 SCHEMA_VERSION = 1
 
 
+# settings that decide where and how fast a result is written, not the result
+UNHASHED_SETTINGS = ("out", "threads")
+
+
 def config_hash(config: dict) -> str:
-    canon = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
+    """Hash of every setting except UNHASHED_SETTINGS."""
+    kept = {key: value for key, value in config.items() if key not in UNHASHED_SETTINGS}
+    canon = json.dumps(kept, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 

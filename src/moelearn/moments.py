@@ -13,7 +13,8 @@ in row order; finalize only divides by the kept count. Chunks start at
 multiples of CHUNK within each call, so one call and successive calls split at
 multiples of CHUNK give the same bits. Each chunk's outlier cap scales its
 median finite |P3(y)|, found by a partition (``_median``, np.median's bits);
-a C-ordered chunk that keeps every row is read in place, not copied.
+a chunk that keeps every row is read in place, in any memory order (the score
+sums do not depend on it), and only a chunk with rejects is copied.
 """
 
 from __future__ import annotations
@@ -114,10 +115,7 @@ def accumulate(acc: MomentAccumulator, batch) -> MomentAccumulator:
         cap = CAP_MULTIPLIER * max(scale, 1e-12)
         sel = finite & (np.abs(p3c) <= cap)
         xs, p2s, p3s = x[start:stop], p2c, p3c
-        # a chunk that keeps every row is read in place, if its rows are laid
-        # out as a copy's are: on strided rows a mixture's responsibilities
-        # are summed in another order
-        if not (sel.all() and xs.flags.c_contiguous):
+        if not sel.all():
             xs, p2s, p3s = xs[sel], p2c[sel], p3c[sel]
         if xs.shape[0]:
             parts = components(xs, acc.dist)

@@ -173,8 +173,9 @@ def _transposed(u: np.ndarray) -> np.ndarray:
 
 
 def gmm_responsibilities(x: np.ndarray, dist: InputDistribution) -> np.ndarray:
-    """(n, c) posterior component responsibilities, computed in the log domain."""
-    x = np.atleast_2d(x)
+    """(n, c) posterior component responsibilities, computed in the log domain.
+    The batch is read C-ordered, so the sums do not depend on its memory order."""
+    x = np.ascontiguousarray(np.atleast_2d(x))
     diff = x[:, None, :] - dist.means[None, :, :]
     logw = np.log(np.clip(dist.weights, 1e-300, None))
     return softmax_rows(logw[None, :] - 0.5 * np.einsum("ncd,ncd->nc", diff, diff))
@@ -192,14 +193,13 @@ def components(x: np.ndarray, dist: InputDistribution) -> list:
 def _workspace(parts: list, width: int) -> list:
     """Buffers for ``_score_columns``: the (n,) ``pair`` row of
     ``_hermite_columns`` and a flat (width * n) block it builds in, and for a
-    mixture two more, the (width, n) component sum and the (n, width) block
-    transposed from it.
+    mixture one more, the (width, n) component sum.
 
     Reused from block to block: fresh arrays per block fault in new pages
     every time, which made the wide_moments benchmark about 1.5x slower.
     """
     n = parts[0][1].shape[1]
-    blocks = 1 if parts[0][0] is None else 3
+    blocks = 1 if parts[0][0] is None else 2
     return [np.empty(n)] + [np.empty(width * n) for _ in range(blocks)]
 
 
@@ -212,7 +212,8 @@ def _score_columns(parts: list, order: int, cols: slice, work: list) -> np.ndarr
     (width, n) rows: each Hermite block is multiplied in place by its
     responsibility row (r the left operand), and the blocks are added in
     component order, the first as 0.0 + term, as a sum started from zeros
-    gives. One transposed copy then writes the C-ordered block.
+    gives. One transposed copy then writes the C-ordered block into the
+    Hermite buffer, which the component loop no longer needs.
     """
     n, width = parts[0][1].shape[1], cols.stop - cols.start
     pair, out = work[0], work[1][:width * n].reshape(width, n)
@@ -222,7 +223,7 @@ def _score_columns(parts: list, order: int, cols: slice, work: list) -> np.ndarr
     for c, (r, ut) in enumerate(parts):
         term = np.multiply(r, _hermite_columns(ut, order, cols, out, pair), out=out)
         np.add(total if c else 0.0, term, out=total)
-    block = work[3][:width * n].reshape(n, width)
+    block = out.reshape(n, width)
     np.copyto(block, total.T)
     return block
 

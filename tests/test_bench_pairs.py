@@ -74,6 +74,20 @@ def test_compare_suite_outputs_lists_changed_and_one_sided_files(bench_pairs):
     assert set(result["diffs"]) == set(result["differ"])
 
 
+def test_compare_suite_outputs_names_the_columns_that_differ(bench_pairs):
+    rows = lambda *lines: "".join(line + "\r\n" for line in lines)
+    parent = {"t.csv": rows("metric,mean,config_hash", "fit,0.5,aaaa", "err,0.25,aaaa"),
+              "u.csv": rows("a,b,c", "1,2,3"), "m.json": "{}\n"}
+    change = {"t.csv": rows("metric,mean,config_hash", "fit,0.5,bbbb", "err,0.25,bbbb"),
+              "u.csv": rows("a,b,c", "1,\"x,y\",3", "4,5,6"), "m.json": "[]\n",
+              "new.csv": rows("z", "1")}
+    result = bench_pairs.compare_suite_outputs({"parent": parent, "change": change})
+    assert result["differ"] == ["m.json", "new.csv", "t.csv", "u.csv"]
+    assert result["columns"] == {"t.csv": ["config_hash"], "u.csv": ["a", "b", "c"]}
+    assert bench_pairs.differing_columns(rows("a,b", "1,2"), rows("a,b,c", "1,3,4")) == ["b", "c"]
+    assert bench_pairs.differing_columns(rows("a"), rows("a")) == []
+
+
 def test_slowest_tests_reads_the_durations_section(bench_pairs):
     output = "\n".join([
         "..F.                                                                     [100%]",

@@ -615,15 +615,15 @@ def test_experiment_suite_deterministic_bytes(tmp_path):
 
 
 def test_experiment_suite_parallel_matches_serial(tmp_path):
-    cfg1 = ExperimentConfig(n=600, trials=3, seed=3, threads=1)
-    cfg2 = ExperimentConfig(n=600, trials=3, seed=3, threads=3)
-    run_suite("table2", cfg1, tmp_path / "serial")
-    run_suite("table2", cfg2, tmp_path / "parallel")
-    s = (tmp_path / "serial" / "table2.csv").read_text()
-    p = (tmp_path / "parallel" / "table2.csv").read_text()
-    # threads is part of the config echo, so strip the hash column
-    strip = lambda text: [line.rsplit(",", 1)[0] for line in text.splitlines()]
-    assert strip(s) == strip(p)
+    """Neither threads nor out is hashed, so the files match byte for byte."""
+    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    run_suite("table2", ExperimentConfig(n=600, trials=3, seed=3, out=str(serial)), serial)
+    run_suite("table2", ExperimentConfig(n=600, trials=3, seed=3, out=str(parallel),
+                                         threads=3), parallel)
+    names = sorted(p.name for p in serial.iterdir())
+    assert names == sorted(p.name for p in parallel.iterdir())
+    for name in names:
+        assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
 
 
 def test_experiment_cli_unknown_suite(tmp_path):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import moelearn
 from moelearn import ExperimentConfig, draw_instance, experiments, run_suite
 from moelearn.errors import ConfigError, NumericalError
 from moelearn.experiments import run_trial, trial_seeds
+from moelearn.metrics import FitReport
 
 
 def test_draw_instance_contracts():
@@ -136,8 +138,30 @@ def test_config_validation_and_json(tmp_path):
 
 def test_config_hash_pinned():
     """Suite CSVs carry this hash in their config_hash column."""
-    assert ExperimentConfig().hash() == "68c2f84ad29592dc"
-    assert ExperimentConfig(k=3, d=7, n=500, sigma=0.2).hash() == "42d78022b859a789"
+    assert ExperimentConfig().hash() == "aa9c49f21ab38c6b"
+    assert ExperimentConfig(k=3, d=7, n=500, sigma=0.2).hash() == "3495fe1f46a8d660"
+
+
+# a valid value other than the default for every setting
+_OTHER_SETTINGS = {
+    "algo": "joint-em", "experiment": "table1", "k": 3, "d": 11, "sigma": 0.2,
+    "activation": "relu", "radius": 2.0, "orthogonal": False,
+    "dist": {"kind": "gmm", "p": 0.3}, "n": 2001, "trials": 11, "seed": 1, "threads": 2,
+    "out": "elsewhere", "csv_path": "data.csv", "feature_cols": ["c1"],
+    "target_col": "target", "split": 0.5}
+
+
+def test_config_hash_covers_every_setting_but_out_and_threads():
+    """The hash, and so a fit report's, moves with every setting that can
+    change a result, and not with where or how fast the result is written."""
+    base = ExperimentConfig()
+    assert set(_OTHER_SETTINGS) == set(ExperimentConfig.__dataclass_fields__)
+    unmoved = {name for name, value in _OTHER_SETTINGS.items()
+               if replace(base, **{name: value}).hash() == base.hash()}
+    assert unmoved == {"out", "threads"}
+    other = replace(base, out="elsewhere", threads=2)
+    assert (FitReport(config=other.to_dict()).to_dict()["config_hash"]
+            == FitReport(config=base.to_dict()).to_dict()["config_hash"] == base.hash())
 
 
 def test_small_suites_run_clean(tmp_path):
@@ -220,41 +244,41 @@ _STUB_OUTPUTS = {
         "table1.csv": (
             "metric,p=0.1,p=0.3,p=0.5,p=0.7,p=0.9,config_hash",
             "regressor_fit,0.794 +/- 0.062,0.784 +/- 0.062,failed,0.764 +/- 0.062,"
-            "0.754 +/- 0.062,bf12858733b5b09e",
+            "0.754 +/- 0.062,ae9f8c247ce2895c",
             "gating_fit,0.137 +/- 0.042,0.144 +/- 0.042,failed,0.157 +/- 0.042,"
-            "0.164 +/- 0.042,bf12858733b5b09e",
+            "0.164 +/- 0.042,ae9f8c247ce2895c",
         ),
         "table1_aggregate.csv": (
             "config_hash,metric,mean,std,trials",
-            "a1d363bdef57fb0d,p=0.1:regressor_fit,0.7941666667,0.0625,2",
-            "a1d363bdef57fb0d,p=0.1:gating_fit,0.1372222222,0.04166666667,2",
-            "c96f1945e6b1adb2,p=0.3:regressor_fit,0.7841666667,0.0625,2",
-            "c96f1945e6b1adb2,p=0.3:gating_fit,0.1438888889,0.04166666667,2",
-            "84223fe8df720bdc,p=0.7:regressor_fit,0.7641666667,0.0625,2",
-            "84223fe8df720bdc,p=0.7:gating_fit,0.1572222222,0.04166666667,2",
-            "d4428ac433de81e6,p=0.9:regressor_fit,0.7541666667,0.0625,2",
-            "d4428ac433de81e6,p=0.9:gating_fit,0.1638888889,0.04166666667,2",
+            "e1f32f8902ed487e,p=0.1:regressor_fit,0.7941666667,0.0625,2",
+            "e1f32f8902ed487e,p=0.1:gating_fit,0.1372222222,0.04166666667,2",
+            "edc4439b2a487eab,p=0.3:regressor_fit,0.7841666667,0.0625,2",
+            "edc4439b2a487eab,p=0.3:gating_fit,0.1438888889,0.04166666667,2",
+            "d93f2d198a31c848,p=0.7:regressor_fit,0.7641666667,0.0625,2",
+            "d93f2d198a31c848,p=0.7:gating_fit,0.1572222222,0.04166666667,2",
+            "ea9beb48e7706128,p=0.9:regressor_fit,0.7541666667,0.0625,2",
+            "ea9beb48e7706128,p=0.9:gating_fit,0.1638888889,0.04166666667,2",
         ),
     },
     "table2": {
         "table2.csv": (
             "setting,metric,mean,std,trials,config_hash",
-            "orthogonal,regressor_fit,0.7913541667,0.0625,2,e9417d72c0161e28",
-            "orthogonal,gating_fit,0.1390972222,0.04166666667,2,e9417d72c0161e28",
+            "orthogonal,regressor_fit,0.7913541667,0.0625,2,3525ed068af94cd9",
+            "orthogonal,gating_fit,0.1390972222,0.04166666667,2,3525ed068af94cd9",
         ),
         "table2_aggregate.csv": (
             "config_hash,metric,mean,std,trials",
-            "e9417d72c0161e28,orthogonal:regressor_fit,0.7913541667,0.0625,2",
-            "e9417d72c0161e28,orthogonal:gating_fit,0.1390972222,0.04166666667,2",
+            "3525ed068af94cd9,orthogonal:regressor_fit,0.7913541667,0.0625,2",
+            "3525ed068af94cd9,orthogonal:gating_fit,0.1390972222,0.04166666667,2",
         ),
     },
     "fig_k3": {
         "fig_k3.csv": (
             "algo,trial,iter,param_error,config_hash",
-            "spectral+em,0,1,0.6416666667,410ee270c20e1cb7",
-            "spectral+em,0,2,0.3208333333,410ee270c20e1cb7",
-            "spectral+em,1,1,0.8916666667,410ee270c20e1cb7",
-            "spectral+em,1,2,0.4458333333,410ee270c20e1cb7",
+            "spectral+em,0,1,0.6416666667,740ac2a888bdd1ca",
+            "spectral+em,0,2,0.3208333333,740ac2a888bdd1ca",
+            "spectral+em,1,1,0.8916666667,740ac2a888bdd1ca",
+            "spectral+em,1,2,0.4458333333,740ac2a888bdd1ca",
         ),
     },
     "fig_nonorth": {
@@ -265,19 +289,19 @@ _STUB_OUTPUTS = {
     "varying_n": {
         "varying_n.csv": (
             "n,algo,median,mean,std,trials,config_hash",
-            "1000,spectral+em,0.5333333333,0.5333333333,0.125,2,6d5fe2de1cf06039",
-            "1000,joint-em,0.5958333333,0.5958333333,0.125,2,2ed66cff49734cff",
-            "5000,spectral+em,0.6666666667,0.6666666667,0.125,2,8844e1d33735a938",
-            "10000,spectral+em,0.8333333333,0.8333333333,0.125,2,8bcb2996f2fee837",
-            "10000,joint-em,0.8958333333,0.8958333333,0.125,2,f836733162ccec53",
+            "1000,spectral+em,0.5333333333,0.5333333333,0.125,2,61f2f59b1a50d09e",
+            "1000,joint-em,0.5958333333,0.5958333333,0.125,2,59e0270be54eb130",
+            "5000,spectral+em,0.6666666667,0.6666666667,0.125,2,6f77525a1b0dd1a2",
+            "10000,spectral+em,0.8333333333,0.8333333333,0.125,2,279538938f4c3f5a",
+            "10000,joint-em,0.8958333333,0.8958333333,0.125,2,e4b93c1c5038078c",
         ),
     },
     "nonlinear": {
         "nonlinear.csv": (
             "activation,algo,median_param_error,mean_regressor_fit,trials,config_hash",
-            "sigmoid,spectral+em,0.8333333333,0.5833333333,2,75cb02e485e93a78",
-            "sigmoid,joint-em,0.8958333333,0.5520833333,2,121429ac8af14e3d",
-            "relu,joint-em,0.9270833333,0.5364583333,2,91d102d960368ef3",
+            "sigmoid,spectral+em,0.8333333333,0.5833333333,2,03a178d525097021",
+            "sigmoid,joint-em,0.8958333333,0.5520833333,2,bf6545c08e403e0a",
+            "relu,joint-em,0.9270833333,0.5364583333,2,0728a5855222bd48",
         ),
     },
 }
@@ -308,5 +332,5 @@ def test_suite_layouts_with_a_failed_cell(tmp_path, monkeypatch):
     assert run_suite("fig_nonorth", base, tmp_path / "clean")["failures"] == []
     assert (tmp_path / "clean" / "fig_nonorth.csv").read_bytes().decode() == _crlf(
         "trial,iter,gating_fit,config_hash",
-        "0,1,0.6833333333,d2752cd89c5a97c9", "0,2,0.9366666667,d2752cd89c5a97c9",
-        "1,1,0.4333333333,d2752cd89c5a97c9", "1,2,0.8866666667,d2752cd89c5a97c9")
+        "0,1,0.6833333333,ff4e5352dd20ec6d", "0,2,0.9366666667,ff4e5352dd20ec6d",
+        "1,1,0.4333333333,ff4e5352dd20ec6d", "1,2,0.8866666667,ff4e5352dd20ec6d")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from moelearn import gating_fit, regressor_fit
 from moelearn import metrics
@@ -201,6 +202,21 @@ def test_param_error_min_gauge_matches_every_gauge_search(k, est_padded, truth_p
     got = param_error_min_gauge(a_est, w_est, a_true, w_truth)
     assert got == _ref_param_error_min_gauge(a_est, w_est, a_true, w_truth)
     assert type(got[0]) is float
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=9),
+                  elements=st.floats(allow_nan=False, allow_subnormal=True)),
+       st.sampled_from(["C", "F", "strided"]))
+def test_frobenius_has_np_linalg_norm_bits(m, layout):
+    """E(A, W)'s norm equals np.linalg.norm(m, "fro") bit for bit, in any
+    memory order, over the whole float range (overflow to inf included)."""
+    if layout == "F":
+        m = np.asfortranarray(m)
+    elif layout == "strided":
+        m = np.repeat(m, 2, axis=0)[::2]
+    with np.errstate(over="ignore"):
+        assert metrics._frobenius(m).hex() == float(np.linalg.norm(m, "fro")).hex()
 
 
 def test_gating_fit_rows_matched_permutation():

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,7 +13,7 @@ from moelearn.cqt import apply_p2, apply_p3, gauss_hermite
 from moelearn.errors import ConfigError, NumericalError
 from moelearn.moments import (CAP_MULTIPLIER, CHUNK, MomentAccumulator, _median, accumulate,
                               finalize, raw_third_moment)
-from moelearn.scores import Sym3, score2_packed, score3_packed
+from moelearn.scores import Sym3, score2_packed, score3_packed, score_moment
 
 from conftest import make_model, orthogonal_gating, unit_rows
 
@@ -359,7 +359,16 @@ def test_chunk_moments_bitwise_match_full_width_products_on_mixtures(one_blas_th
     assert np.array_equal(acc.t3, p3[kept] @ score3_packed(x[kept], dist))
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
+def _laid_out(x, layout):
+    """The values of x, C-ordered, Fortran-ordered or on strided rows."""
+    if layout == "strided":
+        rows = np.empty((2 * x.shape[0], x.shape[1]))[::2]
+        rows[...] = x
+        return rows
+    return np.asarray(x, order=layout)
+
+
+@pytest.mark.parametrize("order", ["C", "F", "strided"])
 @pytest.mark.parametrize("mixture", [False, True], ids=["gaussian", "mixture"])
 def test_chunk_that_keeps_every_row_equals_its_copied_rows_bitwise(mixture, order):
     """A chunk that keeps every row is read in place; its T2 and T3 equal
@@ -368,7 +377,7 @@ def test_chunk_that_keeps_every_row_equals_its_copied_rows_bitwise(mixture, orde
     rng = np.random.default_rng(31)
     dist = (InputDistribution.gaussian_mixture([0.4, 0.6], rng.standard_normal((2, d)))
             if mixture else InputDistribution.standard_gaussian(d))
-    x = np.asarray(dist.sample(n, rng), order=order)
+    x = _laid_out(dist.sample(n, rng), order)
     y = rng.uniform(1.0, 1.5, n)          # |P3(y)| within a few medians: all kept
     in_place = _acc(d, Activation.linear(), 0.1, dist)
     accumulate(in_place, (x, y))
@@ -377,6 +386,33 @@ def test_chunk_that_keeps_every_row_equals_its_copied_rows_bitwise(mixture, orde
     assert (in_place.n_seen, in_place.n_rejected) == (n, 0)
     assert (copied.n_seen, copied.n_rejected) == (n, 1)
     assert np.array_equal(in_place.t2, copied.t2) and np.array_equal(in_place.t3, copied.t3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(1, 6), components=st.integers(1, 3),
+       n=st.one_of(st.integers(1, 300), st.integers(CHUNK - 200, CHUNK + 200)),
+       seed=st.integers(0, 2**31 - 1))
+@example(d=5, components=2, n=700, seed=31)
+def test_score_moments_do_not_depend_on_memory_order(d, components, n, seed):
+    """accumulate's T2 and T3 sums, raw_third_moment and score_moment give the
+    bits of the batch's C-ordered copy for Fortran-ordered and row-strided
+    batches, for Gaussian inputs (one component) and mixtures of two or three."""
+    rng = np.random.default_rng(seed)
+    dist = (InputDistribution.gaussian_mixture(rng.dirichlet(np.ones(components)),
+                                               rng.standard_normal((components, d)))
+            if components > 1 else InputDistribution.standard_gaussian(d))
+    x, y = np.ascontiguousarray(dist.sample(n, rng)), rng.standard_normal(n)
+
+    def sums(x):
+        acc = _acc(d, Activation.linear(), 0.1, dist)
+        accumulate(acc, (x, y))
+        return (acc.t2, acc.t3, raw_third_moment(Dataset(x, y), dist).data,
+                score_moment(x, dist, y, 2), score_moment(x, dist, y, 3))
+
+    expected = sums(x)
+    for layout in ("F", "strided"):
+        for got, want in zip(sums(_laid_out(x, layout)), expected):
+            assert np.array_equal(got, want), layout
 
 
 # non-negative finite values: exact ties, zeros, subnormals, values near 1e300
