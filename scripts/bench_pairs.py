@@ -45,7 +45,11 @@ command (``TIER1``) runs once in each tree, BLAS on one thread, and its wall tim
 pytest summary line and ten slowest tests (``--durations=10``, as ``{test id:
 seconds}``) are recorded. ``fit_imports`` lists, per tree, workload and cell,
 the modules that cell's first trial imports beyond ``import moelearn`` (probed
-in a fresh interpreter), so a fit that starts loading a library shows it. The
+in a fresh interpreter), so a fit that starts loading a library shows it.
+``memory_layers`` gives, per tree and workload, the ``tracemalloc`` peak of
+each stage in ``MEMORY_LAYERS`` over one pass at the first seed: the largest
+rise of a call's traced peak above the memory traced at its start, so an RSS
+change can be put on the stage that moved it. The
 line count of each tree's
 ``src/moelearn/*.py`` and the field count of its ``ExperimentConfig`` (the
 settable values of a fit and its experiment) are recorded too, so a change
@@ -122,6 +126,53 @@ before = set(sys.modules)
 experiments.run_trial(trial.config, trial.index)
 print(json.dumps(sorted(set(sys.modules) - before)))
 """
+
+# Runs every trial of workload sys.argv[1] under seed sys.argv[2] with
+# tracemalloc on, the functions of each layer of the JSON sys.argv[3] rebound
+# in every moelearn module that holds them, and prints {layer: the largest
+# rise of one call's traced peak above the memory traced at its start, in
+# bytes}. The layers must not nest: each call resets the peak.
+_MEMORY_LAYERS = """
+import importlib, json, sys, tracemalloc
+sys.path[:0] = ["perfbench", "src"]
+from moelearn import experiments
+from workloads import build_trials
+layers = json.loads(sys.argv[3])
+peaks = dict.fromkeys(layers, 0)
+def wrap(layer, fn):
+    def traced(*args, **kwargs):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            peaks[layer] = max(peaks[layer], tracemalloc.get_traced_memory()[1] - start)
+    return traced
+for layer, targets in layers.items():
+    for target in targets:
+        module, attr = target.rsplit(".", 1)
+        original = getattr(importlib.import_module(module), attr)
+        wrapper = wrap(layer, original)
+        for name, holder in list(sys.modules.items()):
+            if name.split(".")[0] == "moelearn":
+                for key, value in list(vars(holder).items()):
+                    if value is original:
+                        setattr(holder, key, wrapper)
+trials = build_trials(sys.argv[1], int(sys.argv[2]))
+tracemalloc.start()
+for t in trials:
+    experiments.run_trial(t.config, t.index)
+print(json.dumps(peaks))
+"""
+
+# layer -> the functions whose calls make it, for memory_layers
+MEMORY_LAYERS = {
+    "sampling": ["moelearn.model.sample_dataset"],
+    "accumulate": ["moelearn.moments.accumulate"],
+    "recover_regressors": ["moelearn.decomposition.recover_regressors"],
+    "em": ["moelearn.gating_em.run_em", "moelearn.gating_em.run_gradient_em",
+           "moelearn.joint_em.run_joint_em"],
+}
 
 # Prints the field count of the ExperimentConfig in the current tree's src/.
 _COUNT_FIELDS = """
@@ -432,6 +483,17 @@ def fit_imports(tree: Path, workload: str, seed: int) -> dict:
     return cells
 
 
+def memory_layers(tree: Path, workload: str, seed: int) -> dict:
+    """{layer of MEMORY_LAYERS: its largest traced peak in MB} over one pass of
+    ``workload`` under ``seed``, run in a fresh interpreter that imports
+    ``tree``'s own src/ and perfbench/. A layer no trial calls reads 0."""
+    done = subprocess.run([sys.executable, "-c", _MEMORY_LAYERS, workload, str(seed),
+                           json.dumps(MEMORY_LAYERS)],
+                          cwd=tree, check=True, stdout=subprocess.PIPE, text=True,
+                          env={**os.environ, **_ONE_THREAD}, timeout=1800)
+    return {layer: peak / 2**20 for layer, peak in json.loads(done.stdout).items()}
+
+
 def source_sha256(tree: Path) -> str:
     digest = hashlib.sha256()
     for path in sorted((tree / "src" / "moelearn").glob("*.py")):
@@ -471,6 +533,13 @@ def main() -> int:
                       f"{args.seeds[0]} imports beyond `import moelearn`, each run in a "
                       f"fresh interpreter (scripts/bench_pairs.py's fit_imports)",
             **{side: {workload: fit_imports(tree, workload, args.seeds[0])
+                      for workload in workloads} for side, tree in trees.items()}},
+        "memory_layers": {
+            "method": f"per workload, one pass at seed {args.seeds[0]} under tracemalloc in a "
+                      f"fresh interpreter; per layer, the largest rise of one call's traced "
+                      f"peak above the memory traced at its start, in MB (2**20 bytes); "
+                      f"layers: {MEMORY_LAYERS} (scripts/bench_pairs.py's memory_layers)",
+            **{side: {workload: memory_layers(tree, workload, args.seeds[0])
                       for workload in workloads} for side, tree in trees.items()}},
         "environment": None,
         "method": (f"Each (workload, seed) ran as `python3 perfbench/sweep.py --workloads W "

@@ -30,11 +30,14 @@ def packed_indices(d: int, order: int):
     Returns (idx, mult) where idx is an (order, P) int array of sorted tuples
     in lexicographic order and mult[p] is the number of distinct permutations.
     """
-    tuples = np.array(list(itertools.combinations_with_replacement(range(d), order)), dtype=np.intp).T
-    tuples = tuples.reshape(order, -1)
+    # np.nonzero lists the true entries of a mask of sorted tuples in C order,
+    # which is lexicographic
+    r = np.arange(d)
     if order == 2:
+        tuples = np.array(np.nonzero(r[:, None] <= r))
         mult = np.where(tuples[0] == tuples[1], 1, 2).astype(float)
     else:
+        tuples = np.array(np.nonzero((r[:, None, None] <= r[:, None]) & (r[:, None] <= r)))
         i, j, l = tuples
         mult = np.full(tuples.shape[1], 6.0)
         two_equal = (i == j) ^ (j == l)
@@ -99,11 +102,12 @@ class Sym3:
 # packed score evaluation (batched; the accumulation hot path)
 # ---------------------------------------------------------------------------
 
-# Packed columns built and contracted per step of ``score_moment``. Keep it a
-# multiple of 64: BLAS's matrix-vector kernels take the last few columns of a
-# call through other code than the rest, so with other widths a block's columns
-# no longer get the arithmetic they get in one full-width product.
-BLOCK_COLUMNS = 64
+# Packed columns built and contracted per step of ``score_moment``: a block
+# holds 16 * rows doubles (0.5 MB for a chunk of 4096 rows). Keep it a multiple
+# of 4: OpenBLAS's matrix-vector kernels take a call's columns in groups of
+# four and the last few through other code, so at other widths a block's
+# columns no longer get the arithmetic they get in one full-width product.
+BLOCK_COLUMNS = 16
 
 
 def _column_blocks(size: int) -> list:
@@ -193,7 +197,8 @@ def components(x: np.ndarray, dist: InputDistribution) -> list:
 def _workspace(parts: list, width: int) -> list:
     """Buffers for ``_score_columns``: the (n,) ``pair`` row of
     ``_hermite_columns`` and a flat (width * n) block it builds in, and for a
-    mixture one more, the (width, n) component sum.
+    mixture one more, the (width, n) component sum. At BLOCK_COLUMNS = 16 and
+    a chunk of 4096 rows a block is 0.5 MB.
 
     Reused from block to block: fresh arrays per block fault in new pages
     every time, which made the wide_moments benchmark about 1.5x slower.

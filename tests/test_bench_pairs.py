@@ -180,3 +180,38 @@ def test_fit_imports_of_this_tree_hold_no_numpy_side_packages(bench_pairs):
     assert list(imports) == ["d40:gaussian"]
     assert not [m for m in imports["d40:gaussian"]
                 if m.split(".")[:2] in (["numpy", "ma"], ["numpy", "polynomial"])]
+
+
+def test_memory_layers_take_each_stage_peak_above_what_it_started_with(bench_pairs, tmp_path):
+    package, bench = tmp_path / "src" / "moelearn", tmp_path / "perfbench"
+    package.mkdir(parents=True)
+    bench.mkdir()
+    stages = {"model": ["sample_dataset"], "moments": ["accumulate"],
+              "decomposition": ["recover_regressors"],
+              "gating_em": ["run_em", "run_gradient_em"], "joint_em": ["run_joint_em"]}
+    (package / "__init__.py").write_text("")
+    for module, names in stages.items():
+        (package / f"{module}.py").write_text("".join(
+            f"def {name}(mb):\n    return len(bytearray(mb * 2**20))\n\n\n" for name in names))
+    # the second trial holds 8 MB through its stages, which no stage's peak
+    # counts, and two of its stages take more than the first trial's
+    (package / "experiments.py").write_text(
+        "from .model import sample_dataset\n"
+        "from . import decomposition, gating_em, moments\n\n\n"
+        "def run_trial(config, index):\n"
+        "    held = bytearray(8 * 2**20 * index)\n"
+        "    sample_dataset(1)\n"
+        "    moments.accumulate(2 + index)\n"
+        "    decomposition.recover_regressors(3)\n"
+        "    gating_em.run_gradient_em(1 + 3 * index)\n"
+        "    return len(held)\n")
+    (bench / "workloads.py").write_text(
+        "from dataclasses import dataclass\n\n\n@dataclass\nclass Trial:\n"
+        "    config: str\n    index: int\n\n\n"
+        "def build_trials(workload, seed):\n"
+        "    return [Trial('c', i) for i in range(2)]\n")
+    layers = bench_pairs.memory_layers(tmp_path, "w", 0)
+    assert list(layers) == list(bench_pairs.MEMORY_LAYERS)
+    want = {"sampling": 1, "accumulate": 3, "recover_regressors": 3, "em": 4}
+    for layer, mb in want.items():
+        assert mb <= layers[layer] < mb + 0.05

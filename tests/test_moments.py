@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from moelearn import (Activation, Dataset, InputDistribution, MoeModel,
-                      sample_dataset, solve_cqt)
+                      sample_dataset, scores, solve_cqt)
 from moelearn.cqt import apply_p2, apply_p3, gauss_hermite
 from moelearn.errors import ConfigError, NumericalError
 from moelearn.moments import (CAP_MULTIPLIER, CHUNK, MomentAccumulator, _median, accumulate,
                               finalize, raw_third_moment)
-from moelearn.scores import Sym3, score2_packed, score3_packed, score_moment
+from moelearn.scores import Sym3, packed_size, score2_packed, score3_packed, score_moment
 
 from conftest import make_model, orthogonal_gating, unit_rows
 
@@ -335,6 +335,29 @@ def test_accumulate_memory_is_bounded_at_d60():
         tracemalloc.stop()
     assert acc.n_seen + acc.n_rejected == n
     assert peak < 64 * 2**20
+
+
+def test_accumulate_peak_is_one_transposed_chunk_and_one_block_at_d40():
+    """One Gaussian 4096-row chunk at d = 40, the index tables built afresh:
+    the traced peak stays within the chunk's transposed copy (8 d n bytes),
+    one block of 16 packed columns (8 * 16 n), the pair row (8 n), 96 bytes
+    per packed S3 entry for the O(P) tables (indices, multiplicities, sums,
+    run lists), and 256 KB of slack. Blocks of 64 columns, or index tables
+    built as Python tuples, each break it."""
+    d, n = 40, CHUNK
+    rng = np.random.default_rng(12)
+    x, y = rng.standard_normal((n, d)), rng.standard_normal(n)
+    acc = _acc(d, Activation.linear(), 0.5)
+    scores.packed_indices.cache_clear()
+    scores._runs.cache_clear()
+    tracemalloc.start()
+    try:
+        accumulate(acc, (x, y))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert acc.n_seen + acc.n_rejected == n
+    assert peak <= 8 * d * n + 8 * 16 * n + 8 * n + 96 * packed_size(d, 3) + 2**18
 
 
 @settings(max_examples=30, deadline=None)

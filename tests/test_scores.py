@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -166,6 +167,33 @@ def test_packed_sizes_and_multiplicities():
     assert mult.sum() == 27  # multiplicities tile the dense cube
 
 
+def test_packed_indices_match_combinations_with_replacement():
+    """The index tables against itertools' sorted tuples, the oracle: the same
+    values in the same order and dtype, and each multiplicity the count of
+    the tuple's distinct permutations."""
+    for d in range(1, 41):
+        for order in (2, 3):
+            idx, mult = packed_indices(d, order)
+            want = list(itertools.combinations_with_replacement(range(d), order))
+            assert idx.dtype == np.intp and idx.shape == (order, len(want))
+            assert list(zip(*idx.tolist())) == want
+            assert mult.dtype == float
+            assert mult.tolist() == [len(set(itertools.permutations(t))) for t in want]
+
+
+def test_packed_indices_peak_memory_is_a_small_multiple_of_the_tables():
+    """At d = 40 the tables are built in numpy arrays: the traced peak stays
+    within twice the bytes returned. A list of the 11,480 index tuples as
+    Python tuples took 3.7 times them."""
+    tracemalloc.start()
+    try:
+        idx, mult = packed_indices.__wrapped__(40, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (idx.nbytes + mult.nbytes)
+
+
 def test_contractions_match_dense_einsum():
     rng = np.random.default_rng(3)
     d = 5
@@ -297,8 +325,9 @@ def test_score_packed_bitwise_matches_plain_formula(d, n, kind, order, frac_spec
 @pytest.mark.parametrize("d, order", [(11, 3), (12, 3), (12, 2)])
 def test_score_blocks_bitwise_match_plain_formula_where_runs_cross_blocks(kind, d, order,
                                                                           finite):
-    """Each block of BLOCK_COLUMNS columns, as score_moment builds it, where
-    shared-prefix runs cross block edges (at d = 11 a run with i == j does)."""
+    """Each block of BLOCK_COLUMNS (16) columns, as score_moment builds it,
+    where shared-prefix runs cross block edges (at d = 11 a run with i == j
+    does)."""
     x, dist = _special_batch(kind, d, 50, 0.2, finite, d)
     blocks = scores._column_blocks(packed_size(d, order))
     # some block starts inside a run: its first piece's l is past the prefix
@@ -355,7 +384,7 @@ def test_score_moment_matches_full_width_product(block, d, n, kind, order, frac_
     assert np.allclose(got, w @ full(x, dist))
 
 
-@pytest.mark.parametrize("block", [64, 128, 192])
+@pytest.mark.parametrize("block", [16, 64, 128, 192])
 @settings(max_examples=25, deadline=None)
 @given(*_KERNEL_CASES)
 def test_score_moment_bitwise_matches_full_width_product(one_blas_thread, block, d, n, kind,
@@ -370,6 +399,24 @@ def test_score_moment_bitwise_matches_full_width_product(one_blas_thread, block,
     assert np.array_equal(got, want, equal_nan=True)
 
 
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("weights", [None, [0.3, 0.7]])
+def test_score_moment_at_16_columns_bitwise_matches_64_at_d40(one_blas_thread, weights,
+                                                               order):
+    """The wide benchmark shape, d = 40 and one 4096-row chunk, on Gaussian
+    and mixture inputs: blocks of 16 columns give the bits of blocks of 64."""
+    d, n = 40, 4096
+    rng = np.random.default_rng(40)
+    dist = (InputDistribution.standard_gaussian(d) if weights is None else
+            InputDistribution.gaussian_mixture(weights, rng.standard_normal((2, d))))
+    x, w = dist.sample(n, rng), rng.standard_normal(n)
+    got = {}
+    for block in (16, 64):
+        with mock.patch.object(scores, "BLOCK_COLUMNS", block):
+            got[block] = score_moment(x, dist, w, order)
+    assert np.array_equal(got[16], got[64])
+
+
 def _assert_remainder_bitwise(kind, d):
     rng = np.random.default_rng(7)
     dist = _input_law(kind, d, rng)
@@ -381,7 +428,7 @@ def _assert_remainder_bitwise(kind, d):
 
 @pytest.mark.parametrize("kind", ["gaussian", "gmm"])
 def test_score_moment_one_column_remainder(one_blas_thread, kind):
-    """P2 = 8001 at d = 126: one column is left after the last block of 64."""
+    """P2 = 8001 at d = 126: one column is left after the last block of 16."""
     _assert_remainder_bitwise(kind, 126)
 
 
@@ -389,5 +436,5 @@ def test_score_moment_one_column_remainder(one_blas_thread, kind):
 @pytest.mark.parametrize("d", [11, 125])
 def test_score_moment_two_or_three_column_remainder(one_blas_thread, kind, d):
     """P2 = 66 at d = 11 and 7875 at d = 125: two and three columns are left
-    after the last full block of 64."""
+    after the last full block of 16."""
     _assert_remainder_bitwise(kind, d)
